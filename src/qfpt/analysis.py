@@ -9,7 +9,6 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .errors import PhysicsError, TailNotConvergedError
-from .propagation import uniform_step
 
 logger = logging.getLogger(__name__)
 
@@ -17,6 +16,18 @@ TAIL_EPSILON = 1e-6
 LEDGER_TOL = 1e-6
 
 PROVENANCES = ("deterministic-jump", "deterministic-diffusion", "monte-carlo")
+
+
+def uniform_step(times: np.ndarray) -> float:
+    """Grid spacing, verifying uniformity to relative 1e-9."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("need at least two grid points")
+    steps = np.diff(t)
+    dt = float(steps[0])
+    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
+        raise ValueError("time grid must be uniformly spaced and increasing")
+    return dt
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,11 @@ from .errors import (
     DegenerateKernelError,
     PhysicsError,
 )
-from .jumps import (
-    DEFAULT_STEP_FACTOR,
-    MAX_GRID_POINTS,
-    ChargeWindow,
-    preview_window,
-    solve_jump_fpt,
-)
+from .jumps import ChargeWindow, preview_window, solve_jump_fpt
 from .kur import kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, steady_state
+from .propagation import MAX_GRID_POINTS, default_step, grid_points
 from .trajectories import (
     TrajectoryConfig,
     fpt_histogram,
@@ -529,9 +524,8 @@ def run_validate(args) -> int:
             f"jump window preview: [{window.lower}, {window.upper}] ({sides}), "
             f"{window.ncells * model.dim**2} coupled components"
         )
-        scale = model.rate_scale()
-        dt = DEFAULT_STEP_FACTOR / scale
-        npoints = int(np.ceil(horizon / dt)) + 1
+        dt = default_step(model.rate_scale())
+        npoints = grid_points(horizon, dt)
         if npoints > MAX_GRID_POINTS:
             capped = horizon / (MAX_GRID_POINTS - 1)
             lines.append(

@@ -15,7 +15,6 @@ exactly at c, so the last live node sits at c - delta.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,30 +24,29 @@ import scipy.integrate
 import scipy.sparse
 
 from .analysis import FptResult
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .errors import ConfigError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_liouvillian,
     left_multiplier,
     right_multiplier,
-    steady_state,
     trace_functional,
     validate_density_matrix,
     vectorize,
 )
-from .propagation import absorption_horizon_guess, propagate_uniform
-
-logger = logging.getLogger(__name__)
+from .propagation import (
+    STEP_FACTOR,
+    Discretisation,
+    default_step,
+    evolve_to,
+    initial_density,
+    propagate_uniform,
+    solve_absorbing,
+)
 
 DEFAULT_RESOLUTION = 0.01
 PECLET_LIMIT = 2.0
-EDGE_MASS_TOLERANCE = 1e-12
-WEIGHT_EXCESS_TOLERANCE = 1e-6
 TRACE_DENSITY_ABORT = 1e-9
-TIME_STEP_FACTOR = 0.002
-MAX_GRID_POINTS = 200_000
-MAX_WIDEN_ROUNDS = 12
-MAX_HORIZON_DOUBLINGS = 12
 ALIGNMENT_TOL = 1e-9
 
 
@@ -103,6 +101,16 @@ class ChargeGrid:
             raise ValueError(f"charge {charge} is not a grid node")
         return i
 
+    def widened(self, grow_lower: bool, grow_upper: bool) -> "ChargeGrid":
+        """Grid with the flagged sides moved out to twice their distance
+        plus one, rounded outward to the spacing."""
+        lower, upper = self.lower, self.upper
+        if grow_lower:
+            lower = _round_to(2.0 * lower - 1.0, self.delta, -1)
+        if grow_upper:
+            upper = _round_to(2.0 * upper + 1.0, self.delta, +1)
+        return ChargeGrid(lower, upper, self.delta)
+
 
 @dataclass(frozen=True)
 class DriftSuperoperator:
@@ -140,11 +148,6 @@ class FokkerPlanckGenerator:
     survival_vector: np.ndarray
     flux_vector: np.ndarray
     drift: DriftSuperoperator
-    reflecting: bool = False
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def peclet_number(drift: DriftSuperoperator, delta: float) -> float:
@@ -203,7 +206,7 @@ def build_fokker_planck_generator(
     survival = np.kron(grid.weights(), trace_functional(d)).astype(complex)
     flux = -(matrix.T @ survival)
     return FokkerPlanckGenerator(
-        model, grid, d, matrix, survival, flux, drift, reflecting
+        model, grid, d, matrix, survival, flux, drift
     )
 
 
@@ -225,11 +228,6 @@ class DiffusionState:
         i = grid.zero_index
         data[i * d * d : (i + 1) * d * d] = vectorize(rho0) / grid.delta
         return cls(grid, d, data, 0.0)
-
-    def node_matrix(self, charge: float) -> np.ndarray:
-        d = self.dim
-        i = self.grid.index(charge)
-        return self.data[i * d * d : (i + 1) * d * d].reshape((d, d), order="F")
 
     def node_traces(self) -> np.ndarray:
         d = self.dim
@@ -263,28 +261,29 @@ def conditioned_charge_distribution(state: DiffusionState) -> tuple[np.ndarray, 
     return state.grid.nodes, traces / total
 
 
-def evolve(
-    generator: FokkerPlanckGenerator, state: DiffusionState, t: float, method: str = "auto"
-) -> DiffusionState:
-    """Propagate a node-resolved state forward by t."""
-    if t < 0:
-        raise ConfigError("evolution time must be non-negative")
+def _default_step(
+    model: LindbladModel, drift: DriftSuperoperator, nearest_threshold: float = math.inf
+) -> float:
+    """Output step resolving the fastest of the dissipative, drift and
+    diffusion scales.
+
+    A threshold close to the starting charge makes absorption spike at
+    times of order distance squared over the diffusion constant, so the
+    step also resolves that scale.
+    """
+    dt = default_step(
+        max(model.rate_scale(), drift.diffusion, float(np.linalg.norm(drift.matrix, 2)))
+    )
+    return min(dt, STEP_FACTOR * nearest_threshold**2 / drift.diffusion)
+
+
+def evolve(generator: FokkerPlanckGenerator, state: DiffusionState, t: float) -> DiffusionState:
+    """Propagate a node-resolved state forward by t in default-size steps."""
     if state.grid != generator.grid or state.dim != generator.dim:
         raise ConfigError("state and generator live on different grids")
-    if t == 0.0:
-        return DiffusionState(state.grid, state.dim, state.data.copy(), state.time)
-    last = None
-    for _, x in propagate_uniform(
-        generator.matrix, state.data, np.array([0.0, t]),
-        method=method, prefer_implicit=True,
-    ):
-        last = x
-    return DiffusionState(state.grid, state.dim, last, state.time + t)
-
-
-def fpt_density(generator: FokkerPlanckGenerator, state: DiffusionState) -> float:
-    """Instantaneous rate of weight loss through the grid edges."""
-    return float(np.real(generator.flux_vector @ state.data))
+    dt = _default_step(generator.model, generator.drift)
+    data = evolve_to(generator.matrix, state.data, t, dt, prefer_implicit=True)
+    return DiffusionState(state.grid, state.dim, data, state.time + t)
 
 
 @dataclass
@@ -296,104 +295,9 @@ class DiffusionFptSolution:
     final_state: DiffusionState
     edge_mass_peak: tuple[float, float]
     dt: float
-    snapshots: tuple[DiffusionState, ...] = ()
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.result.times
 
     def conditioned_final_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         return conditioned_charge_distribution(self.final_state)
-
-
-def _evolve_series(
-    generator: FokkerPlanckGenerator,
-    initial: DiffusionState,
-    times: np.ndarray,
-    method: str,
-    substep: float | None,
-    keep_states: int,
-) -> DiffusionFptSolution:
-    d = generator.dim
-    grid = generator.grid
-    m = grid.nnodes
-    w = grid.weights()
-    num = times.size
-    surv = np.empty(num)
-    dens = np.empty(num)
-    lo_peak = 0.0
-    hi_peak = 0.0
-    keep_at = set()
-    if keep_states > 1:
-        keep_at = set(np.linspace(0, num - 1, keep_states).round().astype(int))
-    snapshots = []
-    final = None
-    for i, x in propagate_uniform(
-        generator.matrix, initial.data, times,
-        method=method, substep=substep, prefer_implicit=True,
-    ):
-        blocks = x.reshape((m, d, d))
-        traces = np.einsum("nii->n", blocks).real
-        surv[i] = w @ traces
-        dens[i] = np.real(generator.flux_vector @ x)
-        lo_peak = max(lo_peak, grid.delta * traces[0])
-        hi_peak = max(hi_peak, grid.delta * traces[-1])
-        if i in keep_at:
-            snapshots.append(DiffusionState(grid, d, x.copy(), float(times[i])))
-        if i == num - 1:
-            final = x
-    if dens.min() < -1e-10:
-        raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
-    if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
-        raise PhysicsError(f"total weight grew to {surv.max():.8f}")
-    if np.diff(surv).max(initial=-1.0) > 1e-10:
-        raise PhysicsError("survival grew along the grid beyond roundoff")
-    dens = np.clip(dens, 0.0, None)
-    surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
-    result = FptResult(times, dens, surv, "deterministic-diffusion")
-    final_state = DiffusionState(grid, d, final, float(times[-1]))
-    return DiffusionFptSolution(
-        result, grid, final_state, (lo_peak, hi_peak),
-        float(times[1] - times[0]), tuple(snapshots),
-    )
-
-
-def default_time_grid(
-    model: LindbladModel,
-    drift: DriftSuperoperator,
-    horizon: float,
-    dt: float | None,
-    nearest_threshold: float | None = None,
-    max_points: int = MAX_GRID_POINTS,
-) -> np.ndarray:
-    """Uniform output grid sized from the fastest of the dissipative,
-    drift, and diffusion scales.
-
-    A threshold close to the starting charge makes absorption spike at
-    times of order distance squared over the diffusion constant, so the
-    default step also resolves that scale.
-    """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if dt is None:
-        scale = max(
-            model.rate_scale(),
-            drift.diffusion,
-            float(np.linalg.norm(drift.matrix, 2)),
-        )
-        dt = TIME_STEP_FACTOR / scale
-        if nearest_threshold is not None:
-            dt = min(dt, TIME_STEP_FACTOR * nearest_threshold**2 / drift.diffusion)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    num = max(2, int(math.ceil(horizon / dt)) + 1)
-    if num > max_points:
-        logger.debug(
-            "capping time grid at %d points (dt %.3g -> %.3g)",
-            max_points, dt, horizon / (max_points - 1),
-        )
-        num = max_points
-    return np.linspace(0.0, horizon, num)
 
 
 def mean_charge_path(
@@ -461,13 +365,18 @@ def _auto_grid(
     return ChargeGrid(lower, upper, delta)
 
 
-def _widened(grid: ChargeGrid, grow_lower: bool, grow_upper: bool) -> ChargeGrid:
-    lower, upper = grid.lower, grid.upper
-    if grow_lower:
-        lower = _round_to(2.0 * lower - 1.0, grid.delta, -1)
-    if grow_upper:
-        upper = _round_to(2.0 * upper + 1.0, grid.delta, +1)
-    return ChargeGrid(lower, upper, grid.delta)
+class _DiffusionDiscretisation(Discretisation):
+    provenance = "deterministic-diffusion"
+    state_type = DiffusionState
+    max_widen_rounds = 12
+    max_doublings = 12
+    prefer_implicit = True
+
+    def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
+        return build_fokker_planck_generator(self.model, grid)
+
+    def trace_weights(self, grid: ChargeGrid) -> tuple[np.ndarray, float]:
+        return grid.weights(), grid.delta
 
 
 def solve_diffusion_fpt(
@@ -481,32 +390,23 @@ def solve_diffusion_fpt(
     horizon: float = 10.0,
     dt: float | None = None,
     method: str = "auto",
-    substep: float | None = None,
-    edge_tolerance: float = EDGE_MASS_TOLERANCE,
     auto_tail: bool = False,
     tail_epsilon: float = 1e-6,
     max_horizon: float | None = None,
-    max_grid_points: int = MAX_GRID_POINTS,
-    keep_states: int = 0,
 ) -> DiffusionFptSolution:
     """Solve the absorbing charge drift-diffusion problem.
 
     Thresholds are real charges; each one pins its side of the grid with
     the zeroed ghost node exactly on the threshold.  Open sides start from
     the unconditional mean path plus a diffusive margin and are widened
-    until the edge mass stays below ``edge_tolerance`` over the horizon.
-    ``auto_tail`` doubles the horizon until survival drops under
-    ``tail_epsilon``; distributions that never fully absorb will hit the
-    horizon cap instead, so leave it off for conditioned studies.
+    until the edge mass stays negligible over the horizon.  ``auto_tail``
+    doubles the horizon until survival drops under ``tail_epsilon``;
+    distributions that never fully absorb will hit the horizon cap
+    instead, so leave it off for conditioned studies.
     """
     model.require_channels()
     drift = build_drift_superoperator(model)
-    if isinstance(initial, str):
-        if initial != "steady":
-            raise ConfigError(f"unknown initial state spec {initial!r}")
-        rho0 = steady_state(build_liouvillian(model))
-    else:
-        rho0 = validate_density_matrix(initial)
+    rho0 = initial_density(model, initial)
     if grid is not None and (threshold is not None or lower_threshold is not None):
         raise ConfigError("pass either an explicit grid or thresholds, not both")
     if threshold is not None and threshold <= 0:
@@ -514,63 +414,29 @@ def solve_diffusion_fpt(
     if lower_threshold is not None and lower_threshold >= 0:
         raise ConfigError("lower threshold must be negative")
 
-    horizon = float(horizon)
-    cap = max_horizon if max_horizon is not None else horizon * 2.0**MAX_HORIZON_DOUBLINGS
     if grid is not None:
         work, lower_open, upper_open = grid, False, False
         near = min(work.upper + work.delta, -work.lower + work.delta)
     else:
-        work = _auto_grid(model, drift, rho0, threshold, lower_threshold, delta, horizon)
+        work = _auto_grid(model, drift, rho0, threshold, lower_threshold, delta, float(horizon))
         lower_open = lower_threshold is None
         upper_open = threshold is None
         near = min(
             threshold if threshold is not None else math.inf,
             -lower_threshold if lower_threshold is not None else math.inf,
         )
-        if not math.isfinite(near):
-            near = None
-    if auto_tail:
-        probe = build_fokker_planck_generator(model, work)
-        guess = absorption_horizon_guess(
-            probe.matrix,
-            probe.survival_vector,
-            DiffusionState.initial(work, rho0).data,
-        )
-        if guess is not None and guess > horizon:
-            horizon = float(min(guess, cap))
-            logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
-
-    for _ in range(MAX_HORIZON_DOUBLINGS + 1):
-        times = default_time_grid(
-            model, drift, horizon, dt, nearest_threshold=near, max_points=max_grid_points
-        )
-        solution = None
-        for _ in range(MAX_WIDEN_ROUNDS):
-            generator = build_fokker_planck_generator(model, work)
-            state0 = DiffusionState.initial(work, rho0)
-            solution = _evolve_series(generator, state0, times, method, substep, keep_states)
-            lo_peak, hi_peak = solution.edge_mass_peak
-            grow_lower = lower_open and lo_peak > edge_tolerance
-            grow_upper = upper_open and hi_peak > edge_tolerance
-            if not grow_lower and not grow_upper:
-                break
-            wider = _widened(work, grow_lower, grow_upper)
-            logger.debug(
-                "widening charge grid [%g, %g] -> [%g, %g]",
-                work.lower, work.upper, wider.lower, wider.upper,
-            )
-            work = wider
-        else:
-            raise ConvergenceError(
-                "open charge grid failed to satisfy the edge-mass tolerance "
-                f"{edge_tolerance:g} after {MAX_WIDEN_ROUNDS} widenings"
-            )
-        if not auto_tail or solution.result.survival[-1] < tail_epsilon:
-            return solution
-        if horizon * 2 > cap:
-            raise ConvergenceError(
-                f"survival is {solution.result.survival[-1]:.3e} at the horizon "
-                f"cap {cap:g}; absorption may be incomplete by construction"
-            )
-        horizon *= 2.0
-    raise ConvergenceError("horizon extension failed to converge the tail")
+    series = solve_absorbing(
+        _DiffusionDiscretisation(model, rho0),
+        work,
+        lower_open=lower_open,
+        upper_open=upper_open,
+        horizon=horizon,
+        dt=dt if dt is not None else _default_step(model, drift, near),
+        auto_tail=auto_tail,
+        tail_epsilon=tail_epsilon,
+        max_horizon=max_horizon,
+        method=method,
+    )
+    return DiffusionFptSolution(
+        series.result, series.domain, series.final_state, series.edge_mass_peak, series.dt
+    )

@@ -22,25 +22,26 @@ import numpy as np
 import scipy.sparse
 
 from .analysis import FptResult
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .errors import ConfigError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_jump_super,
     build_no_jump,
     trace_functional,
-    steady_state,
-    build_liouvillian,
     validate_density_matrix,
     vectorize,
 )
-from .propagation import absorption_horizon_guess, evolve_to, propagate_uniform
+from .propagation import (
+    Discretisation,
+    default_step,
+    evolve_to,
+    initial_density,
+    solve_absorbing,
+)
 
 logger = logging.getLogger(__name__)
 
-EDGE_TOLERANCE = 1e-12
 TRACE_CLIP_ABORT = 1e-9
-MAX_WIDEN_ROUNDS = 24
-MAX_HORIZON_DOUBLINGS = 16
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ class ChargeWindow:
             raise ValueError(f"charge {charge} outside window [{self.lower}, {self.upper}]")
         return charge - self.lower
 
+    def widened(self, grow_lower: bool, grow_upper: bool) -> "ChargeWindow":
+        """Window with the flagged sides doubled; open sides never sit at 0."""
+        lower = 2 * self.lower if grow_lower else self.lower
+        upper = 2 * self.upper if grow_upper else self.upper
+        return ChargeWindow(lower, upper)
+
 
 def _clip_trace(value: float, what: str) -> float:
     if value >= 0.0:
@@ -100,11 +107,6 @@ class ChargeResolvedJumpState:
         i = window.index(0)
         data[i * d * d : (i + 1) * d * d] = vectorize(rho0)
         return cls(window, d, data, 0.0)
-
-    def block(self, charge: int) -> np.ndarray:
-        d = self.dim
-        i = self.window.index(charge)
-        return self.data[i * d * d : (i + 1) * d * d].reshape((d, d), order="F")
 
     def cell_traces(self) -> np.ndarray:
         d = self.dim
@@ -142,16 +144,14 @@ class JumpBlockGenerator:
     survival_vector: np.ndarray
     flux_vector: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
-
-def _require_integer_weight(channel) -> int:
+def integer_weight(channel) -> int:
+    """Charge of one detection event on a channel, which jump monitoring
+    needs to be a nonzero integer."""
     w = channel.weight
     if abs(w - round(w)) > 1e-12 or round(w) == 0:
         raise ModelError(
-            f"jump engine needs nonzero integer channel weights, got {w!r}"
+            f"jump monitoring needs nonzero integer channel weights, got {w!r}"
         )
     return int(round(w))
 
@@ -178,7 +178,7 @@ def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlo
     tr = trace_functional(d)
     charges = window.charges
     for ch in model.monitored:
-        nu = _require_integer_weight(ch)
+        nu = integer_weight(ch)
         jump = scipy.sparse.csr_matrix(build_jump_super(ch))
         gram = ch.operator.conj().T @ ch.operator
         # tr(M rho) as a row functional on vec(rho): vec(M.T)
@@ -203,21 +203,11 @@ def evolve(
     generator: JumpBlockGenerator, state: ChargeResolvedJumpState, t: float
 ) -> ChargeResolvedJumpState:
     """Propagate a charge-resolved state forward by t via the exponential map."""
-    if t < 0:
-        raise ConfigError("evolution time must be non-negative")
     if state.window != generator.window or state.dim != generator.dim:
         raise ConfigError("state and generator live on different windows")
-    data = evolve_to(generator.matrix, state.data, t)
+    # one step of length t: the exact exponential on the dense path
+    data = evolve_to(generator.matrix, state.data, t, t)
     return ChargeResolvedJumpState(state.window, state.dim, data, state.time + t)
-
-
-def fpt_density(generator: JumpBlockGenerator, state: ChargeResolvedJumpState) -> float:
-    """Instantaneous rate of absorption through the window edges."""
-    return float(np.real(generator.flux_vector @ state.data))
-
-
-def survival(state: ChargeResolvedJumpState) -> float:
-    return state.survival()
 
 
 @dataclass
@@ -230,96 +220,28 @@ class JumpFptSolution:
     final_state: ChargeResolvedJumpState
     dt: float
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.result.times
+
+def integer_threshold(value, sign: int) -> int | None:
+    """A jump threshold as an integer count, positive for ``sign=+1`` and
+    negative for ``sign=-1``; fractional values are refused, not floored."""
+    if value is None:
+        return None
+    if not float(value).is_integer() or sign * value < 1:
+        side, kind = ("upper", "positive") if sign > 0 else ("lower", "negative")
+        raise ConfigError(f"{side} threshold must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
-def _evolve_series(
-    generator: JumpBlockGenerator,
-    initial: ChargeResolvedJumpState,
-    times: np.ndarray,
-    method: str,
-) -> JumpFptSolution:
-    d = generator.dim
-    n_cells = generator.window.ncells
-    num = times.size
-    surv = np.empty(num)
-    dens = np.empty(num)
-    cells = np.empty((num, n_cells))
-    final = None
-    for i, x in propagate_uniform(generator.matrix, initial.data, times, method=method):
-        blocks = x.reshape((n_cells, d, d))
-        traces = np.einsum("nii->n", blocks).real
-        cells[i] = traces
-        surv[i] = traces.sum()
-        dens[i] = np.real(generator.flux_vector @ x)
-        if i == num - 1:
-            final = x
-    if dens.min() < -1e-10:
-        raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
-    if np.diff(surv).max(initial=-1.0) > 1e-10:
-        raise PhysicsError("survival grew along the grid beyond roundoff")
-    dens = np.clip(dens, 0.0, None)
-    surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
-    result = FptResult(times, dens, surv, "deterministic-jump")
-    final_state = ChargeResolvedJumpState(
-        generator.window, d, final, float(times[-1])
-    )
-    return JumpFptSolution(result, generator.window, cells, final_state, float(times[1] - times[0]))
-
-
-DEFAULT_STEP_FACTOR = 0.002
-MAX_GRID_POINTS = 200_000
-
-
-def default_time_grid(
+def preview_window(
     model: LindbladModel,
-    horizon: float,
-    dt: float | None,
-    max_points: int = MAX_GRID_POINTS,
-) -> np.ndarray:
-    """Uniform output grid; the default step keeps the trapezoidal
-    absorbed-mass bookkeeping inside its 1e-6 budget.
-
-    For very long horizons the step is coarsened so the grid never
-    exceeds ``max_points``; the bookkeeping check still applies, so a
-    horizon too long for the requested accuracy fails loudly.
-    """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if dt is None:
-        scale = model.rate_scale()
-        if scale <= 0:
-            raise ModelError("model has no dynamics to set a time step from")
-        dt = DEFAULT_STEP_FACTOR / scale
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    num = max(2, int(math.ceil(horizon / dt)) + 1)
-    if num > max_points:
-        logger.debug(
-            "capping time grid at %d points (dt %.3g -> %.3g)",
-            max_points, dt, horizon / (max_points - 1),
-        )
-        num = max_points
-    return np.linspace(0.0, horizon, num)
-
-
-def _initial_window(
-    model: LindbladModel,
-    threshold: int | None,
-    lower_threshold: int | None,
-    horizon: float,
+    threshold: int | None = None,
+    lower_threshold: int | None = None,
+    horizon: float = 10.0,
 ) -> tuple[ChargeWindow, bool, bool]:
-    """First window guess plus flags marking which sides are open."""
-    if threshold is not None:
-        threshold = int(threshold)
-        if threshold < 1:
-            raise ConfigError("upper threshold must be a positive integer")
-    if lower_threshold is not None:
-        lower_threshold = int(lower_threshold)
-        if lower_threshold > -1:
-            raise ConfigError("lower threshold must be a negative integer")
+    """Window a solve would start from, plus flags marking which sides are
+    open (adjustable)."""
+    threshold = integer_threshold(threshold, +1)
+    lower_threshold = integer_threshold(lower_threshold, -1)
     rate = sum(float(np.linalg.norm(ch.operator, 2)) ** 2 for ch in model.monitored)
     max_step = max((abs(int(round(ch.weight))) for ch in model.monitored), default=1)
     spread = int(math.ceil(2.0 * math.sqrt(max(rate * horizon, 1.0)))) * max_step + 2 * max_step
@@ -335,17 +257,15 @@ def _initial_window(
     return ChargeWindow(lower, upper), lower_open, upper_open
 
 
-def preview_window(
-    model: LindbladModel,
-    threshold: int | None = None,
-    lower_threshold: int | None = None,
-    horizon: float = 10.0,
-) -> tuple[ChargeWindow, bool, bool]:
-    """Window a solve would start from, plus which sides stay adjustable."""
-    window, lower_open, upper_open = _initial_window(
-        model, threshold, lower_threshold, horizon
-    )
-    return window, lower_open, upper_open
+class _JumpDiscretisation(Discretisation):
+    provenance = "deterministic-jump"
+    state_type = ChargeResolvedJumpState
+    max_widen_rounds = 24
+    max_doublings = 16
+    keep_traces = True
+
+    def assemble(self, window: ChargeWindow) -> JumpBlockGenerator:
+        return build_block_generator(self.model, window)
 
 
 def solve_jump_fpt(
@@ -357,90 +277,36 @@ def solve_jump_fpt(
     initial: np.ndarray | str = "steady",
     horizon: float = 10.0,
     dt: float | None = None,
-    method: str = "auto",
-    edge_tolerance: float = EDGE_TOLERANCE,
     auto_tail: bool = False,
     tail_epsilon: float = 1e-6,
     max_horizon: float | None = None,
-    max_grid_points: int = MAX_GRID_POINTS,
 ) -> JumpFptSolution:
     """Solve the windowed charge-resolved dynamics and return its chronology.
 
     Open window sides (no threshold given) are widened until the edge cell
-    occupancy stays below ``edge_tolerance`` over the whole horizon.  With
-    ``auto_tail`` the horizon doubles until the survival drops below
-    ``tail_epsilon``, so that moments are well defined afterwards; the
-    widened window is kept across extensions, and the output step coarsens
-    once ``max_grid_points`` would be exceeded.
+    occupancy stays negligible over the whole horizon.  With ``auto_tail``
+    the horizon doubles until the survival drops below ``tail_epsilon``, so
+    that moments are well defined afterwards; see ``solve_absorbing``.
     """
     model.require_channels()
-    if isinstance(initial, str):
-        if initial != "steady":
-            raise ConfigError(f"unknown initial state spec {initial!r}")
-        rho0 = steady_state(build_liouvillian(model))
-    else:
-        rho0 = validate_density_matrix(initial)
+    rho0 = initial_density(model, initial)
     if window is not None and (threshold is not None or lower_threshold is not None):
         raise ConfigError("pass either an explicit window or thresholds, not both")
-
-    horizon = float(horizon)
-    cap = max_horizon if max_horizon is not None else horizon * 2.0**MAX_HORIZON_DOUBLINGS
-
     if window is not None:
         win, lower_open, upper_open = window, False, False
     else:
-        win, lower_open, upper_open = _initial_window(
-            model, threshold, lower_threshold, horizon
-        )
-    if auto_tail:
-        probe = build_block_generator(model, win)
-        guess = absorption_horizon_guess(
-            probe.matrix,
-            probe.survival_vector,
-            ChargeResolvedJumpState.initial(win, rho0).data,
-        )
-        if guess is not None and guess > horizon:
-            horizon = float(min(guess, cap))
-            logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
-    for _ in range(MAX_HORIZON_DOUBLINGS + 1):
-        times = default_time_grid(model, horizon, dt, max_points=max_grid_points)
-        solution = None
-        for _ in range(MAX_WIDEN_ROUNDS):
-            generator = build_block_generator(model, win)
-            state0 = ChargeResolvedJumpState.initial(win, rho0)
-            solution = _evolve_series(generator, state0, times, method)
-            grow_lower = (
-                lower_open
-                and solution.cell_probabilities[:, 0].max() > edge_tolerance
-            )
-            grow_upper = (
-                upper_open
-                and solution.cell_probabilities[:, -1].max() > edge_tolerance
-            )
-            if not grow_lower and not grow_upper:
-                break
-            new_lower = win.lower * 2 if grow_lower else win.lower
-            new_upper = win.upper * 2 if grow_upper else win.upper
-            if grow_lower and win.lower == 0:
-                new_lower = -4
-            if grow_upper and win.upper == 0:
-                new_upper = 4
-            logger.debug(
-                "widening charge window [%d, %d] -> [%d, %d]",
-                win.lower, win.upper, new_lower, new_upper,
-            )
-            win = ChargeWindow(new_lower, new_upper)
-        else:
-            raise ConvergenceError(
-                "open charge window failed to satisfy the edge-occupancy "
-                f"tolerance {edge_tolerance:g} after {MAX_WIDEN_ROUNDS} widenings"
-            )
-        if not auto_tail or solution.result.survival[-1] < tail_epsilon:
-            return solution
-        if horizon * 2 > cap:
-            raise ConvergenceError(
-                f"survival is {solution.result.survival[-1]:.3e} at the horizon "
-                f"cap {cap:g}; the threshold may be unreachable"
-            )
-        horizon *= 2.0
-    raise ConvergenceError("horizon extension failed to converge the tail")
+        win, lower_open, upper_open = preview_window(model, threshold, lower_threshold, horizon)
+    series = solve_absorbing(
+        _JumpDiscretisation(model, rho0),
+        win,
+        lower_open=lower_open,
+        upper_open=upper_open,
+        horizon=horizon,
+        dt=dt if dt is not None else default_step(model.rate_scale()),
+        auto_tail=auto_tail,
+        tail_epsilon=tail_epsilon,
+        max_horizon=max_horizon,
+    )
+    return JumpFptSolution(
+        series.result, series.domain, series.cell_traces, series.final_state, series.dt
+    )

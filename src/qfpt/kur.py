@@ -132,7 +132,6 @@ def kur_point(
     horizon: float = 50.0,
     dt: float | None = None,
     tail_epsilon: float = 1e-6,
-    method: str = "auto",
 ) -> dict:
     """Bounds and deterministic FPT moments for one model.
 
@@ -150,7 +149,6 @@ def kur_point(
         initial=rho_ss,
         horizon=horizon,
         dt=dt,
-        method=method,
         auto_tail=True,
         tail_epsilon=tail_epsilon,
     )

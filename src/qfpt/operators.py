@@ -21,6 +21,9 @@ logger = logging.getLogger(__name__)
 HERMITICITY_TOL = 1e-12
 KERNEL_RTOL = 1e-9
 DRAZIN_RESIDUAL_TOL = 1e-9
+STATE_HERMITICITY_TOL = 1e-10
+STATE_POSITIVITY_TOL = 1e-9
+STATE_TRACE_TOL = 1e-9
 
 
 def _as_complex_matrix(a, name: str) -> np.ndarray:
@@ -177,10 +180,6 @@ def trace_functional(dim: int) -> np.ndarray:
     return vectorize(np.eye(dim))
 
 
-def apply_superoperator(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return unvectorize(superop @ vectorize(rho), rho.shape[0])
-
-
 def dissipator(operator: np.ndarray) -> np.ndarray:
     """Superoperator for the single-channel dissipator
     rho -> L rho L^dag - (L^dag L rho + rho L^dag L) / 2.
@@ -238,32 +237,25 @@ def build_split_generators(model: LindbladModel) -> tuple[np.ndarray, np.ndarray
     return left, right
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-10,
-    positivity_tol: float = 1e-9,
-    trace_tol: float = 1e-9,
-    unit_trace: bool = True,
-) -> np.ndarray:
-    """Check Hermiticity, positivity and (optionally) unit trace.
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check Hermiticity, positivity and unit trace.
 
     Returns the validated array as a fresh complex copy.
     """
     arr = _as_complex_matrix(rho, "density matrix")
     herm_defect = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-    if herm_defect > herm_tol:
+    if herm_defect > STATE_HERMITICITY_TOL:
         raise ModelError(f"density matrix not Hermitian: defect {herm_defect:.3e}")
     eigs = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    if eigs.size and eigs[0] < -positivity_tol:
+    if eigs.size and eigs[0] < -STATE_POSITIVITY_TOL:
         raise ModelError(f"density matrix not positive: min eigenvalue {eigs[0]:.3e}")
     tr = float(arr.trace().real)
-    if unit_trace and abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > STATE_TRACE_TOL:
         raise ModelError(f"density matrix trace {tr!r} differs from 1")
     return arr
 
 
-def steady_state(liouvillian: np.ndarray, *, rtol: float = KERNEL_RTOL) -> np.ndarray:
+def steady_state(liouvillian: np.ndarray) -> np.ndarray:
     """Unique trace-one fixed point of a generator.
 
     The kernel is extracted from an SVD of the generator; a kernel dimension
@@ -275,7 +267,7 @@ def steady_state(liouvillian: np.ndarray, *, rtol: float = KERNEL_RTOL) -> np.nd
     if d * d != n:
         raise ValueError("generator size is not a perfect square")
     _, svals, vh = np.linalg.svd(gen)
-    cutoff = max(rtol * (svals[0] if svals.size else 0.0), n * np.finfo(float).eps)
+    cutoff = max(KERNEL_RTOL * (svals[0] if svals.size else 0.0), n * np.finfo(float).eps)
     kernel_dim = int(np.count_nonzero(svals <= cutoff))
     if kernel_dim != 1:
         raise DegenerateKernelError(
@@ -300,8 +292,6 @@ def stationary_projector(rho_ss: np.ndarray) -> np.ndarray:
 def drazin_inverse(
     liouvillian: np.ndarray,
     rho_ss: np.ndarray | None = None,
-    *,
-    residual_tol: float = DRAZIN_RESIDUAL_TOL,
 ) -> np.ndarray:
     """Group inverse of a generator with a simple zero eigenvalue.
 
@@ -323,7 +313,7 @@ def drazin_inverse(
         np.max(np.abs(inv @ gen - comp)),
         np.max(np.abs(inv @ vectorize(rho_ss))),
     )
-    if residual > residual_tol:
+    if residual > DRAZIN_RESIDUAL_TOL:
         cond = np.linalg.cond(gen + proj)
         raise DegenerateKernelError(
             f"group-inverse identities violated: residual {residual:.3e}, "

@@ -1,4 +1,5 @@
-"""Time propagation of sparse block generators on uniform grids.
+"""Time propagation of sparse block generators, and the absorbing solve
+that both first-passage engines share.
 
 Three interchangeable backends:
 
@@ -14,6 +15,12 @@ Three interchangeable backends:
 ``propagate_uniform`` yields ``(index, state)`` pairs including the initial
 state at index 0, so consumers can stream observables without storing the
 whole trajectory.
+
+``solve_absorbing`` turns a charge-resolved generator with absorbing edges
+into a first-passage-time series.  It owns the time grid, the per-step
+observables and their checks, the widening of open domain sides and the
+horizon extension; a ``Discretisation`` supplies what differs between the
+jump window and the diffusion grid.
 """
 
 from __future__ import annotations
@@ -22,31 +29,27 @@ import logging
 import math
 import warnings
 from collections.abc import Iterator
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError
+from .analysis import FptResult, uniform_step
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .operators import LindbladModel, build_liouvillian, steady_state, validate_density_matrix
 
 logger = logging.getLogger(__name__)
 
 DENSE_CUTOFF = 1200
 KRYLOV_CHUNK = 128
 STARTUP_STEPS = 4
-
-
-def uniform_step(times: np.ndarray) -> float:
-    """Grid spacing, verifying uniformity to relative 1e-9."""
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("need at least two grid points")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(abs(dt), 1.0):
-        raise ValueError("time grid must be uniformly spaced and increasing")
-    return dt
+STEP_FACTOR = 0.002
+MAX_GRID_POINTS = 200_000
+EDGE_TOLERANCE = 1e-12
+WEIGHT_EXCESS_TOLERANCE = 1e-6
 
 
 def _check_finite(x: np.ndarray, index: int) -> None:
@@ -87,31 +90,20 @@ def _krylov_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[i
         pos += count
 
 
-def _cn_steps(
-    matrix,
-    x0: np.ndarray,
-    times: np.ndarray,
-    substep: float | None,
-    startup_steps: int,
-) -> Iterator[tuple[int, np.ndarray]]:
+def _cn_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     dt = uniform_step(times)
-    nsub = 1 if substep is None else max(1, int(math.ceil(dt / substep - 1e-12)))
-    h = dt / nsub
     mat = scipy.sparse.csc_matrix(matrix)
     ident = scipy.sparse.identity(mat.shape[0], format="csc", dtype=complex)
-    lu_cn = scipy.sparse.linalg.splu((ident - 0.5 * h * mat).tocsc())
-    lu_be = scipy.sparse.linalg.splu((ident - h * mat).tocsc()) if startup_steps else None
-    half = 0.5 * h
+    lu_cn = scipy.sparse.linalg.splu((ident - 0.5 * dt * mat).tocsc())
+    lu_be = scipy.sparse.linalg.splu((ident - dt * mat).tocsc())
+    half = 0.5 * dt
     x = x0.astype(complex, copy=True)
     yield 0, x
-    done_sub = 0
     for i in range(1, times.size):
-        for _ in range(nsub):
-            if done_sub < startup_steps:
-                x = lu_be.solve(x)
-            else:
-                x = lu_cn.solve(x + half * (mat @ x))
-            done_sub += 1
+        if i <= STARTUP_STEPS:
+            x = lu_be.solve(x)
+        else:
+            x = lu_cn.solve(x + half * (mat @ x))
         _check_finite(x, i)
         yield i, x
 
@@ -122,14 +114,11 @@ def propagate_uniform(
     times: np.ndarray,
     *,
     method: str = "auto",
-    dense_cutoff: int = DENSE_CUTOFF,
-    substep: float | None = None,
-    startup_steps: int = STARTUP_STEPS,
     prefer_implicit: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream exp(t_i * matrix) @ x0 over a uniform time grid.
 
-    ``method='auto'`` picks the dense propagator below ``dense_cutoff``
+    ``method='auto'`` picks the dense propagator up to ``DENSE_CUTOFF``
     unknowns and otherwise the exponential action, or Crank-Nicolson when
     ``prefer_implicit`` is set (stiff diffusion generators).
     """
@@ -138,7 +127,7 @@ def propagate_uniform(
     if matrix.shape != (n, n) or x0.size != n:
         raise ValueError("matrix and state dimensions disagree")
     if method == "auto":
-        if n <= dense_cutoff:
+        if n <= DENSE_CUTOFF:
             method = "dense"
         else:
             method = "cn" if prefer_implicit else "krylov"
@@ -147,7 +136,7 @@ def propagate_uniform(
     if method == "krylov":
         return _krylov_steps(matrix, x0, times)
     if method == "cn":
-        return _cn_steps(matrix, x0, times, substep, startup_steps)
+        return _cn_steps(matrix, x0, times)
     raise ValueError(f"unknown propagation method {method!r}")
 
 
@@ -176,17 +165,215 @@ def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> flo
     return mean + 16.0 * max(spread, 0.25 * mean)
 
 
-def evolve_to(matrix, x0: np.ndarray, t: float, *, dense_cutoff: int = DENSE_CUTOFF) -> np.ndarray:
-    """Single-shot action of exp(t * matrix) on a state."""
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
+def evolve_to(
+    matrix, x0: np.ndarray, t: float, dt: float, *, prefer_implicit: bool = False
+) -> np.ndarray:
+    """exp(t * matrix) @ x0, stepped on the uniform grid of step ``dt``."""
+    if t < 0:
+        raise ConfigError("evolution time must be non-negative")
+    x = np.asarray(x0, dtype=complex).reshape(-1)
     if t == 0.0:
-        return x0.copy()
-    n = matrix.shape[0]
-    if n <= dense_cutoff:
-        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
-        out = scipy.linalg.expm(dense * t) @ x0
-    else:
-        mat = matrix if scipy.sparse.issparse(matrix) else scipy.sparse.csr_matrix(matrix)
-        out = scipy.sparse.linalg.expm_multiply(mat * t, x0)
-    _check_finite(out, -1)
-    return out
+        return x.copy()
+    for _, x in propagate_uniform(matrix, x, time_grid(t, dt), prefer_implicit=prefer_implicit):
+        pass
+    return x
+
+
+def initial_density(model: LindbladModel, initial: np.ndarray | str) -> np.ndarray:
+    """Density matrix of an initial-state spec: ``"steady"`` or a matrix."""
+    if isinstance(initial, str):
+        if initial != "steady":
+            raise ConfigError(f"unknown initial state spec {initial!r}")
+        return steady_state(build_liouvillian(model))
+    return validate_density_matrix(initial)
+
+
+def default_step(scale: float) -> float:
+    """Output step for a fastest rate ``scale``; it keeps the trapezoidal
+    absorbed-mass bookkeeping inside its 1e-6 budget."""
+    if scale <= 0:
+        raise ModelError("model has no dynamics to set a time step from")
+    return STEP_FACTOR / scale
+
+
+def grid_points(horizon: float, dt: float) -> int:
+    """Points of a uniform grid of step ``dt`` up to ``horizon``, before
+    the ``MAX_GRID_POINTS`` cap."""
+    return max(2, int(math.ceil(horizon / dt)) + 1)
+
+
+def time_grid(horizon: float, dt: float) -> np.ndarray:
+    """Uniform output grid of step ``dt`` up to ``horizon``.
+
+    For very long horizons the step is coarsened so the grid never
+    exceeds ``MAX_GRID_POINTS``; the bookkeeping check still applies, so a
+    horizon too long for the requested accuracy fails loudly.
+    """
+    if horizon <= 0:
+        raise ConfigError("horizon must be positive")
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    num = grid_points(horizon, dt)
+    if num > MAX_GRID_POINTS:
+        logger.debug(
+            "capping time grid at %d points (dt %.3g -> %.3g)",
+            MAX_GRID_POINTS, dt, horizon / (MAX_GRID_POINTS - 1),
+        )
+        num = MAX_GRID_POINTS
+    return np.linspace(0.0, horizon, num)
+
+
+@dataclass(frozen=True)
+class Discretisation:
+    """Engine side of ``solve_absorbing``: the model, its initial density
+    matrix, and what differs between the engines.
+
+    The domain is a charge window or grid that widens itself through
+    ``domain.widened(grow_lower, grow_upper)``.  ``state_type`` puts the
+    initial density matrix on a domain through ``initial(domain, rho0)``
+    and is built as ``state_type(domain, dim, data, time)``.  Subclasses
+    set the class attributes and implement ``assemble(domain)``, the
+    generator on the domain (with ``dim``, ``matrix``, ``survival_vector``
+    and ``flux_vector``).
+    """
+
+    model: LindbladModel
+    rho0: np.ndarray
+
+    provenance: ClassVar[str]
+    state_type: ClassVar[type]
+    max_widen_rounds: ClassVar[int]
+    max_doublings: ClassVar[int]
+    # store every step's per-cell traces on the series
+    keep_traces: ClassVar[bool] = False
+    # Crank-Nicolson rather than the exponential action on large generators
+    prefer_implicit: ClassVar[bool] = False
+
+    def initial(self, domain) -> np.ndarray:
+        return self.state_type.initial(domain, self.rho0).data
+
+    def trace_weights(self, domain) -> tuple[np.ndarray | None, float]:
+        """Quadrature weights of the per-cell traces (None: survival is
+        their plain sum) and the factor turning an edge trace into mass."""
+        return None, 1.0
+
+
+@dataclass
+class AbsorbingSeries:
+    """First-passage series of an absorbing solve on its final domain."""
+
+    result: FptResult
+    domain: object
+    final_state: object
+    edge_mass_peak: tuple[float, float]
+    cell_traces: np.ndarray | None
+    dt: float
+
+
+def _series(
+    disc: Discretisation, generator, domain, times: np.ndarray, method: str
+) -> AbsorbingSeries:
+    d = generator.dim
+    ncells = generator.matrix.shape[0] // (d * d)
+    weights, edge_scale = disc.trace_weights(domain)
+    num = times.size
+    surv = np.empty(num)
+    dens = np.empty(num)
+    cells = np.empty((num, ncells)) if disc.keep_traces else None
+    lo_peak = hi_peak = 0.0
+    for i, x in propagate_uniform(
+        generator.matrix, disc.initial(domain), times,
+        method=method, prefer_implicit=disc.prefer_implicit,
+    ):
+        traces = np.einsum("nii->n", x.reshape((ncells, d, d))).real
+        if cells is None:
+            lo_peak = max(lo_peak, traces[0])
+            hi_peak = max(hi_peak, traces[-1])
+        else:
+            cells[i] = traces
+        surv[i] = traces.sum() if weights is None else weights @ traces
+        dens[i] = np.real(generator.flux_vector @ x)
+    if cells is not None:
+        lo_peak = max(lo_peak, cells[:, 0].max())
+        hi_peak = max(hi_peak, cells[:, -1].max())
+    if dens.min() < -1e-10:
+        raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
+    if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
+        raise PhysicsError(f"total weight grew to {surv.max():.8f}")
+    if np.diff(surv).max(initial=-1.0) > 1e-10:
+        raise PhysicsError("survival grew along the grid beyond roundoff")
+    dens = np.clip(dens, 0.0, None)
+    surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
+    # x is the state at the horizon, the last one the propagator yielded
+    return AbsorbingSeries(
+        FptResult(times, dens, surv, disc.provenance),
+        domain,
+        disc.state_type(domain, d, x, float(times[-1])),
+        (edge_scale * lo_peak, edge_scale * hi_peak),
+        cells,
+        float(times[1] - times[0]),
+    )
+
+
+def solve_absorbing(
+    disc: Discretisation,
+    domain,
+    *,
+    lower_open: bool,
+    upper_open: bool,
+    horizon: float,
+    dt: float,
+    auto_tail: bool,
+    tail_epsilon: float,
+    max_horizon: float | None,
+    method: str = "auto",
+) -> AbsorbingSeries:
+    """First-passage series of an absorbing generator on a uniform grid.
+
+    Open domain sides are widened until the edge mass stays below
+    ``EDGE_TOLERANCE`` over the whole horizon.  With ``auto_tail`` the
+    resolvent estimate sets the first horizon, which then doubles until the
+    survival drops below ``tail_epsilon``, up to ``max_horizon`` (default:
+    ``max_doublings`` doublings); the widened domain is kept across
+    extensions.  Each domain's generator is assembled once.
+    """
+    horizon = float(horizon)
+    cap = max_horizon if max_horizon is not None else horizon * 2.0**disc.max_doublings
+    generator = None
+    if auto_tail:
+        generator = disc.assemble(domain)
+        guess = absorption_horizon_guess(
+            generator.matrix, generator.survival_vector, disc.initial(domain)
+        )
+        if guess is not None and guess > horizon:
+            horizon = float(min(guess, cap))
+            logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
+    for _ in range(disc.max_doublings + 1):
+        times = time_grid(horizon, dt)
+        for _ in range(disc.max_widen_rounds):
+            if generator is None:
+                generator = disc.assemble(domain)
+            series = _series(disc, generator, domain, times, method)
+            lo_peak, hi_peak = series.edge_mass_peak
+            grow_lower = lower_open and lo_peak > EDGE_TOLERANCE
+            grow_upper = upper_open and hi_peak > EDGE_TOLERANCE
+            if not grow_lower and not grow_upper:
+                break
+            wider = domain.widened(grow_lower, grow_upper)
+            logger.debug("widening %s -> %s", domain, wider)
+            domain, generator = wider, None
+        else:
+            raise ConvergenceError(
+                f"open sides of {domain} failed to satisfy the edge-mass "
+                f"tolerance {EDGE_TOLERANCE:g} after {disc.max_widen_rounds} widenings"
+            )
+        if not auto_tail or series.result.survival[-1] < tail_epsilon:
+            return series
+        if horizon * 2 > cap:
+            raise ConvergenceError(
+                f"survival is {series.result.survival[-1]:.3e} at the horizon "
+                f"cap {cap:g}; the threshold may be unreachable, or absorption "
+                "incomplete by construction"
+            )
+        horizon *= 2.0
+    raise ConvergenceError("horizon extension failed to converge the tail")

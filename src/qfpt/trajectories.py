@@ -27,8 +27,9 @@ import numpy as np
 
 from .analysis import FptResult
 from .errors import ConfigError, ModelError, PhysicsError
+from .jumps import integer_threshold, integer_weight
 from .models import LindbladModel
-from .operators import steady_state, build_liouvillian, validate_density_matrix
+from .propagation import initial_density
 
 logger = logging.getLogger(__name__)
 
@@ -74,15 +75,9 @@ class TrajectoryConfig:
         self.model.require_channels()
         if self.unravelling == "jump":
             for ch in self.model.monitored:
-                w = ch.weight
-                if abs(w - round(w)) > 1e-12 or round(w) == 0:
-                    raise ModelError(
-                        f"jump trajectories need nonzero integer weights, got {w!r}"
-                    )
-            if self.threshold is not None and int(self.threshold) < 1:
-                raise ConfigError("upper threshold must be a positive integer")
-            if self.lower_threshold is not None and int(self.lower_threshold) > -1:
-                raise ConfigError("lower threshold must be a negative integer")
+                integer_weight(ch)
+            integer_threshold(self.threshold, +1)
+            integer_threshold(self.lower_threshold, -1)
         else:
             if self.threshold is not None and self.threshold <= 0:
                 raise ConfigError("upper threshold must be positive")
@@ -90,11 +85,7 @@ class TrajectoryConfig:
                 raise ConfigError("lower threshold must be negative")
 
     def initial_matrix(self) -> np.ndarray:
-        if isinstance(self.initial, str):
-            if self.initial != "steady":
-                raise ConfigError(f"unknown initial state spec {self.initial!r}")
-            return steady_state(build_liouvillian(self.model))
-        return validate_density_matrix(self.initial)
+        return initial_density(self.model, self.initial)
 
     def resolve_step(self) -> tuple[float, int]:
         """Effective step and step count; the step divides the horizon."""

@@ -210,3 +210,16 @@ def test_config_hash_ignores_outdir(tmp_path):
     ha = json.loads((a_dir / "manifest.json").read_text())["config_hash"]
     hb = json.loads((b_dir / "manifest.json").read_text())["config_hash"]
     assert ha == hb
+
+
+def test_trajectories_fractional_jump_threshold_exits_config(tmp_path, capsys):
+    code = run(
+        [
+            "trajectories", "--builtin", "thermal-qubit", "--unravelling", "jump",
+            "--ntraj", "8", "--threshold", "2.5",
+        ],
+        tmp_path,
+    )
+    assert code == 2
+    assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "trajectories.csv").exists()

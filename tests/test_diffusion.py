@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import trapezoid
 from scipy.linalg import expm
 
+from qfpt import diffusion
 from qfpt.diffusion import (
     ChargeGrid,
     DiffusionState,
@@ -16,7 +17,7 @@ from qfpt.diffusion import (
     peclet_number,
     solve_diffusion_fpt,
 )
-from qfpt.errors import ConfigError
+from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.models import drifted_charge, homodyne_qubit, wiener_charge
 from qfpt.operators import build_liouvillian, vectorize
 
@@ -163,3 +164,42 @@ def test_dense_and_sparse_methods_agree():
     implicit = solve_diffusion_fpt(model, method="cn", **kwargs)
     assert np.max(np.abs(dense.result.density - implicit.result.density)) < 2e-4
     assert np.max(np.abs(dense.result.survival - implicit.result.survival)) < 1e-5
+
+
+def test_evolve_on_sparse_grid_matches_heat_kernel():
+    # 2,401 nodes puts the generator on the sparse Crank-Nicolson path
+    grid = ChargeGrid(-6.0, 6.0, 0.005)
+    gen = build_fokker_planck_generator(wiener_charge(), grid)
+    state = DiffusionState.initial(grid, np.eye(1, dtype=complex))
+    out = evolve(gen, state, 1.0)
+    kernel = np.exp(-0.5 * grid.nodes**2) / np.sqrt(2.0 * np.pi)
+    assert np.max(np.abs(out.node_traces() - kernel)) < 1e-4
+
+
+def test_auto_tail_assembles_the_grid_once(monkeypatch):
+    calls = []
+
+    def counting(model, grid, **kwargs):
+        calls.append(grid)
+        return build_fokker_planck_generator(model, grid, **kwargs)
+
+    monkeypatch.setattr(diffusion, "build_fokker_planck_generator", counting)
+    sol = solve_diffusion_fpt(drifted_charge(0.5), threshold=1.0, horizon=30.0, auto_tail=True)
+    assert sol.result.survival[-1] < 1e-6
+    assert calls == [sol.grid]
+
+
+def test_auto_tail_stops_at_the_horizon_cap():
+    # the homodyne qubit drifts part of its weight away from a lower
+    # threshold, so survival stalls near one half and doubling cannot help
+    with pytest.raises(ConvergenceError, match="horizon cap 12") as failure:
+        solve_diffusion_fpt(
+            homodyne_qubit(1.0, 1.0),
+            lower_threshold=-1.0,
+            delta=0.05,
+            horizon=3.0,
+            auto_tail=True,
+            max_horizon=12.0,
+        )
+    survival = float(str(failure.value).split()[2])
+    assert 0.4 < survival < 0.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qfpt import jumps
 from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.jumps import (
     ChargeResolvedJumpState,
@@ -145,3 +146,27 @@ def test_non_integer_weight_rejected():
     object.__setattr__(half, "weight", 0.5)
     with pytest.raises(ConfigError):
         build_block_generator(model, ChargeWindow(-2, 2))
+
+
+def test_fractional_thresholds_rejected():
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    with pytest.raises(ConfigError, match="integer"):
+        solve_jump_fpt(model, threshold=2.5)
+    with pytest.raises(ConfigError, match="integer"):
+        preview_window(model, lower_threshold=-1.5)
+    win, _, _ = preview_window(model, threshold=2.0, lower_threshold=-3.0)
+    assert (win.lower, win.upper) == (-2, 1)
+
+
+def test_auto_tail_assembles_fixed_window_once(monkeypatch):
+    calls = []
+
+    def counting(model, window):
+        calls.append(window)
+        return build_block_generator(model, window)
+
+    monkeypatch.setattr(jumps, "build_block_generator", counting)
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    sol = solve_jump_fpt(model, window=ChargeWindow(-20, 4), horizon=2.0, auto_tail=True)
+    assert sol.result.survival[-1] < 1e-6
+    assert calls == [ChargeWindow(-20, 4)]

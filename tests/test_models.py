@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +102,16 @@ def test_load_rejects_non_hermitian_hamiltonian(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match="Hermitian"):
         load_model(path)
+
+
+def test_readme_model_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Model file format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme_model.json"
+    path.write_text(block)
+    model = load_model(path)
+    assert np.array_equal(model.hamiltonian, [[0.0, 1.0], [1.0, 0.0]])
+    (channel,) = model.channels
+    assert np.allclose(channel.operator, 1.4142 * SIGMA_MINUS)
+    assert channel.weight == 1.0 and channel.monitored

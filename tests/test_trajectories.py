@@ -203,3 +203,13 @@ def test_diffusion_charge_increments_track_quadrature():
     # censored runs keep their running charge; spread grows like sqrt(K t)
     spread = float(np.std(ens.final_charges))
     assert 0.7 < spread < 1.5
+
+
+def test_fractional_jump_threshold_rejected():
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    with pytest.raises(ConfigError, match="integer"):
+        TrajectoryConfig(model, "jump", 10, 1.0, threshold=2.5)
+    with pytest.raises(ConfigError, match="integer"):
+        TrajectoryConfig(model, "jump", 10, 1.0, lower_threshold=-2.5)
+    # integral floats from the command line stay accepted
+    TrajectoryConfig(model, "jump", 10, 1.0, threshold=2.0, lower_threshold=-3.0)
