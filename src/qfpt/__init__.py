@@ -80,8 +80,6 @@ from .trajectories import (
     merge_ensembles,
     partition_config,
     simulate,
-    simulate_diffusion,
-    simulate_jump,
 )
 
 __all__ = [
@@ -136,8 +134,6 @@ __all__ = [
     "quantum_correction",
     "save_model",
     "simulate",
-    "simulate_diffusion",
-    "simulate_jump",
     "solve_diffusion_fpt",
     "solve_jump_fpt",
     "steady_state",

@@ -177,97 +177,56 @@ def _renormalize(rho: np.ndarray, what: str) -> np.ndarray:
     return rho / tr[:, None, None]
 
 
-def simulate_jump(config: TrajectoryConfig) -> TrajectoryEnsemble:
-    """Jump unravelling with charge counting and first-hit detection."""
-    if config.unravelling != "jump":
-        raise ConfigError("config is not a jump-unravelling config")
-    model = config.model
-    dt, nsteps = config.resolve_step()
-    d = model.dim
-    n = config.ntraj
-    rho0 = config.initial_matrix()
-    channels = model.channels
-    ops = np.stack([ch.operator for ch in channels])
-    grams = np.stack([ch.operator.conj().T @ ch.operator for ch in channels])
-    nu = np.array([
-        int(round(ch.weight)) if ch.monitored else 0 for ch in channels
-    ])
-    h_eff = model.hamiltonian - 0.5j * np.sum(grams, axis=0)
-    upper = None if config.threshold is None else int(config.threshold)
-    lower = None if config.lower_threshold is None else int(config.lower_threshold)
+class _JumpStepper:
+    """Jump unravelling: at most one jump per step, drawn against the
+    instantaneous channel rates; the charge counts integer jump weights."""
 
-    rho = np.broadcast_to(rho0, (n, d, d)).copy()
-    charge = np.zeros(n, dtype=np.int64)
-    hit = np.full(n, np.nan)
-    alive = np.ones(n, dtype=bool)
-    counts = np.zeros((n, len(channels)), dtype=np.int64)
-    step_slots = 0
-    rngs = _trajectory_rngs(config.seed, n, config.index_offset)
+    charge_dtype = np.int64
+    draw_shape: tuple[int, ...] = ()
 
-    stride = _path_stride(nsteps)
-    path_times = [0.0]
-    paths = [charge.copy()] if config.keep_paths else None
+    def __init__(self, config: TrajectoryConfig, dt: float):
+        model = config.model
+        self.dt = dt
+        self.ops = np.stack([ch.operator for ch in model.channels])
+        self.grams = np.stack([ch.operator.conj().T @ ch.operator for ch in model.channels])
+        self.nu = np.array([
+            integer_weight(ch) if ch.monitored else 0 for ch in model.channels
+        ])
+        self.h_eff = model.hamiltonian - 0.5j * np.sum(self.grams, axis=0)
+        self.counts = np.zeros((config.ntraj, len(model.channels)), dtype=np.int64)
 
-    u_buf = np.empty((n, RNG_BLOCK))
-    for block_start in range(0, nsteps, RNG_BLOCK):
-        block = min(RNG_BLOCK, nsteps - block_start)
-        if alive.any():
-            for i in np.flatnonzero(alive):
-                u_buf[i, :block] = rngs[i].random(block)
-        for s in range(block):
-            step = block_start + s
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            sub = rho[idx]
-            step_slots += idx.size
-            rates = np.einsum("kab,nba->nk", grams, sub).real
-            prob = np.clip(dt * rates, 0.0, None)
-            cum = np.cumsum(prob, axis=1)
-            u = u_buf[idx, s]
-            jumped = u < cum[:, -1]
-            flavor = np.argmax(u[:, None] < cum, axis=1)
+    def draw(self, rng: np.random.Generator, block: int) -> np.ndarray:
+        return rng.random(block)
 
-            stay = idx[~jumped]
-            if stay.size:
-                r = rho[stay]
-                r = r - 1j * dt * (h_eff @ r - r @ h_eff.conj().T)
-                rho[stay] = _renormalize(r, "no-jump update")
-            for k in range(len(channels)):
-                sel = idx[jumped & (flavor == k)]
-                if sel.size == 0:
-                    continue
-                r = ops[k] @ rho[sel] @ ops[k].conj().T
-                rho[sel] = _renormalize(r, "jump update")
-                charge[sel] += nu[k]
-                counts[sel, k] += 1
+    def update(self, idx: np.ndarray, rho: np.ndarray, u: np.ndarray):
+        """New states (overwriting ``rho``) and charge increments of the
+        alive trajectories ``idx``."""
+        dt = self.dt
+        rates = np.einsum("kab,nba->nk", self.grams, rho).real
+        cum = np.cumsum(np.clip(dt * rates, 0.0, None), axis=1)
+        jumped = u < cum[:, -1]
+        flavor = np.argmax(u[:, None] < cum, axis=1)
+        dq = np.zeros(idx.size, dtype=np.int64)
+        stay = ~jumped
+        if stay.any():
+            r = rho[stay]
+            r = r - 1j * dt * (self.h_eff @ r - r @ self.h_eff.conj().T)
+            rho[stay] = _renormalize(r, "no-jump update")
+        for k, op in enumerate(self.ops):
+            sel = jumped & (flavor == k)
+            if not sel.any():
+                continue
+            rho[sel] = _renormalize(op @ rho[sel] @ op.conj().T, "jump update")
+            dq[sel] = self.nu[k]
+            self.counts[idx[sel], k] += 1
+        return rho, dq
 
-            crossed = np.zeros(idx.size, dtype=bool)
-            if upper is not None:
-                crossed |= charge[idx] >= upper
-            if lower is not None:
-                crossed |= charge[idx] <= lower
-            if crossed.any():
-                done = idx[crossed]
-                hit[done] = (step + 1) * dt
-                alive[done] = False
-            if config.keep_paths and (step + 1) % stride == 0:
-                path_times.append((step + 1) * dt)
-                paths.append(charge.copy())
-        if not alive.any():
-            break
+    def hit_time(self, step: int, old, new, target) -> float:
+        # the jump lands somewhere inside the step; the end is its time stamp
+        return (step + 1) * self.dt
 
-    censored = np.isnan(hit)
-    if config.keep_paths:
-        path_arr = np.stack(paths, axis=1)
-        time_arr = np.array(path_times)
-    else:
-        path_arr = np.zeros((n, 0), dtype=np.int64)
-        time_arr = np.zeros(0)
-    return TrajectoryEnsemble(
-        config, dt, hit, censored, charge.astype(float), rho,
-        time_arr, path_arr, counts, 0, step_slots,
-    )
+    def record(self, step_slots: int) -> dict:
+        return {"jump_counts": self.counts}
 
 
 def _psd_repair(rho: np.ndarray, where: np.ndarray) -> int:
@@ -298,32 +257,83 @@ def _min_eig_floor(rho: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(rho)[:, 0]
 
 
-def simulate_diffusion(config: TrajectoryConfig) -> TrajectoryEnsemble:
-    """Diffusive unravelling with integrated charge and hit interpolation."""
-    if config.unravelling != "diffusion":
-        raise ConfigError("config is not a diffusion-unravelling config")
-    model = config.model
+class _DiffusionStepper:
+    """Diffusive unravelling: one Wiener increment per monitored channel
+    per step, and the charge integrated from the weighted signals."""
+
+    charge_dtype = np.float64
+
+    def __init__(self, config: TrajectoryConfig, dt: float):
+        model = config.model
+        if not model.monitored:
+            raise ModelError("diffusive monitoring needs at least one monitored channel")
+        self.dt = dt
+        self.sq = math.sqrt(dt)
+        self.a_ops = np.stack([ch.rotated_operator() for ch in model.monitored])
+        self.nu = np.array([ch.weight for ch in model.monitored])
+        gram_total = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
+        self.silent_ops = [ch.operator for ch in model.silent]
+        self.stem = np.eye(model.dim) - dt * (1j * model.hamiltonian + 0.5 * gram_total)
+        self.draw_shape = (len(model.monitored),)
+        self.repairs = 0
+
+    def draw(self, rng: np.random.Generator, block: int) -> np.ndarray:
+        return rng.standard_normal((block, *self.draw_shape))
+
+    def update(self, idx: np.ndarray, rho: np.ndarray, w: np.ndarray):
+        """New states and charge increments of the alive trajectories."""
+        dt = self.dt
+        xs = 2.0 * np.einsum("kab,nba->nk", self.a_ops, rho).real
+        dy = xs * dt + self.sq * w
+        kraus = self.stem + np.einsum("nk,kab->nab", dy, self.a_ops)
+        new = kraus @ rho @ np.conj(np.transpose(kraus, (0, 2, 1)))
+        for op in self.silent_ops:
+            new = new + dt * (op @ rho @ op.conj().T)
+        new = 0.5 * (new + np.conj(np.transpose(new, (0, 2, 1))))
+        new = _renormalize(new, "diffusive update")
+        need = _min_eig_floor(new) < -PSD_CLAMP_TOL
+        if need.any():
+            self.repairs += _psd_repair(new, need)
+        return new, dy @ self.nu
+
+    def hit_time(self, step: int, old, new, target) -> np.ndarray:
+        """Linear interpolation of the crossing inside the step."""
+        frac = (target - old) / (new - old)
+        return step * self.dt + np.clip(frac, 0.0, 1.0) * self.dt
+
+    def record(self, step_slots: int) -> dict:
+        if step_slots and self.repairs / step_slots > REPAIR_FRACTION_ABORT:
+            raise PhysicsError(
+                f"positivity repairs on {self.repairs} of {step_slots} updates "
+                f"(> {REPAIR_FRACTION_ABORT:.1%}); reduce the step size"
+            )
+        return {"positivity_repairs": self.repairs}
+
+
+_STEPPERS = {"jump": _JumpStepper, "diffusion": _DiffusionStepper}
+
+
+def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
+    """Run an ensemble of either unravelling with charge accumulation and
+    first-hit detection.
+
+    Every trajectory draws its noise from its own generator, one block of
+    ``RNG_BLOCK`` steps at a time and only while it is alive, and the
+    unravelling's stepper advances all alive states together.  A
+    trajectory is absorbed when its charge reaches ``threshold`` or falls
+    to ``lower_threshold``.
+    """
     dt, nsteps = config.resolve_step()
-    sq = math.sqrt(dt)
-    d = model.dim
     n = config.ntraj
     rho0 = config.initial_matrix()
-    if not model.monitored:
-        raise ModelError("diffusive monitoring needs at least one monitored channel")
-    mons = model.monitored
-    a_ops = np.stack([ch.rotated_operator() for ch in mons])
-    nu = np.array([ch.weight for ch in mons])
-    gram_total = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
-    silent_ops = [ch.operator for ch in model.channels if not ch.monitored]
-    stem = np.eye(d) - dt * (1j * model.hamiltonian + 0.5 * gram_total)
-    upper = config.threshold
-    lower = config.lower_threshold
+    stepper = _STEPPERS[config.unravelling](config, dt)
+    upper, lower = config.threshold, config.lower_threshold
 
+    d = rho0.shape[0]
     rho = np.broadcast_to(rho0, (n, d, d)).copy()
-    charge = np.zeros(n)
+    charge = np.zeros(n, dtype=stepper.charge_dtype)
     hit = np.full(n, np.nan)
     alive = np.ones(n, dtype=bool)
-    repairs = 0
     step_slots = 0
     rngs = _trajectory_rngs(config.seed, n, config.index_offset)
 
@@ -331,55 +341,38 @@ def simulate_diffusion(config: TrajectoryConfig) -> TrajectoryEnsemble:
     path_times = [0.0]
     paths = [charge.copy()] if config.keep_paths else None
 
-    nmon = len(mons)
-    w_buf = np.empty((n, RNG_BLOCK, nmon))
+    noise = np.empty((n, RNG_BLOCK, *stepper.draw_shape))
     for block_start in range(0, nsteps, RNG_BLOCK):
         block = min(RNG_BLOCK, nsteps - block_start)
-        if alive.any():
-            for i in np.flatnonzero(alive):
-                w_buf[i, :block] = rngs[i].standard_normal((block, nmon))
+        for i in np.flatnonzero(alive):
+            noise[i, :block] = stepper.draw(rngs[i], block)
         for s in range(block):
             step = block_start + s
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
-            sub = rho[idx]
-            dw = sq * w_buf[idx, s, :]
-            xs = 2.0 * np.einsum("kab,nba->nk", a_ops, sub).real
-            dy = xs * dt + dw
-            kraus = stem + np.einsum("nk,kab->nab", dy, a_ops)
-            new = kraus @ sub @ np.conj(np.transpose(kraus, (0, 2, 1)))
-            for op in silent_ops:
-                new = new + dt * (op @ sub @ op.conj().T)
-            new = 0.5 * (new + np.conj(np.transpose(new, (0, 2, 1))))
-            new = _renormalize(new, "diffusive update")
-            floor = _min_eig_floor(new)
-            need = floor < -PSD_CLAMP_TOL
-            if need.any():
-                repairs += _psd_repair(new, need)
-            rho[idx] = new
             step_slots += idx.size
-
-            old_charge = charge[idx]
-            new_charge = old_charge + dy @ nu
-            charge[idx] = new_charge
+            states, dq = stepper.update(idx, rho[idx], noise[idx, s])
+            rho[idx] = states
+            old = charge[idx]
+            new = old + dq
+            charge[idx] = new
 
             crossed = np.zeros(idx.size, dtype=bool)
             target = np.empty(idx.size)
             if upper is not None:
-                up = new_charge >= upper
+                up = new >= upper
                 crossed |= up
                 target[up] = upper
             if lower is not None:
-                lo = new_charge <= lower
+                lo = new <= lower
                 crossed |= lo
                 target[lo] = lower
             if crossed.any():
                 done = idx[crossed]
-                frac = (target[crossed] - old_charge[crossed]) / (
-                    new_charge[crossed] - old_charge[crossed]
+                hit[done] = stepper.hit_time(
+                    step, old[crossed], new[crossed], target[crossed]
                 )
-                hit[done] = step * dt + np.clip(frac, 0.0, 1.0) * dt
                 alive[done] = False
             if config.keep_paths and (step + 1) % stride == 0:
                 path_times.append((step + 1) * dt)
@@ -387,28 +380,17 @@ def simulate_diffusion(config: TrajectoryConfig) -> TrajectoryEnsemble:
         if not alive.any():
             break
 
-    if step_slots and repairs / step_slots > REPAIR_FRACTION_ABORT:
-        raise PhysicsError(
-            f"positivity repairs on {repairs} of {step_slots} updates "
-            f"(> {REPAIR_FRACTION_ABORT:.1%}); reduce the step size"
-        )
-    censored = np.isnan(hit)
+    record = stepper.record(step_slots)
     if config.keep_paths:
         path_arr = np.stack(paths, axis=1)
         time_arr = np.array(path_times)
     else:
-        path_arr = np.zeros((n, 0))
+        path_arr = np.zeros((n, 0), dtype=charge.dtype)
         time_arr = np.zeros(0)
     return TrajectoryEnsemble(
-        config, dt, hit, censored, charge, rho,
-        time_arr, path_arr, None, repairs, step_slots,
+        config, dt, hit, np.isnan(hit), charge.astype(float), rho,
+        time_arr, path_arr, steps_total=step_slots, **record,
     )
-
-
-def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
-    if config.unravelling == "jump":
-        return simulate_jump(config)
-    return simulate_diffusion(config)
 
 
 def partition_config(config: TrajectoryConfig, batches: int) -> list[TrajectoryConfig]:
