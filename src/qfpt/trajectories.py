@@ -2,18 +2,21 @@
 
 Ensembles of conditional evolutions with accumulated charge and first-hit
 detection, used as statistical ground truth for the deterministic
-engines.  Jump monitoring samples at most one jump per step against the
-instantaneous channel rates; diffusive monitoring advances the state by
-the measurement-operator factorization of the first-order update, with
-one Wiener increment per monitored channel and the charge fed by the
-quadrature expectations plus the same increments.  The factorized form
-agrees with the plain explicit step to first order in dt but keeps the
-state positive by construction, so the eigenvalue clamp stays a safety
-net instead of firing on ordinary near-pure excursions.
+engines.  One ensemble loop, ``simulate``, drives both unravellings
+through a small stepper each.  Jump monitoring samples at most one jump
+per step against the instantaneous channel rates; diffusive monitoring
+advances the state by the measurement-operator factorization of the
+first-order update, with one Wiener increment per monitored channel and
+the charge fed by the quadrature expectations plus the same increments.
+The factorized form agrees with the plain explicit step to first order in
+dt but keeps the state positive by construction, so the eigenvalue clamp
+stays a safety net instead of firing on ordinary near-pure excursions.
 
-Each trajectory draws from its own generator seeded by ensemble seed XOR
-trajectory index, in fixed-size blocks, so results are bit-identical no
-matter how the ensemble is executed or ordered.
+Trajectory k of an ensemble draws from the k-th child stream spawned from
+the ensemble seed (``numpy.random.SeedSequence`` with spawn key ``(k,)``),
+in fixed-size blocks, so results are bit-identical no matter how the
+ensemble is executed or ordered, and different seeds give independent
+trajectories.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ JUMP_STEP_WARN = 0.05
 JUMP_STEP_ABORT = 0.2
 DEFAULT_STEP_BUDGET = 0.01
 RNG_BLOCK = 1024
-SEED_MASK = 0xFFFFFFFFFFFFFFFF
+SEED_MAX = 2**64 - 1
 REPAIR_FRACTION_ABORT = 1e-3
 PSD_CLAMP_TOL = 1e-10
 PATH_SAMPLES = 256
@@ -70,7 +73,7 @@ class TrajectoryConfig:
             raise ConfigError("horizon must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= SEED_MASK):
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= SEED_MAX):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         self.model.require_channels()
         if self.unravelling == "jump":
@@ -156,8 +159,9 @@ class TrajectoryEnsemble:
 def _trajectory_rngs(
     seed: int, ntraj: int, offset: int = 0
 ) -> list[np.random.Generator]:
+    # trajectory k gets the k-th spawned child stream of the ensemble seed
     return [
-        np.random.default_rng((seed ^ (offset + i)) & SEED_MASK)
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(offset + i,)))
         for i in range(ntraj)
     ]
 

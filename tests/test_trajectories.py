@@ -63,6 +63,20 @@ def test_different_seed_differs():
     assert not np.array_equal(a.hit_times, b.hit_times)
 
 
+def test_seeds_give_independent_ensembles():
+    # every trajectory's final charge is a continuous random variable, so a
+    # charge shared between two ensembles means a shared trajectory stream
+    def charges(seed, ntraj):
+        cfg = TrajectoryConfig(
+            homodyne_qubit(1.0, 1.0), "diffusion", ntraj, 0.2, dt=0.01,
+            seed=seed, keep_paths=False,
+        )
+        return simulate(cfg).final_charges
+
+    assert not np.array_equal(np.sort(charges(1, 64)), np.sort(charges(2, 64)))
+    assert np.intersect1d(charges(0, 1000), charges(42, 1000)).size == 0
+
+
 def test_partition_merge_matches_single_run():
     for unravelling, model in (
         ("jump", thermal_qubit(1.0, 1.0, 0.2)),
