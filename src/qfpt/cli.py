@@ -52,9 +52,10 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateKernelError,
+    ModelError,
     PhysicsError,
 )
-from .jumps import ChargeWindow, preview_window, solve_jump_fpt
+from .jumps import ChargeWindow, integer_weight, preview_window, solve_jump_fpt
 from .kur import kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, steady_state
@@ -418,6 +419,14 @@ KUR_COLUMNS = [
 
 
 def run_kur_scan(args) -> int:
+    if args.builtin not in (None, "thermal-qubit"):
+        raise ConfigError("kur-scan supports only the thermal-qubit builtin")
+    if args.model is not None:
+        raise ConfigError(
+            "kur-scan scans the thermal-qubit builtin; --model is not supported"
+        )
+    if args.omega is not None:
+        raise ConfigError("kur-scan takes --omega-range, not --omega")
     omegas = parse_range(args.omega_range)
     if args.gamma is not None and args.gamma <= 0:
         raise ConfigError("gamma must be positive")
@@ -502,28 +511,31 @@ def run_validate(args) -> int:
     if np.abs(model.hamiltonian).max() == 0.0:
         lines.append("note: incoherent regime: Q=0 expected")
 
-    integer_weights = model.monitored and all(
-        abs(ch.weight - round(ch.weight)) < 1e-12 and round(ch.weight) != 0
-        for ch in model.monitored
-    )
+    jump_weights = bool(model.monitored)
+    try:
+        for ch in model.monitored:
+            integer_weight(ch)
+    except ModelError:
+        jump_weights = False
     horizon = args.horizon
-    if integer_weights:
-        threshold = None
-        if args.threshold is not None:
-            rounded = round(args.threshold)
-            if abs(args.threshold - rounded) < 1e-12 and rounded >= 1:
-                threshold = int(rounded)
-        window, lower_open, upper_open = preview_window(
-            model, threshold, None, horizon
-        )
-        sides = (
-            f"lower {'auto' if lower_open else 'fixed'}, "
-            f"upper {'auto' if upper_open else 'fixed'}"
-        )
-        lines.append(
-            f"jump window preview: [{window.lower}, {window.upper}] ({sides}), "
-            f"{window.ncells * model.dim**2} coupled components"
-        )
+    if jump_weights:
+        # the same --threshold may still be a valid diffusion charge, so a
+        # refused jump threshold is reported, not an error
+        try:
+            window, lower_open, upper_open = preview_window(
+                model, args.threshold, None, horizon
+            )
+        except ConfigError as exc:
+            lines.append(f"jump window preview: refused ({exc})")
+        else:
+            sides = (
+                f"lower {'auto' if lower_open else 'fixed'}, "
+                f"upper {'auto' if upper_open else 'fixed'}"
+            )
+            lines.append(
+                f"jump window preview: [{window.lower}, {window.upper}] ({sides}), "
+                f"{window.ncells * model.dim**2} coupled components"
+            )
         dt = default_step(model.rate_scale())
         npoints = grid_points(horizon, dt)
         if npoints > MAX_GRID_POINTS:
@@ -658,19 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "kur-scan":
-        if args.builtin not in (None, "thermal-qubit"):
-            print("error: kur-scan supports only the thermal-qubit builtin",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        if args.model is not None:
-            print("error: kur-scan scans the thermal-qubit builtin; --model is "
-                  "not supported", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.omega is not None:
-            print("error: kur-scan takes --omega-range, not --omega",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -31,11 +31,11 @@ from .operators import (
     left_multiplier,
     right_multiplier,
     trace_functional,
-    validate_density_matrix,
     vectorize,
 )
 from .propagation import (
     STEP_FACTOR,
+    BlockState,
     Discretisation,
     default_step,
     evolve_to,
@@ -83,6 +83,13 @@ class ChargeGrid:
     def nodes(self) -> np.ndarray:
         return self.lower + self.delta * np.arange(self.nnodes)
 
+    ncells = nnodes  # the cell count BlockState reads
+
+    @property
+    def cell_width(self) -> float:
+        """Charge per node: a node trace times this is probability mass."""
+        return self.delta
+
     @property
     def zero_index(self) -> int:
         return int(round(-self.lower / self.delta))
@@ -93,6 +100,8 @@ class ChargeGrid:
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
+
+    trace_weights = property(weights)
 
     def index(self, charge: float) -> int:
         ratio = (charge - self.lower) / self.delta
@@ -210,41 +219,12 @@ def build_fokker_planck_generator(
     )
 
 
-@dataclass
-class DiffusionState:
-    """Node-resolved state of the discretized charge equation."""
+class DiffusionState(BlockState):
+    """Node-resolved state of the discretized charge equation, on a
+    ``ChargeGrid``; the initial state puts unit trapezoid weight on the
+    node at 0."""
 
-    grid: ChargeGrid
-    dim: int
-    data: np.ndarray
-    time: float = 0.0
-
-    @classmethod
-    def initial(cls, grid: ChargeGrid, rho0: np.ndarray) -> "DiffusionState":
-        """All charge mass on the node at 0, scaled to unit trapezoid weight."""
-        rho0 = validate_density_matrix(rho0)
-        d = rho0.shape[0]
-        data = np.zeros(grid.nnodes * d * d, dtype=complex)
-        i = grid.zero_index
-        data[i * d * d : (i + 1) * d * d] = vectorize(rho0) / grid.delta
-        return cls(grid, d, data, 0.0)
-
-    def node_traces(self) -> np.ndarray:
-        d = self.dim
-        blocks = self.data.reshape((self.grid.nnodes, d, d))
-        # stacking order inside each block is irrelevant for the trace
-        return np.einsum("nii->n", blocks).real
-
-    def survival(self) -> float:
-        return float(self.grid.weights() @ self.node_traces())
-
-    def total_state(self) -> np.ndarray:
-        """Trapezoid-weighted sum of all nodes: the unconditional state."""
-        d = self.dim
-        # C-order block views are transposes of the column-stacked matrices
-        blocks = self.data.reshape((self.grid.nnodes, d, d))
-        w = self.grid.weights()
-        return np.tensordot(w, blocks, axes=(0, 0)).T.copy()
+    node_traces = BlockState.traces
 
 
 def conditioned_charge_distribution(state: DiffusionState) -> tuple[np.ndarray, np.ndarray]:
@@ -255,10 +235,10 @@ def conditioned_charge_distribution(state: DiffusionState) -> tuple[np.ndarray, 
     if low < -TRACE_DENSITY_ABORT:
         raise PhysicsError(f"node density {low:.3e} is below the abort threshold")
     traces = np.clip(traces, 0.0, None)
-    total = float(state.grid.weights() @ traces)
+    total = float(state.domain.weights() @ traces)
     if total <= 0:
         raise PhysicsError("no surviving weight to condition on")
-    return state.grid.nodes, traces / total
+    return state.domain.nodes, traces / total
 
 
 def _default_step(
@@ -279,11 +259,11 @@ def _default_step(
 
 def evolve(generator: FokkerPlanckGenerator, state: DiffusionState, t: float) -> DiffusionState:
     """Propagate a node-resolved state forward by t in default-size steps."""
-    if state.grid != generator.grid or state.dim != generator.dim:
+    if state.domain != generator.grid or state.dim != generator.dim:
         raise ConfigError("state and generator live on different grids")
     dt = _default_step(generator.model, generator.drift)
     data = evolve_to(generator.matrix, state.data, t, dt, prefer_implicit=True)
-    return DiffusionState(state.grid, state.dim, data, state.time + t)
+    return DiffusionState(state.domain, state.dim, data, state.time + t)
 
 
 @dataclass
@@ -318,6 +298,15 @@ def mean_charge_path(
     for i, x in propagate_uniform(liou, vectorize(rho0), times, method="dense"):
         rates[i] = np.real(functional @ x)
     return scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
+
+
+def real_threshold(value, sign: int):
+    """A diffusion threshold, a real charge that is positive for
+    ``sign=+1`` and negative for ``sign=-1``; returned unchanged."""
+    if value is not None and sign * value <= 0:
+        side, kind = ("upper", "positive") if sign > 0 else ("lower", "negative")
+        raise ConfigError(f"{side} threshold must be {kind}")
+    return value
 
 
 def _round_to(value: float, delta: float, direction: int) -> float:
@@ -375,9 +364,6 @@ class _DiffusionDiscretisation(Discretisation):
     def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
         return build_fokker_planck_generator(self.model, grid)
 
-    def trace_weights(self, grid: ChargeGrid) -> tuple[np.ndarray, float]:
-        return grid.weights(), grid.delta
-
 
 def solve_diffusion_fpt(
     model: LindbladModel,
@@ -409,10 +395,8 @@ def solve_diffusion_fpt(
     rho0 = initial_density(model, initial)
     if grid is not None and (threshold is not None or lower_threshold is not None):
         raise ConfigError("pass either an explicit grid or thresholds, not both")
-    if threshold is not None and threshold <= 0:
-        raise ConfigError("upper threshold must be positive")
-    if lower_threshold is not None and lower_threshold >= 0:
-        raise ConfigError("lower threshold must be negative")
+    real_threshold(threshold, +1)
+    real_threshold(lower_threshold, -1)
 
     if grid is not None:
         work, lower_open, upper_open = grid, False, False

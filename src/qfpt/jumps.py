@@ -28,10 +28,10 @@ from .operators import (
     build_jump_super,
     build_no_jump,
     trace_functional,
-    validate_density_matrix,
     vectorize,
 )
 from .propagation import (
+    BlockState,
     Discretisation,
     default_step,
     evolve_to,
@@ -50,6 +50,11 @@ class ChargeWindow:
 
     lower: int
     upper: int
+
+    # one integer charge per cell: a cell trace is already probability
+    # mass, and the surviving mass is the plain sum of the cell traces
+    cell_width = 1.0
+    trace_weights = None
 
     def __post_init__(self):
         if not (isinstance(self.lower, (int, np.integer)) and isinstance(self.upper, (int, np.integer))):
@@ -90,47 +95,15 @@ def _clip_trace(value: float, what: str) -> float:
     return 0.0
 
 
-@dataclass
-class ChargeResolvedJumpState:
-    """Stacked charge-resolved state at one instant."""
-
-    window: ChargeWindow
-    dim: int
-    data: np.ndarray
-    time: float = 0.0
-
-    @classmethod
-    def initial(cls, window: ChargeWindow, rho0: np.ndarray) -> "ChargeResolvedJumpState":
-        rho0 = validate_density_matrix(rho0)
-        d = rho0.shape[0]
-        data = np.zeros(window.ncells * d * d, dtype=complex)
-        i = window.index(0)
-        data[i * d * d : (i + 1) * d * d] = vectorize(rho0)
-        return cls(window, d, data, 0.0)
-
-    def cell_traces(self) -> np.ndarray:
-        d = self.dim
-        blocks = self.data.reshape((self.window.ncells, d, d))
-        # stacking order inside each block is irrelevant for the trace
-        return np.einsum("nii->n", blocks).real
-
-    def survival(self) -> float:
-        return float(np.sum(self.cell_traces()))
+class ChargeResolvedJumpState(BlockState):
+    """Stacked charge-resolved state at one instant, on a ``ChargeWindow``."""
 
     def charge_distribution(self) -> dict[int, float]:
         """Map N -> probability, with tiny negative traces clipped to zero."""
-        traces = self.cell_traces()
         return {
             int(n): _clip_trace(float(p), f"charge-cell probability at N={n}")
-            for n, p in zip(self.window.charges, traces)
+            for n, p in zip(self.domain.charges, self.traces())
         }
-
-    def total_state(self) -> np.ndarray:
-        """Sum of all charge blocks: the surviving unconditional state."""
-        d = self.dim
-        # C-order block views are transposes of the column-stacked matrices
-        blocks = self.data.reshape((self.window.ncells, d, d))
-        return blocks.sum(axis=0).T.copy()
 
 
 @dataclass(frozen=True)
@@ -203,11 +176,11 @@ def evolve(
     generator: JumpBlockGenerator, state: ChargeResolvedJumpState, t: float
 ) -> ChargeResolvedJumpState:
     """Propagate a charge-resolved state forward by t via the exponential map."""
-    if state.window != generator.window or state.dim != generator.dim:
+    if state.domain != generator.window or state.dim != generator.dim:
         raise ConfigError("state and generator live on different windows")
     # one step of length t: the exact exponential on the dense path
     data = evolve_to(generator.matrix, state.data, t, t)
-    return ChargeResolvedJumpState(state.window, state.dim, data, state.time + t)
+    return ChargeResolvedJumpState(state.domain, state.dim, data, state.time + t)
 
 
 @dataclass
@@ -243,7 +216,7 @@ def preview_window(
     threshold = integer_threshold(threshold, +1)
     lower_threshold = integer_threshold(lower_threshold, -1)
     rate = sum(float(np.linalg.norm(ch.operator, 2)) ** 2 for ch in model.monitored)
-    max_step = max((abs(int(round(ch.weight))) for ch in model.monitored), default=1)
+    max_step = max((abs(integer_weight(ch)) for ch in model.monitored), default=1)
     spread = int(math.ceil(2.0 * math.sqrt(max(rate * horizon, 1.0)))) * max_step + 2 * max_step
     upper_open = threshold is None
     lower_open = lower_threshold is None

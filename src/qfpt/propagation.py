@@ -39,7 +39,13 @@ import scipy.sparse.linalg
 
 from .analysis import FptResult, uniform_step
 from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
-from .operators import LindbladModel, build_liouvillian, steady_state, validate_density_matrix
+from .operators import (
+    LindbladModel,
+    build_liouvillian,
+    steady_state,
+    validate_density_matrix,
+    vectorize,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -223,15 +229,68 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, horizon, num)
 
 
+def block_traces(blocks: np.ndarray) -> np.ndarray:
+    """Real traces of a stack of square blocks, shape (n, d, d) -> (n,)."""
+    return np.einsum("nii->n", blocks).real
+
+
+@dataclass
+class BlockState:
+    """Charge-resolved state at one instant: one column-stacked density
+    block per cell of ``domain``.
+
+    The domain is a charge window or grid.  It supplies ``ncells``,
+    ``index(charge)``, the charge ``cell_width`` that turns a cell trace
+    into probability mass, and ``trace_weights``, the quadrature weights
+    of the cell traces (None: their plain sum).
+    """
+
+    domain: object
+    dim: int
+    data: np.ndarray
+    time: float = 0.0
+
+    @classmethod
+    def initial(cls, domain, rho0: np.ndarray):
+        """All charge mass in the cell at charge 0."""
+        rho0 = validate_density_matrix(rho0)
+        d = rho0.shape[0]
+        data = np.zeros(domain.ncells * d * d, dtype=complex)
+        i = domain.index(0)
+        data[i * d * d : (i + 1) * d * d] = vectorize(rho0) / domain.cell_width
+        return cls(domain, d, data, 0.0)
+
+    def blocks(self) -> np.ndarray:
+        # C-order block views are transposes of the column-stacked matrices
+        return self.data.reshape((self.domain.ncells, self.dim, self.dim))
+
+    def traces(self) -> np.ndarray:
+        # stacking order inside each block is irrelevant for the trace
+        return block_traces(self.blocks())
+
+    def survival(self) -> float:
+        weights = self.domain.trace_weights
+        traces = self.traces()
+        return float(traces.sum() if weights is None else weights @ traces)
+
+    def total_state(self) -> np.ndarray:
+        """Trace-weighted sum of all blocks: the surviving unconditional
+        state."""
+        weights = self.domain.trace_weights
+        blocks = self.blocks()
+        if weights is None:
+            return blocks.sum(axis=0).T.copy()
+        return np.tensordot(weights, blocks, axes=(0, 0)).T.copy()
+
+
 @dataclass(frozen=True)
 class Discretisation:
     """Engine side of ``solve_absorbing``: the model, its initial density
     matrix, and what differs between the engines.
 
-    The domain is a charge window or grid that widens itself through
-    ``domain.widened(grow_lower, grow_upper)``.  ``state_type`` puts the
-    initial density matrix on a domain through ``initial(domain, rho0)``
-    and is built as ``state_type(domain, dim, data, time)``.  Subclasses
+    The domain is a charge window or grid, as ``BlockState`` describes,
+    that widens itself through ``domain.widened(grow_lower, grow_upper)``.
+    ``state_type`` is the engine's ``BlockState`` subclass.  Subclasses
     set the class attributes and implement ``assemble(domain)``, the
     generator on the domain (with ``dim``, ``matrix``, ``survival_vector``
     and ``flux_vector``).
@@ -252,11 +311,6 @@ class Discretisation:
     def initial(self, domain) -> np.ndarray:
         return self.state_type.initial(domain, self.rho0).data
 
-    def trace_weights(self, domain) -> tuple[np.ndarray | None, float]:
-        """Quadrature weights of the per-cell traces (None: survival is
-        their plain sum) and the factor turning an edge trace into mass."""
-        return None, 1.0
-
 
 @dataclass
 class AbsorbingSeries:
@@ -274,8 +328,8 @@ def _series(
     disc: Discretisation, generator, domain, times: np.ndarray, method: str
 ) -> AbsorbingSeries:
     d = generator.dim
-    ncells = generator.matrix.shape[0] // (d * d)
-    weights, edge_scale = disc.trace_weights(domain)
+    ncells = domain.ncells
+    weights = domain.trace_weights
     num = times.size
     surv = np.empty(num)
     dens = np.empty(num)
@@ -285,7 +339,7 @@ def _series(
         generator.matrix, disc.initial(domain), times,
         method=method, prefer_implicit=disc.prefer_implicit,
     ):
-        traces = np.einsum("nii->n", x.reshape((ncells, d, d))).real
+        traces = block_traces(x.reshape((ncells, d, d)))
         if cells is None:
             lo_peak = max(lo_peak, traces[0])
             hi_peak = max(hi_peak, traces[-1])
@@ -309,7 +363,7 @@ def _series(
         FptResult(times, dens, surv, disc.provenance),
         domain,
         disc.state_type(domain, d, x, float(times[-1])),
-        (edge_scale * lo_peak, edge_scale * hi_peak),
+        (domain.cell_width * lo_peak, domain.cell_width * hi_peak),
         cells,
         float(times[1] - times[0]),
     )

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import FptResult
+from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
 from .models import LindbladModel
-from .propagation import initial_density
+from .propagation import block_traces, initial_density
 
 logger = logging.getLogger(__name__)
 
@@ -82,10 +83,8 @@ class TrajectoryConfig:
             integer_threshold(self.threshold, +1)
             integer_threshold(self.lower_threshold, -1)
         else:
-            if self.threshold is not None and self.threshold <= 0:
-                raise ConfigError("upper threshold must be positive")
-            if self.lower_threshold is not None and self.lower_threshold >= 0:
-                raise ConfigError("lower threshold must be negative")
+            real_threshold(self.threshold, +1)
+            real_threshold(self.lower_threshold, -1)
 
     def initial_matrix(self) -> np.ndarray:
         return initial_density(self.model, self.initial)
@@ -156,26 +155,8 @@ class TrajectoryEnsemble:
         return self.final_states.mean(axis=0)
 
 
-def _trajectory_rngs(
-    seed: int, ntraj: int, offset: int = 0
-) -> list[np.random.Generator]:
-    # trajectory k gets the k-th spawned child stream of the ensemble seed
-    return [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(offset + i,)))
-        for i in range(ntraj)
-    ]
-
-
-def _path_stride(nsteps: int) -> int:
-    return max(1, nsteps // PATH_SAMPLES)
-
-
-def _batch_traces(rho: np.ndarray) -> np.ndarray:
-    return np.einsum("nii->n", rho).real
-
-
 def _renormalize(rho: np.ndarray, what: str) -> np.ndarray:
-    tr = _batch_traces(rho)
+    tr = block_traces(rho)
     if tr.size and tr.min() < 1e-12:
         raise PhysicsError(f"{what}: conditional state norm collapsed")
     return rho / tr[:, None, None]
@@ -333,15 +314,18 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
     stepper = _STEPPERS[config.unravelling](config, dt)
     upper, lower = config.threshold, config.lower_threshold
 
-    d = rho0.shape[0]
-    rho = np.broadcast_to(rho0, (n, d, d)).copy()
+    rho = np.broadcast_to(rho0, (n, *rho0.shape)).copy()
     charge = np.zeros(n, dtype=stepper.charge_dtype)
     hit = np.full(n, np.nan)
     alive = np.ones(n, dtype=bool)
     step_slots = 0
-    rngs = _trajectory_rngs(config.seed, n, config.index_offset)
+    # trajectory k draws from the k-th child stream spawned from the seed
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+        for k in range(config.index_offset, config.index_offset + n)
+    ]
 
-    stride = _path_stride(nsteps)
+    stride = max(1, nsteps // PATH_SAMPLES)
     path_times = [0.0]
     paths = [charge.copy()] if config.keep_paths else None
 
@@ -384,7 +368,6 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
         if not alive.any():
             break
 
-    record = stepper.record(step_slots)
     if config.keep_paths:
         path_arr = np.stack(paths, axis=1)
         time_arr = np.array(path_times)
@@ -393,7 +376,7 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
         time_arr = np.zeros(0)
     return TrajectoryEnsemble(
         config, dt, hit, np.isnan(hit), charge.astype(float), rho,
-        time_arr, path_arr, steps_total=step_slots, **record,
+        time_arr, path_arr, steps_total=step_slots, **stepper.record(step_slots),
     )
 
 

@@ -191,6 +191,18 @@ def test_validate_checks_diffusion_spacing(capsys):
     assert "Peclet" in capsys.readouterr().out
 
 
+def test_validate_refuses_fractional_jump_threshold(capsys):
+    code = cli.main(
+        ["validate", "--builtin", "thermal-qubit", "--gamma", "1", "--omega", "1",
+         "--nbar", "0.2", "--threshold", "2.5"]
+    )
+    # the same threshold is a valid diffusion charge, so validate still passes
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "upper threshold must be a positive integer, got 2.5" in out
+    assert "jump window preview: [" not in out
+
+
 def test_unknown_builtin_exits_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["fpt-jump", "--builtin", "nonsense", "--threshold", "1"], tmp_path)

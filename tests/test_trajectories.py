@@ -7,7 +7,10 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import kstest
 
+from qfpt.analysis import ks_distance
+from qfpt.diffusion import solve_diffusion_fpt
 from qfpt.errors import ConfigError, PhysicsError
+from qfpt.jumps import solve_jump_fpt
 from qfpt.kur import dynamical_activity
 from qfpt.models import decay_qubit, homodyne_qubit, thermal_qubit
 from qfpt.operators import build_liouvillian, steady_state, vectorize
@@ -227,3 +230,43 @@ def test_fractional_jump_threshold_rejected():
         TrajectoryConfig(model, "jump", 10, 1.0, lower_threshold=-2.5)
     # integral floats from the command line stay accepted
     TrajectoryConfig(model, "jump", 10, 1.0, threshold=2.0, lower_threshold=-3.0)
+
+
+def _assert_matches_engine(ens, result):
+    """KS distance of the absorbed hits at p=1e-3, and the censored
+    fraction against the engine's survival at the horizon, within four
+    binomial standard deviations plus one trajectory."""
+    nhits = ens.absorbed_times().size
+    ks = ks_distance(result, ens)
+    assert ks < 1.95 / np.sqrt(nhits), f"KS {ks:.4f} over {nhits} hits"
+    g_end = float(result.survival[-1])
+    sigma = np.sqrt(g_end * (1.0 - g_end) / ens.ntraj)
+    assert abs(ens.censored_fraction() - g_end) <= 4.0 * sigma + 1.0 / ens.ntraj
+
+
+def test_two_sided_jump_ensemble_matches_engine():
+    model = thermal_qubit(1.0, 1.0, 1.0)
+    det = solve_jump_fpt(model, threshold=3, lower_threshold=-2, horizon=20.0)
+    cfg = TrajectoryConfig(
+        model, "jump", 2000, 20.0, seed=1, threshold=3, lower_threshold=-2,
+        keep_paths=False,
+    )
+    ens = simulate(cfg)
+    # both sides absorb: the final charges sit on the thresholds
+    hit_charges = ens.final_charges[~ens.censored]
+    assert set(np.unique(hit_charges)) <= {-2.0, 3.0}
+    assert (hit_charges == -2.0).any() and (hit_charges == 3.0).any()
+    _assert_matches_engine(ens, det.result)
+
+
+def test_two_sided_diffusion_ensemble_matches_engine():
+    model = homodyne_qubit(1.0, 1.0)
+    det = solve_diffusion_fpt(model, threshold=1.0, lower_threshold=-0.7, horizon=4.0)
+    cfg = TrajectoryConfig(
+        model, "diffusion", 1000, 4.0, dt=0.002, seed=2, threshold=1.0,
+        lower_threshold=-0.7, keep_paths=False,
+    )
+    ens = simulate(cfg)
+    hit_charges = ens.final_charges[~ens.censored]
+    assert (hit_charges <= -0.7).any() and (hit_charges >= 1.0).any()
+    _assert_matches_engine(ens, det.result)
