@@ -312,7 +312,9 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
     n = config.ntraj
     rho0 = config.initial_matrix()
     stepper = _STEPPERS[config.unravelling](config, dt)
-    upper, lower = config.threshold, config.lower_threshold
+    # a missing threshold is one the charge never reaches
+    upper = np.inf if config.threshold is None else config.threshold
+    lower = -np.inf if config.lower_threshold is None else config.lower_threshold
 
     rho = np.broadcast_to(rho0, (n, *rho0.shape)).copy()
     charge = np.zeros(n, dtype=stepper.charge_dtype)
@@ -346,21 +348,12 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
             new = old + dq
             charge[idx] = new
 
-            crossed = np.zeros(idx.size, dtype=bool)
-            target = np.empty(idx.size)
-            if upper is not None:
-                up = new >= upper
-                crossed |= up
-                target[up] = upper
-            if lower is not None:
-                lo = new <= lower
-                crossed |= lo
-                target[lo] = lower
+            crossed = (new >= upper) | (new <= lower)
             if crossed.any():
                 done = idx[crossed]
-                hit[done] = stepper.hit_time(
-                    step, old[crossed], new[crossed], target[crossed]
-                )
+                before, after = old[crossed], new[crossed]
+                target = np.where(after >= upper, upper, lower)
+                hit[done] = stepper.hit_time(step, before, after, target)
                 alive[done] = False
             if config.keep_paths and (step + 1) % stride == 0:
                 path_times.append((step + 1) * dt)
