@@ -301,10 +301,14 @@ def mean_charge_path(
 
 
 def real_threshold(value, sign: int):
-    """A diffusion threshold, a real charge that is positive for
+    """A diffusion threshold, a finite real charge that is positive for
     ``sign=+1`` and negative for ``sign=-1``; returned unchanged."""
-    if value is not None and sign * value <= 0:
-        side, kind = ("upper", "positive") if sign > 0 else ("lower", "negative")
+    if value is None:
+        return None
+    side, kind = ("upper", "positive") if sign > 0 else ("lower", "negative")
+    if not math.isfinite(value):
+        raise ConfigError(f"{side} threshold must be finite, got {value!r}")
+    if sign * value <= 0:
         raise ConfigError(f"{side} threshold must be {kind}")
     return value
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -20,6 +22,7 @@ from qfpt.diffusion import (
 from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.models import drifted_charge, homodyne_qubit, wiener_charge
 from qfpt.operators import build_liouvillian, vectorize
+from qfpt.trajectories import TrajectoryConfig
 
 from .oracles import inverse_gaussian_density, wiener_fpt_density
 
@@ -40,6 +43,16 @@ def test_charge_grid_validation():
     assert w[0] == pytest.approx(0.25) and w[-1] == pytest.approx(0.25)
     assert w[1:-1] == pytest.approx(0.5)
     assert float(w.sum()) == pytest.approx(3.0)
+
+
+def test_non_finite_thresholds_rejected():
+    model = homodyne_qubit(1.0, 1.0)
+    for bad in ({"threshold": math.nan}, {"threshold": math.inf},
+                {"lower_threshold": -math.inf}):
+        with pytest.raises(ConfigError, match="finite"):
+            solve_diffusion_fpt(model, horizon=1.0, **bad)
+        with pytest.raises(ConfigError, match="finite"):
+            TrajectoryConfig(model, "diffusion", 10, 1.0, **bad)
 
 
 def test_grid_and_thresholds_are_mutually_exclusive():
