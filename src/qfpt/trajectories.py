@@ -331,7 +331,7 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
     path_times = [0.0]
     paths = [charge.copy()] if config.keep_paths else None
 
-    noise = np.empty((n, RNG_BLOCK, *stepper.draw_shape))
+    noise = np.empty((n, min(RNG_BLOCK, nsteps), *stepper.draw_shape))
     for block_start in range(0, nsteps, RNG_BLOCK):
         block = min(RNG_BLOCK, nsteps - block_start)
         for i in np.flatnonzero(alive):
