@@ -113,25 +113,31 @@ class FptMoments:
     snr: float
     absorbed_probability: float
 
+    @classmethod
+    def from_raw(cls, mean: float, second: float, absorbed: float) -> "FptMoments":
+        """Moments from the mean and second moment of the hit time."""
+        variance = max(second - mean * mean, 0.0)
+        snr = mean * mean / variance if variance > 0 else float("inf")
+        return cls(mean, variance, snr, absorbed)
+
 
 def integrate_moments(
     result: FptResult,
     *,
-    tail_epsilon: float = TAIL_EPSILON,
     require_tail: bool = True,
 ) -> FptMoments:
     """Trapezoidal moments of the hit time, conditioned on absorption.
 
     With ``require_tail`` the survival at the horizon must fall below
-    ``tail_epsilon``; otherwise the computation refuses and asks for a
+    ``TAIL_EPSILON``; otherwise the computation refuses and asks for a
     longer horizon.  ``require_tail=False`` accepts defective distributions
     and reports moments conditioned on absorption before the horizon.
     """
     t, f, g = result.times, result.density, result.survival
-    if require_tail and g[-1] >= tail_epsilon:
+    if require_tail and g[-1] >= TAIL_EPSILON:
         raise TailNotConvergedError(
             f"tail not converged: G(T) = {g[-1]:.3e} at T = {t[-1]:g}; "
-            f"increase the horizon beyond {t[-1]:g} until G(T) < {tail_epsilon:g}"
+            f"increase the horizon beyond {t[-1]:g} until G(T) < {TAIL_EPSILON:g}"
         )
     absorbed = float(trapezoid(f, t))
     if absorbed <= 1e-12:
@@ -141,9 +147,7 @@ def integrate_moments(
         )
     mean = float(trapezoid(t * f, t)) / absorbed
     second = float(trapezoid(t * t * f, t)) / absorbed
-    variance = max(second - mean * mean, 0.0)
-    snr = mean * mean / variance if variance > 0 else float("inf")
-    return FptMoments(mean, variance, snr, absorbed)
+    return FptMoments.from_raw(mean, second, absorbed)
 
 
 def _extract_hit_times(empirical) -> np.ndarray:

@@ -413,7 +413,6 @@ KUR_COLUMNS = [
     "classical_violated",
     "quantum_violated",
     "absorbed_probability",
-    "horizon",
     "status",
 ]
 
@@ -440,8 +439,6 @@ def run_kur_scan(args) -> int:
         gamma=gamma,
         nbar=nbar,
         threshold=args.threshold,
-        horizon=args.horizon,
-        dt=args.dt,
         workers=args.workers,
     )
     payload = {
@@ -450,8 +447,6 @@ def run_kur_scan(args) -> int:
         "gamma": gamma,
         "nbar": nbar,
         "threshold": args.threshold,
-        "horizon": args.horizon,
-        "dt": args.dt,
     }
     chash = config_hash(payload)
     outdir = resolve_outdir(args)
@@ -478,7 +473,7 @@ def run_kur_scan(args) -> int:
         f"{len(failed)} failed)"
     )
     if failed and len(failed) == len(reports):
-        raise ConvergenceError("every scan point failed to converge")
+        raise ConvergenceError("every scan point failed; see the status column")
     if failed:
         print(f"warning: {len(failed)} scan points failed; see the status column",
               file=sys.stderr)
@@ -652,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-range", required=True, help="drive grid lo:hi:count (linear)"
     )
     scan.add_argument("--threshold", type=int, default=5)
-    scan.add_argument("--horizon", type=float, default=50.0)
-    scan.add_argument("--dt", type=float, help="output time step per point")
     scan.add_argument("--workers", type=int, default=1)
     scan.set_defaults(func=run_kur_scan)
 

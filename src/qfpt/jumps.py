@@ -10,6 +10,9 @@ Threshold semantics: a user threshold ``n`` means "the first time the
 charge reaches n", realized by the window edge b = n - 1 (symmetrically
 a = n + 1 for a lower threshold).  One-sided thresholds keep the open side
 wide enough that the edge cell stays numerically unoccupied.
+
+``passage_moments`` gives the exact mean and variance of the hit time from
+linear solves on the same generator, without a time series.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .analysis import FptResult
-from .errors import ConfigError, ModelError, PhysicsError
+from .analysis import FptMoments, FptResult
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_jump_super,
@@ -31,17 +34,23 @@ from .operators import (
     vectorize,
 )
 from .propagation import (
+    EDGE_TOLERANCE,
     BlockState,
     Discretisation,
     default_step,
     evolve_to,
     initial_density,
+    resolvent_solves,
     solve_absorbing,
 )
 
 logger = logging.getLogger(__name__)
 
 TRACE_CLIP_ABORT = 1e-9
+# the upper-exit probability of a moments solve must be 1 to this
+CERTAIN_EXIT_TOLERANCE = 1e-9
+# largest generator a moments solve widens its window to
+MAX_MOMENT_UNKNOWNS = 2**16
 
 
 @dataclass(frozen=True)
@@ -108,14 +117,24 @@ class ChargeResolvedJumpState(BlockState):
 
 @dataclass(frozen=True)
 class JumpBlockGenerator:
-    """Sparse generator of the charge-resolved dynamics on a window."""
+    """Sparse generator of the charge-resolved dynamics on a window.
+
+    ``upper_flux`` and ``lower_flux`` are the absorption rates through the
+    upper and the lower window edge as functionals on the stacked state.
+    """
 
     model: LindbladModel
     window: ChargeWindow
     dim: int
     matrix: scipy.sparse.csr_matrix
     survival_vector: np.ndarray
-    flux_vector: np.ndarray
+    upper_flux: np.ndarray
+    lower_flux: np.ndarray
+
+    @property
+    def flux_vector(self) -> np.ndarray:
+        """Absorption rate through either edge: the first-passage density."""
+        return self.upper_flux + self.lower_flux
 
 
 def integer_weight(channel) -> int:
@@ -144,32 +163,37 @@ def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlo
     diag = build_no_jump(model)
     for ch in model.silent:
         diag = diag + build_jump_super(ch)
-    rows: list[list] = [[None] * n_cells for _ in range(n_cells)]
-    for i in range(n_cells):
-        rows[i][i] = scipy.sparse.csr_matrix(diag)
-    flux = np.zeros(n_cells * d * d, dtype=complex)
-    tr = trace_functional(d)
-    charges = window.charges
+    # charge shift -> block on the cells it connects; channels of one shift
+    # share a block
+    blocks = {0: scipy.sparse.csr_matrix(diag)}
+    upper_flux = np.zeros((n_cells, d * d), dtype=complex)
+    lower_flux = np.zeros((n_cells, d * d), dtype=complex)
     for ch in model.monitored:
         nu = integer_weight(ch)
         jump = scipy.sparse.csr_matrix(build_jump_super(ch))
+        blocks[nu] = blocks[nu] + jump if nu in blocks else jump
         gram = ch.operator.conj().T @ ch.operator
         # tr(M rho) as a row functional on vec(rho): vec(M.T)
         gram_row = vectorize(gram.T)
-        for i, charge in enumerate(charges):
-            source = charge - nu
-            if window.lower <= source <= window.upper:
-                j = window.index(source)
-                if rows[i][j] is None:
-                    rows[i][j] = jump.copy()
-                else:
-                    rows[i][j] = rows[i][j] + jump
-        for i, charge in enumerate(charges):
-            if not window.lower <= charge + nu <= window.upper:
-                flux[i * d * d : (i + 1) * d * d] += gram_row
-    matrix = scipy.sparse.bmat(rows, format="csr")
-    survival = np.tile(tr, n_cells)
-    return JumpBlockGenerator(model, window, d, matrix, survival, flux)
+        upper_flux[window.charges + nu > window.upper] += gram_row
+        lower_flux[window.charges + nu < window.lower] += gram_row
+    rows, cols, vals = [], [], []
+    for nu, block in blocks.items():
+        block = block.tocoo()
+        # cell i receives from cell i - nu when both lie in the window
+        cells = np.arange(max(nu, 0), min(n_cells, n_cells + nu))[:, None]
+        rows.append((cells * d * d + block.row).ravel())
+        cols.append(((cells - nu) * d * d + block.col).ravel())
+        vals.append(np.broadcast_to(block.data, (cells.size, block.nnz)).ravel())
+    size = n_cells * d * d
+    matrix = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
+    survival = np.tile(trace_functional(d), n_cells)
+    return JumpBlockGenerator(
+        model, window, d, matrix, survival, upper_flux.ravel(), lower_flux.ravel()
+    )
 
 
 def evolve(
@@ -283,3 +307,51 @@ def solve_jump_fpt(
     return JumpFptSolution(
         series.result, series.domain, series.cell_traces, series.final_state, series.dt
     )
+
+
+def passage_moments(
+    model: LindbladModel, threshold: int, rho_ss: np.ndarray | None = None
+) -> FptMoments:
+    """Exact moments of the first time the charge, started at 0 in the
+    steady state ``rho_ss``, reaches ``threshold``, with the lower side open.
+
+    The phase-type moments and the exit probability through each edge come
+    from ``resolvent_solves``; the lower side doubles until its exit
+    probability is below ``EDGE_TOLERANCE``.  A singular generator, an
+    upper-exit probability short of 1, or a window past
+    ``MAX_MOMENT_UNKNOWNS`` raises ConvergenceError.  ``absorbed_probability``
+    is the upper-exit probability.
+    """
+    model.require_channels()
+    if rho_ss is None:
+        rho_ss = initial_density(model, "steady")
+    window, _, _ = preview_window(model, threshold)
+    while True:
+        generator = build_block_generator(model, window)
+        x0 = ChargeResolvedJumpState.initial(window, rho_ss).data
+        try:
+            y1, y2 = resolvent_solves(generator.matrix, x0)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"threshold {threshold} is unreachable from the steady state: "
+                f"{exc} on window [{window.lower}, {window.upper}]"
+            ) from None
+        lower_exit = -float(np.real(generator.lower_flux @ y1))
+        if lower_exit < EDGE_TOLERANCE:
+            break
+        window = window.widened(True, False)
+        if window.ncells * model.dim**2 > MAX_MOMENT_UNKNOWNS:
+            raise ConvergenceError(
+                f"lower-exit probability is still {lower_exit:.3e} before window "
+                f"[{window.lower}, {window.upper}] outgrows {MAX_MOMENT_UNKNOWNS} "
+                "unknowns; the charge may not drift towards the threshold"
+            )
+    upper_exit = -float(np.real(generator.upper_flux @ y1))
+    if not abs(upper_exit - 1.0) <= CERTAIN_EXIT_TOLERANCE:
+        raise ConvergenceError(
+            f"threshold {threshold} is reached with probability {upper_exit:.9g}, "
+            "not 1; its first-passage moments do not exist"
+        )
+    mean = -float(np.real(generator.survival_vector @ y1))
+    second = 2.0 * float(np.real(generator.survival_vector @ y2))
+    return FptMoments.from_raw(mean, second, upper_exit)

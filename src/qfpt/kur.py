@@ -4,7 +4,7 @@ For a stationary monitored process the squared mean hit time over its
 variance is bounded by the mean hit time times the dynamical activity; a
 coherent drive loosens the bound by an additive correction computed from
 the group inverse of the generator.  Both bounds are evaluated per scan
-point together with the deterministic first-passage moments.
+point together with the exact first-passage moments.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import integrate_moments
-from .errors import ConvergenceError, PhysicsError, QfptError
-from .jumps import solve_jump_fpt
+from .errors import PhysicsError, QfptError
+from .jumps import passage_moments
 from .models import thermal_qubit
 from .operators import (
     LindbladModel,
@@ -52,7 +51,6 @@ class KurReport:
     classical_violated: bool
     quantum_violated: bool
     absorbed_probability: float
-    horizon: float
     status: str = "ok"
 
     @classmethod
@@ -60,7 +58,7 @@ class KurReport:
         nan = float("nan")
         return cls(
             omega, gamma, nbar, nan, nan, nan, nan, nan, nan, nan,
-            False, False, nan, nan, status=f"failed: {reason}",
+            False, False, nan, status=f"failed: {reason}",
         )
 
 
@@ -125,34 +123,19 @@ def qubit_quantum_correction(gamma: float, omega: float, nbar: float) -> float:
     ) * qubit_activity(gamma, omega, nbar)
 
 
-def kur_point(
-    model: LindbladModel,
-    *,
-    threshold: int,
-    horizon: float = 50.0,
-    dt: float | None = None,
-    tail_epsilon: float = 1e-6,
-) -> dict:
-    """Bounds and deterministic FPT moments for one model.
+def kur_point(model: LindbladModel, *, threshold: int) -> dict:
+    """Bounds and exact FPT moments for one model.
 
-    The first-passage run starts in the steady state, keeps the lower side
-    of the charge window open, and extends the horizon until the tail has
-    converged, so the moments are those of the full hit-time distribution.
+    The moments are those of the first time the charge, started in the
+    steady state with the lower side open, reaches ``threshold``; see
+    ``jumps.passage_moments``.  Their ``absorbed_probability`` is the
+    probability of reaching the threshold.
     """
     gen = build_liouvillian(model)
     rho_ss = steady_state(gen)
     activity = dynamical_activity(model, rho_ss)
     correction = quantum_correction(model, rho_ss, drazin_inverse(gen, rho_ss))
-    solution = solve_jump_fpt(
-        model,
-        threshold=threshold,
-        initial=rho_ss,
-        horizon=horizon,
-        dt=dt,
-        auto_tail=True,
-        tail_epsilon=tail_epsilon,
-    )
-    moments = integrate_moments(solution.result, tail_epsilon=tail_epsilon)
+    moments = passage_moments(model, threshold, rho_ss)
     snr = moments.snr
     classical_bound = moments.mean * activity
     quantum_bound = moments.mean * (activity + correction)
@@ -165,47 +148,21 @@ def kur_point(
         "quantum_bound": quantum_bound,
         "classical_violated": snr > classical_bound,
         "quantum_violated": snr > quantum_bound + QUANTUM_SLACK,
-        "horizon": solution.result.horizon,
     }
 
 
 def _scan_one(args) -> KurReport:
-    omega, gamma, nbar, threshold, horizon, dt, tail_epsilon = args
+    omega, gamma, nbar, threshold = args
     try:
-        model = thermal_qubit(gamma, omega, nbar)
-        point = kur_point(
-            model,
-            threshold=threshold,
-            horizon=horizon,
-            dt=dt,
-            tail_epsilon=tail_epsilon,
-        )
+        point = kur_point(thermal_qubit(gamma, omega, nbar), threshold=threshold)
     except (QfptError, ValueError) as exc:
         logger.warning("scan point omega=%g failed: %s", omega, exc)
         return KurReport.failed(omega, gamma, nbar, str(exc))
-    m = point["moments"]
+    m = point.pop("moments")
     return KurReport(
-        omega=omega,
-        gamma=gamma,
-        nbar=nbar,
-        activity=point["activity"],
-        quantum_correction=point["quantum_correction"],
-        mean_fpt=m.mean,
-        var_fpt=m.variance,
-        snr=point["snr"],
-        classical_bound=point["classical_bound"],
-        quantum_bound=point["quantum_bound"],
-        classical_violated=point["classical_violated"],
-        quantum_violated=point["quantum_violated"],
-        absorbed_probability=m.absorbed_probability,
-        horizon=point["horizon"],
+        omega, gamma, nbar, mean_fpt=m.mean, var_fpt=m.variance,
+        absorbed_probability=m.absorbed_probability, **point,
     )
-
-
-def scan_time_step(omega: float, gamma: float, nbar: float) -> float:
-    """Output step tuned to the drive and relaxation timescales of one
-    scan point, coarse enough to keep long-horizon grids tractable."""
-    return 0.1 / max(2.0 * omega, gamma * (2.0 * nbar + 1.0))
 
 
 def kur_scan(
@@ -214,28 +171,17 @@ def kur_scan(
     gamma: float = 1.0,
     nbar: float = 0.0,
     threshold: int = 5,
-    horizon: float = 50.0,
-    dt: float | None = None,
-    tail_epsilon: float = 1e-6,
     workers: int = 1,
 ) -> list[KurReport]:
     """Scan the driven thermal qubit over a grid of drive amplitudes.
 
-    Non-converged points are marked failed and the scan continues.  Results
-    are returned in grid order regardless of worker count.
+    Points whose moments do not exist or fail to converge are marked failed
+    and the scan continues.  Results are returned in grid order regardless
+    of worker count.
     """
-    omegas = [float(o) for o in np.asarray(omegas, dtype=float)]
     jobs = [
-        (
-            o,
-            float(gamma),
-            float(nbar),
-            int(threshold),
-            float(horizon),
-            scan_time_step(o, gamma, nbar) if dt is None else float(dt),
-            float(tail_epsilon),
-        )
-        for o in omegas
+        (float(o), float(gamma), float(nbar), int(threshold))
+        for o in np.asarray(omegas, dtype=float)
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -58,12 +57,18 @@ EDGE_TOLERANCE = 1e-12
 WEIGHT_EXCESS_TOLERANCE = 1e-6
 
 
+def _non_finite(index: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"propagation produced non-finite values at grid index {index}; "
+        "reduce the step size or switch integrator"
+    )
+
+
 def _check_finite(x: np.ndarray, index: int) -> None:
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
-        raise ConvergenceError(
-            f"propagation produced non-finite values at grid index {index}; "
-            "reduce the step size or switch integrator"
-        )
+    # a non-finite entry stays non-finite under every later step, so one
+    # check per solve catches what a check per step would
+    if not np.isfinite(x).all():
+        raise _non_finite(index)
 
 
 def _dense_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -74,7 +79,6 @@ def _dense_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[in
     yield 0, x
     for i in range(1, times.size):
         x = prop @ x
-        _check_finite(x, i)
         yield i, x
 
 
@@ -90,7 +94,6 @@ def _krylov_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[i
             mat, x, start=0.0, stop=count * dt, num=count + 1, endpoint=True
         )
         for j in range(1, count + 1):
-            _check_finite(block[j], pos + j)
             yield pos + j, block[j]
         x = block[count]
         pos += count
@@ -110,7 +113,6 @@ def _cn_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, 
             x = lu_be.solve(x)
         else:
             x = lu_cn.solve(x + half * (mat @ x))
-        _check_finite(x, i)
         yield i, x
 
 
@@ -146,26 +148,40 @@ def propagate_uniform(
     raise ValueError(f"unknown propagation method {method!r}")
 
 
+def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A^-1 x0 and A^-2 x0 for an absorbing generator A, from one sparse LU.
+
+    For a survival functional w and a flux functional u they give the
+    phase-type moments E[T] = -w A^-1 x0 and E[T^2] = 2 w A^-2 x0 and the
+    exit probability -u A^-1 x0 (Neuts 1981).  A singular A, which keeps
+    some weight forever, raises ConvergenceError.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(matrix, dtype=complex))
+    except RuntimeError as exc:
+        raise ConvergenceError(f"the absorbing generator is singular ({exc})") from None
+    y1 = lu.solve(np.asarray(x0, dtype=complex))
+    y2 = lu.solve(y1)
+    if not np.isfinite(y2).all():
+        raise ConvergenceError("the absorbing generator is numerically singular")
+    return y1, y2
+
+
 def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> float | None:
     """Resolvent estimate of how long an absorbing generator keeps mass.
 
-    When the generator loses all weight eventually, the mean and second
-    moment of the absorption time are linear-solve expressions in it, and
-    mean plus 16 standard deviations comfortably covers the survival tail.
-    Returns None when the solves fail or give unusable values, e.g. for
-    generators that conserve some of the weight forever.
+    Mean plus 16 standard deviations of the absorption time, from
+    ``resolvent_solves``, comfortably covers the survival tail.  Returns
+    None when the solves fail or give unusable values, e.g. for generators
+    that conserve some of the weight forever.
     """
-    mat = scipy.sparse.csc_matrix(matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            y1 = scipy.sparse.linalg.spsolve(mat, x0)
-            y2 = scipy.sparse.linalg.spsolve(mat, y1)
-        except Exception:
-            return None
+    try:
+        y1, y2 = resolvent_solves(matrix, x0)
+    except ConvergenceError:
+        return None
     mean = -float(np.real(weights @ y1))
     second = 2.0 * float(np.real(weights @ y2))
-    if not (np.isfinite(mean) and np.isfinite(second)) or mean <= 0 or second <= 0:
+    if mean <= 0 or second <= 0:
         return None
     spread = math.sqrt(max(second - mean**2, 0.0))
     return mean + 16.0 * max(spread, 0.25 * mean)
@@ -180,8 +196,9 @@ def evolve_to(
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if t == 0.0:
         return x.copy()
-    for _, x in propagate_uniform(matrix, x, time_grid(t, dt), prefer_implicit=prefer_implicit):
+    for i, x in propagate_uniform(matrix, x, time_grid(t, dt), prefer_implicit=prefer_implicit):
         pass
+    _check_finite(x, i)
     return x
 
 
@@ -334,6 +351,7 @@ def _series(
     surv = np.empty(num)
     dens = np.empty(num)
     cells = np.empty((num, ncells)) if disc.keep_traces else None
+    flux = generator.flux_vector
     lo_peak = hi_peak = 0.0
     for i, x in propagate_uniform(
         generator.matrix, disc.initial(domain), times,
@@ -346,7 +364,11 @@ def _series(
         else:
             cells[i] = traces
         surv[i] = traces.sum() if weights is None else weights @ traces
-        dens[i] = np.real(generator.flux_vector @ x)
+        dens[i] = np.real(flux @ x)
+    bad = ~(np.isfinite(surv) & np.isfinite(dens))
+    if bad.any():
+        raise _non_finite(int(np.argmax(bad)))
+    _check_finite(x, num - 1)
     if cells is not None:
         lo_peak = max(lo_peak, cells[:, 0].max())
         hi_peak = max(hi_peak, cells[:, -1].max())

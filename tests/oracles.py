@@ -115,3 +115,23 @@ class BirthDeathChain:
             surv[i] = float(vec.sum())
             cells[i] = vec.reshape(self.ncells, 2).sum(axis=1)
         return density, surv, cells
+
+    def moments(self, populations: np.ndarray | None = None):
+        """Probability of leaving through the upper edge, and the mean and
+        variance of the hit time conditioned on it.
+
+        Phase-type formulas on ``upper_edge_flux`` u: P = -u A^-1 x0,
+        E[T; up] = u A^-2 x0 and E[T^2; up] = -2 u A^-3 x0.  A generator
+        that traps weight forever is singular and raises LinAlgError.
+        """
+        gen = self.generator
+        if np.linalg.matrix_rank(gen) < gen.shape[0]:
+            raise np.linalg.LinAlgError("the chain traps weight forever")
+        y1 = np.linalg.solve(gen, self.initial_vector(populations))
+        y2 = np.linalg.solve(gen, y1)
+        y3 = np.linalg.solve(gen, y2)
+        u = self.upper_edge_flux
+        prob = -float(u @ y1)
+        mean = float(u @ y2) / prob
+        second = -2.0 * float(u @ y3) / prob
+        return prob, mean, second - mean**2

@@ -154,14 +154,14 @@ def test_criterion_05_closed_form_bounds():
 
 def test_criterion_06_violation_scan():
     omegas = [0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]
-    reports = kur_scan(omegas, gamma=1.0, nbar=0.1, threshold=5, horizon=50.0)
+    reports = kur_scan(omegas, gamma=1.0, nbar=0.1, threshold=5)
     assert all(r.status == "ok" for r in reports)
     classical = [r.omega for r in reports if r.classical_violated]
     quantum = [r.omega for r in reports if r.quantum_violated]
     assert len(classical) >= 1
     assert not quantum
 
-    hot = kur_scan([0.1, 0.5, 1.0, 2.0, 5.0], gamma=1.0, nbar=1.0, threshold=5, horizon=50.0)
+    hot = kur_scan([0.1, 0.5, 1.0, 2.0, 5.0], gamma=1.0, nbar=1.0, threshold=5)
     assert all(r.status == "ok" for r in hot)
     assert not any(r.quantum_violated for r in hot)
     hot_classical = [r.omega for r in hot if r.classical_violated]

@@ -132,7 +132,7 @@ def test_kur_scan_rejects_omega_flag(tmp_path, capsys):
 def test_kur_scan_artifacts(tmp_path):
     code = run(
         ["kur-scan", "--omega-range", "0.4:0.6:2", "--nbar", "0.1",
-         "--threshold", "3", "--horizon", "30"],
+         "--threshold", "3"],
         tmp_path,
     )
     assert code == 0
@@ -140,6 +140,16 @@ def test_kur_scan_artifacts(tmp_path):
     header = lines[1].split(",")
     assert header[:4] == ["omega", "gamma", "nbar", "activity"]
     assert len(lines) == 4
+
+
+def test_kur_scan_unreachable_point_exits_convergence(tmp_path, capsys):
+    # undriven and cold: the counter never fires
+    code = run(
+        ["kur-scan", "--omega-range", "0:0:1", "--nbar", "0", "--threshold", "5"],
+        tmp_path,
+    )
+    assert code == cli.EXIT_CONVERGENCE
+    assert "unreachable" in (tmp_path / "kur_scan.csv").read_text()
 
 
 def test_kur_scan_all_failed_exits_convergence(tmp_path, monkeypatch):
@@ -159,7 +169,7 @@ def test_kur_scan_quantum_violation_exits_physics(tmp_path, monkeypatch):
                 quantum_correction=0.1, mean_fpt=1.0, var_fpt=0.1,
                 snr=20.0, classical_bound=1.0, quantum_bound=1.1,
                 classical_violated=True, quantum_violated=True,
-                absorbed_probability=1.0, horizon=50.0,
+                absorbed_probability=1.0,
             )
             for o in omegas
         ]

@@ -7,17 +7,25 @@ import pytest
 from scipy.linalg import expm
 
 from qfpt import jumps
+from qfpt.analysis import integrate_moments
 from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.jumps import (
     ChargeResolvedJumpState,
     ChargeWindow,
     build_block_generator,
     evolve,
+    passage_moments,
     preview_window,
     solve_jump_fpt,
 )
 from qfpt.models import decay_qubit, thermal_qubit
-from qfpt.operators import build_liouvillian, steady_state, vectorize
+from qfpt.operators import (
+    JumpChannel,
+    LindbladModel,
+    build_liouvillian,
+    steady_state,
+    vectorize,
+)
 
 from .oracles import BirthDeathChain, exponential_density
 
@@ -170,3 +178,40 @@ def test_auto_tail_assembles_fixed_window_once(monkeypatch):
     sol = solve_jump_fpt(model, window=ChargeWindow(-20, 4), horizon=2.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
     assert calls == [ChargeWindow(-20, 4)]
+
+
+def test_flux_splits_into_edges():
+    gen = build_block_generator(thermal_qubit(1.0, 1.0, 0.5), ChargeWindow(-3, 2))
+    block = gen.dim**2
+    # emission leaves from the top cell only, absorption from the bottom one
+    assert np.any(gen.upper_flux[-block:]) and not np.any(gen.upper_flux[:-block])
+    assert np.any(gen.lower_flux[:block]) and not np.any(gen.lower_flux[block:])
+    assert np.array_equal(gen.flux_vector, gen.upper_flux + gen.lower_flux)
+
+
+def test_time_series_moments_match_passage_moments():
+    # the README fpt-jump point, against the benchmark's tolerances
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    sol = solve_jump_fpt(model, threshold=5, horizon=50.0, auto_tail=True)
+    series = integrate_moments(sol.result)
+    exact = passage_moments(model, 5)
+    assert series.mean == pytest.approx(exact.mean, rel=1e-4)
+    assert series.variance == pytest.approx(exact.variance, rel=1e-3)
+    assert exact.absorbed_probability == pytest.approx(1.0, abs=1e-9)
+
+
+def test_passage_moments_refuse_unreachable_threshold():
+    # the steady state of pure decay is the ground state, which never emits
+    with pytest.raises(ConvergenceError, match="unreachable"):
+        passage_moments(decay_qubit(1.0), 1)
+
+
+def test_passage_moments_refuse_charge_drifting_away():
+    # counting emission as -1 makes the charge run away from the threshold
+    hot = thermal_qubit(1.0, 1.0, 0.2)
+    flipped = LindbladModel(
+        hot.hamiltonian,
+        tuple(JumpChannel(ch.operator, weight=-ch.weight) for ch in hot.channels),
+    )
+    with pytest.raises(ConvergenceError, match="lower-exit probability"):
+        passage_moments(flipped, 3)

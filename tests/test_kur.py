@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qfpt.errors import ConvergenceError
 from qfpt.kur import (
     KurReport,
     dynamical_activity,
@@ -15,9 +17,10 @@ from qfpt.kur import (
     quantum_correction,
     qubit_activity,
     qubit_quantum_correction,
-    scan_time_step,
 )
 from qfpt.models import thermal_qubit
+
+from .oracles import BirthDeathChain
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -46,7 +49,7 @@ def test_correction_is_nonnegative():
 
 def test_kur_point_flags_are_consistent():
     model = thermal_qubit(1.0, 0.5, 0.1)
-    point = kur_point(model, threshold=5, horizon=50.0, dt=scan_time_step(0.5, 1.0, 0.1))
+    point = kur_point(model, threshold=5)
     assert point["quantum_bound"] >= point["classical_bound"]
     assert point["classical_violated"] == (point["snr"] > point["classical_bound"])
     assert point["quantum_violated"] == (point["snr"] > point["quantum_bound"] + 1e-6)
@@ -57,7 +60,7 @@ def test_kur_point_flags_are_consistent():
 
 def test_scan_marks_dead_points_failed():
     # without drive or thermal occupation the counter never fires
-    reports = kur_scan([0.0], gamma=1.0, nbar=0.0, threshold=5, horizon=10.0)
+    reports = kur_scan([0.0], gamma=1.0, nbar=0.0, threshold=5)
     (rep,) = reports
     assert rep.status.startswith("failed")
     assert math.isnan(rep.snr) and math.isnan(rep.mean_fpt)
@@ -73,7 +76,7 @@ def test_failed_report_constructor():
 
 def test_scan_keeps_grid_order_and_parallel_matches_serial():
     omegas = [0.4, 0.6]
-    kwargs = dict(gamma=1.0, nbar=0.1, threshold=3, horizon=30.0)
+    kwargs = dict(gamma=1.0, nbar=0.1, threshold=3)
     serial = kur_scan(omegas, **kwargs)
     parallel = kur_scan(omegas, workers=2, **kwargs)
     assert [r.omega for r in serial] == omegas
@@ -83,12 +86,10 @@ def test_scan_keeps_grid_order_and_parallel_matches_serial():
 
 def test_scan_point_agrees_with_direct_point():
     omega, gamma, nbar = 0.5, 1.0, 0.1
-    (rep,) = kur_scan([omega], gamma=gamma, nbar=nbar, threshold=3, horizon=30.0)
+    (rep,) = kur_scan([omega], gamma=gamma, nbar=nbar, threshold=3)
     assert rep.status == "ok"
     model = thermal_qubit(gamma, omega, nbar)
-    point = kur_point(
-        model, threshold=3, horizon=30.0, dt=scan_time_step(omega, gamma, nbar)
-    )
+    point = kur_point(model, threshold=3)
     assert rep.snr == pytest.approx(point["snr"], rel=1e-12)
     assert rep.activity == pytest.approx(point["activity"], rel=1e-12)
 
@@ -98,3 +99,55 @@ def test_activity_is_positive_and_scales_with_rate():
     a2 = qubit_activity(2.0, 2.0, 0.2)
     assert a1 > 0
     assert a2 == pytest.approx(2.0 * a1, rel=1e-12)
+
+
+def test_unreachable_point_fails_fast():
+    t0 = time.perf_counter()
+    (rep,) = kur_scan([0.0], gamma=1.0, nbar=0.0, threshold=5)
+    assert "threshold 5 is unreachable" in rep.status
+    assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize(
+    "nbar, mean, variance",
+    [
+        # mean 1059: a time series would need a horizon near 15,000
+        (1.0, 240395 / 227, 37637268965 / 51529),
+        (0.1, 3508 / 19, 13907926 / 1805),
+    ],
+)
+def test_weak_drive_points_are_exact(nbar, mean, variance):
+    (rep,) = kur_scan([0.1], gamma=1.0, nbar=nbar, threshold=5)
+    assert rep.status == "ok"
+    assert rep.mean_fpt == pytest.approx(mean, rel=1e-9)
+    assert rep.var_fpt == pytest.approx(variance, rel=1e-9)
+    assert rep.absorbed_probability == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hot_point_matches_exact_mean():
+    # a time series cut where the survival falls below 1e-6 misses these
+    # exact rationals by 1.3e-5 (mean) and 2.9e-4 (variance)
+    point = kur_point(thermal_qubit(1.0, 1.0, 1.0), threshold=5)
+    assert point["moments"].mean == pytest.approx(679 / 34, rel=1e-9)
+    assert point["moments"].variance == pytest.approx(136093 / 578, rel=1e-9)
+
+
+def test_chain_moments_on_one_cell_window():
+    # only an excited start leaves upwards, after one exponential wait
+    nbar = 0.5
+    prob, mean, variance = BirthDeathChain(1.0, nbar, 0, 0).moments()
+    up = nbar + 1.0
+    assert prob == pytest.approx(nbar / (2.0 * nbar + 1.0), rel=1e-12)
+    assert mean == pytest.approx(1.0 / up, rel=1e-12)
+    assert variance == pytest.approx(1.0 / up**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("nbar", [0.1, 1.0])
+def test_undriven_threshold_is_unreachable_like_the_chain(nbar):
+    # without drive every emission is undone by the next absorption: the
+    # charge alternates between two values and never reaches 5, so the
+    # chain traps weight and the moments do not exist
+    with pytest.raises(np.linalg.LinAlgError):
+        BirthDeathChain(1.0, nbar, -64, 4).moments()
+    with pytest.raises(ConvergenceError, match="threshold 5 is unreachable"):
+        kur_point(thermal_qubit(1.0, 0.0, nbar), threshold=5)
