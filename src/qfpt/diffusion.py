@@ -37,6 +37,7 @@ from .propagation import (
     STEP_FACTOR,
     BlockState,
     Discretisation,
+    _non_finite,
     default_step,
     evolve_to,
     initial_density,
@@ -297,6 +298,9 @@ def mean_charge_path(
     rates = np.empty(times.size)
     for i, x in propagate_uniform(liou, vectorize(rho0), times, method="dense"):
         rates[i] = np.real(functional @ x)
+    bad = ~np.isfinite(rates)
+    if bad.any():
+        raise _non_finite(int(np.argmax(bad)))
     return scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
 
 

@@ -309,11 +309,9 @@ def solve_jump_fpt(
     )
 
 
-def passage_moments(
-    model: LindbladModel, threshold: int, rho_ss: np.ndarray | None = None
-) -> FptMoments:
+def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     """Exact moments of the first time the charge, started at 0 in the
-    steady state ``rho_ss``, reaches ``threshold``, with the lower side open.
+    steady state, reaches ``threshold``, with the lower side open.
 
     The phase-type moments and the exit probability through each edge come
     from ``resolvent_solves``; the lower side doubles until its exit
@@ -323,8 +321,10 @@ def passage_moments(
     is the upper-exit probability.
     """
     model.require_channels()
-    if rho_ss is None:
-        rho_ss = initial_density(model, "steady")
+    threshold = integer_threshold(threshold, +1)
+    if threshold is None:
+        raise ConfigError("first-passage moments need an upper threshold")
+    rho_ss = initial_density(model, "steady")
     window, _, _ = preview_window(model, threshold)
     while True:
         generator = build_block_generator(model, window)

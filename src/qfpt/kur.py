@@ -135,7 +135,7 @@ def kur_point(model: LindbladModel, *, threshold: int) -> dict:
     rho_ss = steady_state(gen)
     activity = dynamical_activity(model, rho_ss)
     correction = quantum_correction(model, rho_ss, drazin_inverse(gen, rho_ss))
-    moments = passage_moments(model, threshold, rho_ss)
+    moments = passage_moments(model, threshold)
     snr = moments.snr
     classical_bound = moments.mean * activity
     quantum_bound = moments.mean * (activity + correction)

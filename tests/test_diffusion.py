@@ -189,6 +189,14 @@ def test_evolve_on_sparse_grid_matches_heat_kernel():
     assert np.max(np.abs(out.node_traces() - kernel)) < 1e-4
 
 
+def test_mean_charge_path_refuses_overflowing_rates():
+    # a weight near the float limit overflows the current functional
+    times = np.linspace(0.0, 1.0, 5)
+    assert diffusion.mean_charge_path(drifted_charge(0.5), np.eye(1), times)[-1] == pytest.approx(1.0)
+    with pytest.raises(ConvergenceError, match="grid index 0"):
+        diffusion.mean_charge_path(drifted_charge(1.0, weight=1e308), np.eye(1), times)
+
+
 def test_auto_tail_assembles_the_grid_once(monkeypatch):
     calls = []
 

@@ -206,6 +206,11 @@ def test_passage_moments_refuse_unreachable_threshold():
         passage_moments(decay_qubit(1.0), 1)
 
 
+def test_passage_moments_refuse_missing_threshold():
+    with pytest.raises(ConfigError, match="upper threshold"):
+        passage_moments(thermal_qubit(1.0, 1.0, 0.2), None)
+
+
 def test_passage_moments_refuse_charge_drifting_away():
     # counting emission as -1 makes the charge run away from the threshold
     hot = thermal_qubit(1.0, 1.0, 0.2)
