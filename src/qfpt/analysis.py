@@ -179,26 +179,14 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_series_csv(
-    path,
-    result: FptResult,
-    *,
-    config_hash: str = "",
-    extra_columns: dict[str, np.ndarray] | None = None,
-) -> None:
-    """Write t, G, f columns (plus extras) with deterministic formatting."""
-    extra = extra_columns or {}
-    for name, col in extra.items():
-        if np.asarray(col).shape != result.times.shape:
-            raise ValueError(f"extra column {name!r} does not match the grid")
-    header = ["t", "G", "f", *extra.keys()]
+def write_series_csv(path, result: FptResult, *, config_hash: str = "") -> None:
+    """Write t, G, f columns with deterministic formatting."""
     lines = [
         f"# provenance={result.provenance}",
         f"# config_hash={config_hash}",
-        ",".join(header),
+        "t,G,f",
     ]
-    columns = [result.times, result.survival, result.density, *extra.values()]
-    for row in zip(*columns):
+    for row in zip(result.times, result.survival, result.density):
         lines.append(",".join(format_float(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

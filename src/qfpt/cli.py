@@ -27,6 +27,7 @@ failure, 4 physics assertion (for example a quantum bound violation).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -56,7 +57,7 @@ from .errors import (
     PhysicsError,
 )
 from .jumps import ChargeWindow, integer_weight, preview_window, solve_jump_fpt
-from .kur import kur_scan
+from .kur import KurReport, kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, steady_state
 from .propagation import MAX_GRID_POINTS, default_step, grid_points
@@ -399,22 +400,8 @@ def run_trajectories(args) -> int:
     return EXIT_OK
 
 
-KUR_COLUMNS = [
-    "omega",
-    "gamma",
-    "nbar",
-    "activity",
-    "quantum_correction",
-    "mean_fpt",
-    "var_fpt",
-    "snr",
-    "classical_bound",
-    "quantum_bound",
-    "classical_violated",
-    "quantum_violated",
-    "absorbed_probability",
-    "status",
-]
+# kur_scan.csv columns, in KurReport field order
+KUR_COLUMNS = [f.name for f in dataclasses.fields(KurReport)]
 
 
 def run_kur_scan(args) -> int:

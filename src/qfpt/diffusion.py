@@ -164,17 +164,13 @@ def peclet_number(drift: DriftSuperoperator, delta: float) -> float:
     return float(np.linalg.norm(drift.matrix, 2)) * delta / drift.diffusion
 
 
-def build_fokker_planck_generator(
-    model: LindbladModel, grid: ChargeGrid, *, reflecting: bool = False
-) -> FokkerPlanckGenerator:
+def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> FokkerPlanckGenerator:
     """Assemble the central-difference generator on a charge grid.
 
     Per node: the full dissipative generator, minus drift toward larger
     charge at first-difference order, plus scalar diffusion at second
     order.  Ghost nodes outside the grid are zero, so edge stencils lose
-    weight; that loss is the first-passage flux.  With ``reflecting`` the
-    edge rows are modified to conserve the trapezoidal total weight
-    exactly, which isolates integrator error in conservation tests.
+    weight; that loss is the first-passage flux.
     """
     drift = build_drift_superoperator(model)
     pe = peclet_number(drift, grid.delta)
@@ -201,17 +197,6 @@ def build_fokker_planck_generator(
         + scipy.sparse.kron(shift_up, up, format="csr")
         + scipy.sparse.kron(shift_down, down, format="csr")
     )
-    if reflecting:
-        def cell(i, j):
-            e = scipy.sparse.coo_matrix(([1.0], ([i], [j])), shape=(m, m))
-            return e
-        matrix = (
-            matrix
-            + scipy.sparse.kron(cell(0, 0), -drift.matrix / dn, format="csr")
-            + scipy.sparse.kron(cell(0, 1), up, format="csr")
-            + scipy.sparse.kron(cell(m - 1, m - 1), drift.matrix / dn, format="csr")
-            + scipy.sparse.kron(cell(m - 1, m - 2), down, format="csr")
-        )
     matrix = matrix.tocsr()
     survival = np.kron(grid.weights(), trace_functional(d)).astype(complex)
     flux = -(matrix.T @ survival)
@@ -263,7 +248,7 @@ def evolve(generator: FokkerPlanckGenerator, state: DiffusionState, t: float) ->
     if state.domain != generator.grid or state.dim != generator.dim:
         raise ConfigError("state and generator live on different grids")
     dt = _default_step(generator.model, generator.drift)
-    data = evolve_to(generator.matrix, state.data, t, dt, prefer_implicit=True)
+    data = evolve_to(generator.matrix, state.data, t, dt)
     return DiffusionState(state.domain, state.dim, data, state.time + t)
 
 
@@ -367,7 +352,6 @@ class _DiffusionDiscretisation(Discretisation):
     state_type = DiffusionState
     max_widen_rounds = 12
     max_doublings = 12
-    prefer_implicit = True
 
     def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
         return build_fokker_planck_generator(self.model, grid)

@@ -199,11 +199,11 @@ def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlo
 def evolve(
     generator: JumpBlockGenerator, state: ChargeResolvedJumpState, t: float
 ) -> ChargeResolvedJumpState:
-    """Propagate a charge-resolved state forward by t via the exponential map."""
+    """Propagate a charge-resolved state forward by t in default-size steps."""
     if state.domain != generator.window or state.dim != generator.dim:
         raise ConfigError("state and generator live on different windows")
-    # one step of length t: the exact exponential on the dense path
-    data = evolve_to(generator.matrix, state.data, t, t)
+    dt = default_step(generator.model.rate_scale())
+    data = evolve_to(generator.matrix, state.data, t, dt)
     return ChargeResolvedJumpState(state.domain, state.dim, data, state.time + t)
 
 

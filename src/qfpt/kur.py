@@ -62,11 +62,10 @@ class KurReport:
         )
 
 
-def dynamical_activity(model: LindbladModel, rho_ss: np.ndarray | None = None) -> float:
+def dynamical_activity(model: LindbladModel) -> float:
     """Total detection rate of the monitored channels in the steady state."""
     model.require_channels()
-    if rho_ss is None:
-        rho_ss = steady_state(build_liouvillian(model))
+    rho_ss = steady_state(build_liouvillian(model))
     total = 0.0
     for ch in model.monitored:
         gram = ch.operator.conj().T @ ch.operator
@@ -74,11 +73,7 @@ def dynamical_activity(model: LindbladModel, rho_ss: np.ndarray | None = None) -
     return total
 
 
-def quantum_correction(
-    model: LindbladModel,
-    rho_ss: np.ndarray | None = None,
-    drazin: np.ndarray | None = None,
-) -> float:
+def quantum_correction(model: LindbladModel) -> float:
     """Coherent loosening of the activity bound.
 
     Contracts the two one-sided halves of the generator through the group
@@ -86,10 +81,8 @@ def quantum_correction(
     below 1e-9; it is dropped after the check.
     """
     gen = build_liouvillian(model)
-    if rho_ss is None:
-        rho_ss = steady_state(gen)
-    if drazin is None:
-        drazin = drazin_inverse(gen, rho_ss)
+    rho_ss = steady_state(gen)
+    drazin = drazin_inverse(gen, rho_ss)
     s_left, s_right = build_split_generators(model)
     if np.max(np.abs((s_left + s_right) - gen)) > 1e-12:
         raise PhysicsError("generator halves do not sum to the full generator")
@@ -131,10 +124,8 @@ def kur_point(model: LindbladModel, *, threshold: int) -> dict:
     ``jumps.passage_moments``.  Their ``absorbed_probability`` is the
     probability of reaching the threshold.
     """
-    gen = build_liouvillian(model)
-    rho_ss = steady_state(gen)
-    activity = dynamical_activity(model, rho_ss)
-    correction = quantum_correction(model, rho_ss, drazin_inverse(gen, rho_ss))
+    activity = dynamical_activity(model)
+    correction = quantum_correction(model)
     moments = passage_moments(model, threshold)
     snr = moments.snr
     classical_bound = moments.mean * activity

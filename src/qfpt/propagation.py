@@ -1,16 +1,14 @@
 """Time propagation of sparse block generators, and the absorbing solve
 that both first-passage engines share.
 
-Three interchangeable backends:
+Two backends, chosen by the stacked dimension:
 
 * ``dense``: one dense matrix exponential of the single-step propagator,
-  then repeated matrix-vector products.  Exact in time; preferred whenever
-  the stacked dimension is small.
-* ``krylov``: the action of the exponential computed directly on the sparse
-  generator, chunked over the output grid.
+  then repeated matrix-vector products.  Exact in time; used up to
+  ``DENSE_CUTOFF`` unknowns.
 * ``cn``: Crank-Nicolson with a short implicit-Euler startup to damp the
-  stiff content of delta-like initial data.  Intended for large diffusion
-  grids where the exponential action becomes too expensive.
+  stiff content of delta-like initial data.  Second order in the step;
+  used above the cutoff, for jump windows and diffusion grids alike.
 
 ``propagate_uniform`` yields ``(index, state)`` pairs including the initial
 state at index 0, so consumers can stream observables without storing the
@@ -34,6 +32,7 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .analysis import FptResult, uniform_step
@@ -49,7 +48,6 @@ from .operators import (
 logger = logging.getLogger(__name__)
 
 DENSE_CUTOFF = 1200
-KRYLOV_CHUNK = 128
 STARTUP_STEPS = 4
 STEP_FACTOR = 0.002
 MAX_GRID_POINTS = 200_000
@@ -82,23 +80,6 @@ def _dense_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[in
         yield i, x
 
 
-def _krylov_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    dt = uniform_step(times)
-    mat = scipy.sparse.csr_matrix(matrix) if not scipy.sparse.issparse(matrix) else matrix.tocsr()
-    x = x0.astype(complex, copy=True)
-    yield 0, x
-    pos = 0
-    while pos < times.size - 1:
-        count = min(KRYLOV_CHUNK, times.size - 1 - pos)
-        block = scipy.sparse.linalg.expm_multiply(
-            mat, x, start=0.0, stop=count * dt, num=count + 1, endpoint=True
-        )
-        for j in range(1, count + 1):
-            yield pos + j, block[j]
-        x = block[count]
-        pos += count
-
-
 def _cn_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     dt = uniform_step(times)
     mat = scipy.sparse.csc_matrix(matrix)
@@ -122,27 +103,20 @@ def propagate_uniform(
     times: np.ndarray,
     *,
     method: str = "auto",
-    prefer_implicit: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Stream exp(t_i * matrix) @ x0 over a uniform time grid.
 
     ``method='auto'`` picks the dense propagator up to ``DENSE_CUTOFF``
-    unknowns and otherwise the exponential action, or Crank-Nicolson when
-    ``prefer_implicit`` is set (stiff diffusion generators).
+    unknowns and Crank-Nicolson above it.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     n = matrix.shape[0]
     if matrix.shape != (n, n) or x0.size != n:
         raise ValueError("matrix and state dimensions disagree")
     if method == "auto":
-        if n <= DENSE_CUTOFF:
-            method = "dense"
-        else:
-            method = "cn" if prefer_implicit else "krylov"
+        method = "dense" if n <= DENSE_CUTOFF else "cn"
     if method == "dense":
         return _dense_steps(matrix, x0, times)
-    if method == "krylov":
-        return _krylov_steps(matrix, x0, times)
     if method == "cn":
         return _cn_steps(matrix, x0, times)
     raise ValueError(f"unknown propagation method {method!r}")
@@ -187,16 +161,37 @@ def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> flo
     return mean + 16.0 * max(spread, 0.25 * mean)
 
 
-def evolve_to(
-    matrix, x0: np.ndarray, t: float, dt: float, *, prefer_implicit: bool = False
-) -> np.ndarray:
+def reaches_flux(matrix, x0: np.ndarray, flux: np.ndarray) -> bool:
+    """Whether mass started on the support of ``x0`` can reach a coordinate
+    where ``flux`` is nonzero.
+
+    A breadth-first search over the sparsity graph of the generator, in
+    which mass flows from j to i where A[i, j] != 0.  Every state
+    exp(tA) x0 lives on the coordinates it reaches, so a False verdict
+    means nothing is ever absorbed, whatever the rates.
+    """
+    coo = scipy.sparse.coo_matrix(matrix)
+    keep = coo.data != 0
+    n = coo.shape[0]
+    support = np.flatnonzero(x0)
+    # an extra node n feeds every coordinate of the support
+    sources = np.concatenate([coo.col[keep], np.full(support.size, n)])
+    targets = np.concatenate([coo.row[keep], support])
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(sources.size), (sources, targets)), shape=(n + 1, n + 1)
+    )
+    reached = scipy.sparse.csgraph.breadth_first_order(graph, n, return_predecessors=False)
+    return bool(np.any(flux[reached[reached < n]] != 0))
+
+
+def evolve_to(matrix, x0: np.ndarray, t: float, dt: float) -> np.ndarray:
     """exp(t * matrix) @ x0, stepped on the uniform grid of step ``dt``."""
     if t < 0:
         raise ConfigError("evolution time must be non-negative")
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if t == 0.0:
         return x.copy()
-    for i, x in propagate_uniform(matrix, x, time_grid(t, dt), prefer_implicit=prefer_implicit):
+    for i, x in propagate_uniform(matrix, x, time_grid(t, dt)):
         pass
     _check_finite(x, i)
     return x
@@ -228,9 +223,10 @@ def grid_points(horizon: float, dt: float) -> int:
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Uniform output grid of step ``dt`` up to ``horizon``.
 
-    For very long horizons the step is coarsened so the grid never
-    exceeds ``MAX_GRID_POINTS``; the bookkeeping check still applies, so a
-    horizon too long for the requested accuracy fails loudly.
+    For very long horizons the step is coarsened, with a logged warning,
+    so the grid never exceeds ``MAX_GRID_POINTS``; the bookkeeping check
+    still applies, so a horizon too long for the requested accuracy fails
+    loudly.
     """
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
@@ -238,7 +234,7 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
         raise ConfigError("dt must be positive")
     num = grid_points(horizon, dt)
     if num > MAX_GRID_POINTS:
-        logger.debug(
+        logger.warning(
             "capping time grid at %d points (dt %.3g -> %.3g)",
             MAX_GRID_POINTS, dt, horizon / (MAX_GRID_POINTS - 1),
         )
@@ -322,8 +318,6 @@ class Discretisation:
     max_doublings: ClassVar[int]
     # store every step's per-cell traces on the series
     keep_traces: ClassVar[bool] = False
-    # Crank-Nicolson rather than the exponential action on large generators
-    prefer_implicit: ClassVar[bool] = False
 
     def initial(self, domain) -> np.ndarray:
         return self.state_type.initial(domain, self.rho0).data
@@ -353,10 +347,7 @@ def _series(
     cells = np.empty((num, ncells)) if disc.keep_traces else None
     flux = generator.flux_vector
     lo_peak = hi_peak = 0.0
-    for i, x in propagate_uniform(
-        generator.matrix, disc.initial(domain), times,
-        method=method, prefer_implicit=disc.prefer_implicit,
-    ):
+    for i, x in propagate_uniform(generator.matrix, disc.initial(domain), times, method=method):
         traces = block_traces(x.reshape((ncells, d, d)))
         if cells is None:
             lo_peak = max(lo_peak, traces[0])
@@ -407,20 +398,27 @@ def solve_absorbing(
     """First-passage series of an absorbing generator on a uniform grid.
 
     Open domain sides are widened until the edge mass stays below
-    ``EDGE_TOLERANCE`` over the whole horizon.  With ``auto_tail`` the
-    resolvent estimate sets the first horizon, which then doubles until the
-    survival drops below ``tail_epsilon``, up to ``max_horizon`` (default:
-    ``max_doublings`` doublings); the widened domain is kept across
-    extensions.  Each domain's generator is assembled once.
+    ``EDGE_TOLERANCE`` over the whole horizon.  With ``auto_tail`` an
+    initial state that ``reaches_flux`` does not connect to an absorbing
+    edge is refused at once; otherwise the resolvent estimate sets the
+    first horizon, which then doubles until the survival drops below
+    ``tail_epsilon``, up to ``max_horizon`` (default: ``max_doublings``
+    doublings); the widened domain is kept across extensions.  Each
+    domain's generator is assembled once.
     """
     horizon = float(horizon)
     cap = max_horizon if max_horizon is not None else horizon * 2.0**disc.max_doublings
     generator = None
     if auto_tail:
         generator = disc.assemble(domain)
-        guess = absorption_horizon_guess(
-            generator.matrix, generator.survival_vector, disc.initial(domain)
-        )
+        x0 = disc.initial(domain)
+        # no horizon can absorb what the generator never carries to an edge
+        if not reaches_flux(generator.matrix, x0, generator.flux_vector):
+            raise ConvergenceError(
+                "the threshold is unreachable from the initial state: no "
+                f"absorbing coordinate of {domain} is connected to it"
+            )
+        guess = absorption_horizon_guess(generator.matrix, generator.survival_vector, x0)
         if guess is not None and guess > horizon:
             horizon = float(min(guess, cap))
             logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)

@@ -127,14 +127,6 @@ def test_write_series_csv_roundtrip(tmp_path):
     assert np.allclose(body[:, 2], res.density, rtol=1e-11)
 
 
-def test_write_series_csv_extra_column_shape_checked(tmp_path):
-    res = _erlang_result(n=501)
-    with pytest.raises(ValueError):
-        write_series_csv(
-            tmp_path / "bad.csv", res, extra_columns={"x": np.zeros(3)}
-        )
-
-
 def test_absorbed_probability_matches_density_integral():
     res = _erlang_result()
     assert res.absorbed_probability == pytest.approx(

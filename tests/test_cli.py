@@ -152,6 +152,19 @@ def test_kur_scan_unreachable_point_exits_convergence(tmp_path, capsys):
     assert "unreachable" in (tmp_path / "kur_scan.csv").read_text()
 
 
+def test_fpt_jump_auto_tail_unreachable_exits_convergence(tmp_path, capsys):
+    # undriven and cold: refused before any time stepping
+    code = run(
+        [
+            "fpt-jump", "--builtin", "thermal-qubit", "--gamma", "1", "--omega", "0",
+            "--nbar", "0", "--threshold", "5", "--horizon", "10", "--auto-tail",
+        ],
+        tmp_path,
+    )
+    assert code == cli.EXIT_CONVERGENCE
+    assert "unreachable from the initial state" in capsys.readouterr().err
+
+
 def test_kur_scan_all_failed_exits_convergence(tmp_path, monkeypatch):
     def fake_scan(omegas, **kwargs):
         return [KurReport.failed(o, 1.0, 0.0, "nope") for o in omegas]

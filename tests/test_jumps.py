@@ -26,6 +26,7 @@ from qfpt.operators import (
     steady_state,
     vectorize,
 )
+from qfpt.propagation import DENSE_CUTOFF
 
 from .oracles import BirthDeathChain, exponential_density
 
@@ -94,6 +95,36 @@ def test_wide_window_reproduces_unconditional_dynamics():
         assert np.max(np.abs(marginal - reference)) < 1e-9
 
 
+def test_wide_window_above_dense_cutoff_steps_with_cn():
+    # 301 cells of 4 unknowns run on Crank-Nicolson, which is second order
+    # in the step; each bound is 8x the error at half the default step
+    # (5.5e-6, 1.05e-6 and 4.1e-8 at the default step)
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    win = ChargeWindow(-150, 150)
+    gen = build_block_generator(model, win)
+    assert gen.matrix.shape[0] > DENSE_CUTOFF
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    state = ChargeResolvedJumpState.initial(win, rho0)
+    liou = build_liouvillian(model)
+    for t, bound in ((0.5, 1.1e-5), (2.0, 2.1e-6), (5.0, 8.3e-8)):
+        marginal = evolve(gen, state, t).total_state()
+        reference = np.reshape(expm(liou * t) @ vectorize(rho0), (2, 2), order="F")
+        assert np.max(np.abs(marginal - reference)) < bound
+
+
+def test_solve_above_dense_cutoff_matches_dense_window():
+    # cells below -40 stay empty over the horizon, so the dense 45-cell
+    # window is the reference for the 1,220-unknown Crank-Nicolson one;
+    # bounds are 8x the differences at half the default step
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    big = solve_jump_fpt(model, window=ChargeWindow(-300, 4), horizon=10.0)
+    small = solve_jump_fpt(model, window=ChargeWindow(-40, 4), horizon=10.0)
+    assert big.final_state.data.size > DENSE_CUTOFF
+    assert np.max(big.cell_probabilities[:, :260]) < 1e-12
+    assert np.max(np.abs(big.result.survival - small.result.survival)) < 4.4e-7
+    assert np.max(np.abs(big.result.density - small.result.density)) < 3.4e-7
+
+
 def test_incoherent_dynamics_match_birth_death_chain():
     gamma, nbar, threshold = 1.0, 0.4, 3
     model = thermal_qubit(gamma, 0.0, nbar)
@@ -137,6 +168,18 @@ def test_unreachable_threshold_raises():
             auto_tail=True,
             max_horizon=64.0,
         )
+
+
+def test_auto_tail_refuses_only_unreachable_thresholds():
+    # the ground state never emits; the excited state does, although the
+    # generator is singular because the ground state is never absorbed
+    model = decay_qubit(1.0)
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ConvergenceError, match="unreachable from the initial state"):
+        solve_jump_fpt(model, threshold=1, initial=ground, auto_tail=True)
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    sol = solve_jump_fpt(model, threshold=1, initial=excited, horizon=4.0, auto_tail=True)
+    assert sol.result.survival[-1] < 1e-6
 
 
 def test_repeat_solves_are_bit_identical():

@@ -2,12 +2,33 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse
 
 from qfpt.errors import ConvergenceError
-from qfpt.propagation import absorption_horizon_guess, evolve_to, resolvent_solves
+from qfpt.propagation import (
+    MAX_GRID_POINTS,
+    absorption_horizon_guess,
+    evolve_to,
+    propagate_uniform,
+    resolvent_solves,
+    time_grid,
+)
+
+
+def test_unknown_method_refused():
+    with pytest.raises(ValueError):
+        propagate_uniform(np.array([[-1.0]]), np.ones(1), np.linspace(0, 1, 3), method="krylov")
+
+
+def test_capped_time_grid_warns(caplog):
+    with caplog.at_level(logging.WARNING, logger="qfpt.propagation"):
+        times = time_grid(1e6, 1.0)
+    assert times.size == MAX_GRID_POINTS
+    assert "capping time grid" in caplog.text
 
 
 def test_evolve_to_refuses_overflow():
