@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .diffusion import (
     ChargeGrid,
-    DiffusionFptSolution,
     DiffusionState,
     build_drift_superoperator,
     build_fokker_planck_generator,
@@ -32,13 +31,13 @@ from .errors import (
     ModelError,
     PhysicsError,
     QfptError,
+    SingularGeneratorError,
     TailNotConvergedError,
 )
 from .jumps import (
     ChargeResolvedJumpState,
     ChargeWindow,
     JumpBlockGenerator,
-    JumpFptSolution,
     build_block_generator,
     passage_moments,
     preview_window,
@@ -73,6 +72,7 @@ from .operators import (
     steady_state,
     validate_density_matrix,
 )
+from .propagation import FptSolution
 from .trajectories import (
     EmpiricalFpt,
     TrajectoryConfig,
@@ -90,19 +90,19 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DegenerateKernelError",
-    "DiffusionFptSolution",
     "DiffusionState",
     "EmpiricalFpt",
     "FptMoments",
     "FptResult",
+    "FptSolution",
     "JumpBlockGenerator",
     "JumpChannel",
-    "JumpFptSolution",
     "KurReport",
     "LindbladModel",
     "ModelError",
     "PhysicsError",
     "QfptError",
+    "SingularGeneratorError",
     "TailNotConvergedError",
     "TrajectoryConfig",
     "TrajectoryEnsemble",

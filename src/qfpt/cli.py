@@ -46,6 +46,7 @@ from .diffusion import (
     PECLET_LIMIT,
     ChargeGrid,
     build_drift_superoperator,
+    conditioned_charge_distribution,
     peclet_number,
     solve_diffusion_fpt,
 )
@@ -275,14 +276,13 @@ def run_fpt_jump(args) -> int:
     outdir = resolve_outdir(args)
     write_series_csv(outdir / "fpt_jump.csv", solution.result, config_hash=chash)
     results = conditional_moment_summary(solution.result)
-    results["window"] = [solution.window.lower, solution.window.upper]
+    results["window"] = [solution.domain.lower, solution.domain.upper]
     write_manifest(
         outdir, payload, chash, ["fpt_jump.csv"], time.perf_counter() - t0, results
     )
     print(
         f"fpt-jump: wrote {outdir / 'fpt_jump.csv'} "
-        f"(absorbed {results['absorbed_probability']:.6f}, "
-        f"window [{solution.window.lower}, {solution.window.upper}])"
+        f"(absorbed {results['absorbed_probability']:.6f}, {solution.domain})"
     )
     return EXIT_OK
 
@@ -315,7 +315,7 @@ def run_fpt_diffusion(args) -> int:
     write_series_csv(outdir / "fpt_diffusion.csv", solution.result, config_hash=chash)
     surviving = float(solution.result.survival[-1])
     if surviving > 1e-9:
-        nodes, dens = solution.conditioned_final_distribution()
+        nodes, dens = conditioned_charge_distribution(solution.final_state)
         write_rows_csv(
             outdir / "final_distribution.csv",
             ["N", "density"],
@@ -324,8 +324,8 @@ def run_fpt_diffusion(args) -> int:
         )
         artifacts.append("final_distribution.csv")
     results = conditional_moment_summary(solution.result)
-    results["grid"] = [solution.grid.lower, solution.grid.upper]
-    results["delta"] = solution.grid.delta
+    results["grid"] = [solution.domain.lower, solution.domain.upper]
+    results["delta"] = solution.domain.delta
     write_manifest(
         outdir, payload, chash, artifacts, time.perf_counter() - t0, results
     )

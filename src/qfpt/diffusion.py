@@ -23,7 +23,6 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .analysis import FptResult
 from .errors import ConfigError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
@@ -37,6 +36,7 @@ from .propagation import (
     STEP_FACTOR,
     BlockState,
     Discretisation,
+    FptSolution,
     _non_finite,
     default_step,
     evolve_to,
@@ -252,20 +252,6 @@ def evolve(generator: FokkerPlanckGenerator, state: DiffusionState, t: float) ->
     return DiffusionState(state.domain, state.dim, data, state.time + t)
 
 
-@dataclass
-class DiffusionFptSolution:
-    """Chronology of a diffusive first-passage run."""
-
-    result: FptResult
-    grid: ChargeGrid
-    final_state: DiffusionState
-    edge_mass_peak: tuple[float, float]
-    dt: float
-
-    def conditioned_final_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        return conditioned_charge_distribution(self.final_state)
-
-
 def mean_charge_path(
     model: LindbladModel, rho0: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
@@ -350,8 +336,6 @@ def _auto_grid(
 class _DiffusionDiscretisation(Discretisation):
     provenance = "deterministic-diffusion"
     state_type = DiffusionState
-    max_widen_rounds = 12
-    max_doublings = 12
 
     def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
         return build_fokker_planck_generator(self.model, grid)
@@ -367,11 +351,9 @@ def solve_diffusion_fpt(
     initial: np.ndarray | str = "steady",
     horizon: float = 10.0,
     dt: float | None = None,
-    method: str = "auto",
     auto_tail: bool = False,
     tail_epsilon: float = 1e-6,
-    max_horizon: float | None = None,
-) -> DiffusionFptSolution:
+) -> FptSolution:
     """Solve the absorbing charge drift-diffusion problem.
 
     Thresholds are real charges; each one pins its side of the grid with
@@ -401,7 +383,7 @@ def solve_diffusion_fpt(
             threshold if threshold is not None else math.inf,
             -lower_threshold if lower_threshold is not None else math.inf,
         )
-    series = solve_absorbing(
+    return solve_absorbing(
         _DiffusionDiscretisation(model, rho0),
         work,
         lower_open=lower_open,
@@ -410,9 +392,4 @@ def solve_diffusion_fpt(
         dt=dt if dt is not None else _default_step(model, drift, near),
         auto_tail=auto_tail,
         tail_epsilon=tail_epsilon,
-        max_horizon=max_horizon,
-        method=method,
-    )
-    return DiffusionFptSolution(
-        series.result, series.domain, series.final_state, series.edge_mass_peak, series.dt
     )

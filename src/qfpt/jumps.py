@@ -12,7 +12,8 @@ a = n + 1 for a lower threshold).  One-sided thresholds keep the open side
 wide enough that the edge cell stays numerically unoccupied.
 
 ``passage_moments`` gives the exact mean and variance of the hit time from
-linear solves on the same generator, without a time series.
+``propagation.absorbing_moments`` on the same generator, without a time
+series.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .analysis import FptMoments, FptResult
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .analysis import FptMoments
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError, SingularGeneratorError
 from .operators import (
     LindbladModel,
     build_jump_super,
@@ -34,13 +35,13 @@ from .operators import (
     vectorize,
 )
 from .propagation import (
-    EDGE_TOLERANCE,
     BlockState,
     Discretisation,
+    FptSolution,
+    absorbing_moments,
     default_step,
     evolve_to,
     initial_density,
-    resolvent_solves,
     solve_absorbing,
 )
 
@@ -49,8 +50,6 @@ logger = logging.getLogger(__name__)
 TRACE_CLIP_ABORT = 1e-9
 # the upper-exit probability of a moments solve must be 1 to this
 CERTAIN_EXIT_TOLERANCE = 1e-9
-# largest generator a moments solve widens its window to
-MAX_MOMENT_UNKNOWNS = 2**16
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,9 @@ class ChargeWindow:
         lower = 2 * self.lower if grow_lower else self.lower
         upper = 2 * self.upper if grow_upper else self.upper
         return ChargeWindow(lower, upper)
+
+    def __str__(self) -> str:
+        return f"window [{self.lower}, {self.upper}]"
 
 
 def _clip_trace(value: float, what: str) -> float:
@@ -207,17 +209,6 @@ def evolve(
     return ChargeResolvedJumpState(state.domain, state.dim, data, state.time + t)
 
 
-@dataclass
-class JumpFptSolution:
-    """Full chronology of a windowed charge-resolved run."""
-
-    result: FptResult
-    window: ChargeWindow
-    cell_probabilities: np.ndarray
-    final_state: ChargeResolvedJumpState
-    dt: float
-
-
 def integer_threshold(value, sign: int) -> int | None:
     """A jump threshold as an integer count, positive for ``sign=+1`` and
     negative for ``sign=-1``; fractional values are refused, not floored."""
@@ -257,8 +248,6 @@ def preview_window(
 class _JumpDiscretisation(Discretisation):
     provenance = "deterministic-jump"
     state_type = ChargeResolvedJumpState
-    max_widen_rounds = 24
-    max_doublings = 16
     keep_traces = True
 
     def assemble(self, window: ChargeWindow) -> JumpBlockGenerator:
@@ -276,8 +265,7 @@ def solve_jump_fpt(
     dt: float | None = None,
     auto_tail: bool = False,
     tail_epsilon: float = 1e-6,
-    max_horizon: float | None = None,
-) -> JumpFptSolution:
+) -> FptSolution:
     """Solve the windowed charge-resolved dynamics and return its chronology.
 
     Open window sides (no threshold given) are widened until the edge cell
@@ -293,7 +281,7 @@ def solve_jump_fpt(
         win, lower_open, upper_open = window, False, False
     else:
         win, lower_open, upper_open = preview_window(model, threshold, lower_threshold, horizon)
-    series = solve_absorbing(
+    return solve_absorbing(
         _JumpDiscretisation(model, rho0),
         win,
         lower_open=lower_open,
@@ -302,10 +290,6 @@ def solve_jump_fpt(
         dt=dt if dt is not None else default_step(model.rate_scale()),
         auto_tail=auto_tail,
         tail_epsilon=tail_epsilon,
-        max_horizon=max_horizon,
-    )
-    return JumpFptSolution(
-        series.result, series.domain, series.cell_traces, series.final_state, series.dt
     )
 
 
@@ -313,8 +297,7 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     """Exact moments of the first time the charge, started at 0 in the
     steady state, reaches ``threshold``, with the lower side open.
 
-    The phase-type moments and the exit probability through each edge come
-    from ``resolvent_solves``; the lower side doubles until its exit
+    ``propagation.absorbing_moments`` widens the lower side until its exit
     probability is below ``EDGE_TOLERANCE``.  A singular generator, an
     upper-exit probability short of 1, or a window past
     ``MAX_MOMENT_UNKNOWNS`` raises ConvergenceError.  ``absorbed_probability``
@@ -324,34 +307,17 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     threshold = integer_threshold(threshold, +1)
     if threshold is None:
         raise ConfigError("first-passage moments need an upper threshold")
-    rho_ss = initial_density(model, "steady")
     window, _, _ = preview_window(model, threshold)
-    while True:
-        generator = build_block_generator(model, window)
-        x0 = ChargeResolvedJumpState.initial(window, rho_ss).data
-        try:
-            y1, y2 = resolvent_solves(generator.matrix, x0)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"threshold {threshold} is unreachable from the steady state: "
-                f"{exc} on window [{window.lower}, {window.upper}]"
-            ) from None
-        lower_exit = -float(np.real(generator.lower_flux @ y1))
-        if lower_exit < EDGE_TOLERANCE:
-            break
-        window = window.widened(True, False)
-        if window.ncells * model.dim**2 > MAX_MOMENT_UNKNOWNS:
-            raise ConvergenceError(
-                f"lower-exit probability is still {lower_exit:.3e} before window "
-                f"[{window.lower}, {window.upper}] outgrows {MAX_MOMENT_UNKNOWNS} "
-                "unknowns; the charge may not drift towards the threshold"
-            )
-    upper_exit = -float(np.real(generator.upper_flux @ y1))
+    disc = _JumpDiscretisation(model, initial_density(model, "steady"))
+    try:
+        mean, second, _, upper_exit = absorbing_moments(disc, window, lower_open=True, upper_open=False)
+    except SingularGeneratorError as exc:
+        raise ConvergenceError(
+            f"threshold {threshold} is unreachable from the steady state: {exc}"
+        ) from None
     if not abs(upper_exit - 1.0) <= CERTAIN_EXIT_TOLERANCE:
         raise ConvergenceError(
             f"threshold {threshold} is reached with probability {upper_exit:.9g}, "
             "not 1; its first-passage moments do not exist"
         )
-    mean = -float(np.real(generator.survival_vector @ y1))
-    second = 2.0 * float(np.real(generator.survival_vector @ y2))
     return FptMoments.from_raw(mean, second, upper_exit)

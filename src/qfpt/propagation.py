@@ -17,8 +17,10 @@ whole trajectory.
 ``solve_absorbing`` turns a charge-resolved generator with absorbing edges
 into a first-passage-time series.  It owns the time grid, the per-step
 observables and their checks, the widening of open domain sides and the
-horizon extension; a ``Discretisation`` supplies what differs between the
-jump window and the diffusion grid.
+horizon extension; ``absorbing_moments`` solves the same generator once
+for its phase-type moments and edge exit probabilities.  A
+``Discretisation`` supplies what differs between the jump window and the
+diffusion grid.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .analysis import FptResult, uniform_step
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError, SingularGeneratorError
 from .operators import (
     LindbladModel,
     build_liouvillian,
@@ -53,6 +55,10 @@ STEP_FACTOR = 0.002
 MAX_GRID_POINTS = 200_000
 EDGE_TOLERANCE = 1e-12
 WEIGHT_EXCESS_TOLERANCE = 1e-6
+MAX_WIDEN_ROUNDS = 12
+MAX_DOUBLINGS = 12
+# largest generator a moments solve widens its domain to
+MAX_MOMENT_UNKNOWNS = 2**16
 
 
 def _non_finite(index: int) -> ConvergenceError:
@@ -125,20 +131,27 @@ def propagate_uniform(
 def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A^-1 x0 and A^-2 x0 for an absorbing generator A, from one sparse LU.
 
-    For a survival functional w and a flux functional u they give the
-    phase-type moments E[T] = -w A^-1 x0 and E[T^2] = 2 w A^-2 x0 and the
-    exit probability -u A^-1 x0 (Neuts 1981).  A singular A, which keeps
-    some weight forever, raises ConvergenceError.
+    For a flux functional u, -u A^-1 x0 is the probability of leaving
+    through the edges that u measures; ``_phase_type_moments`` turns the
+    solves into moments of the absorption time.  A singular A, which keeps
+    some weight forever, raises SingularGeneratorError.
     """
     try:
         lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(matrix, dtype=complex))
     except RuntimeError as exc:
-        raise ConvergenceError(f"the absorbing generator is singular ({exc})") from None
+        raise SingularGeneratorError(f"the absorbing generator is singular ({exc})") from None
     y1 = lu.solve(np.asarray(x0, dtype=complex))
     y2 = lu.solve(y1)
     if not np.isfinite(y2).all():
-        raise ConvergenceError("the absorbing generator is numerically singular")
+        raise SingularGeneratorError("the absorbing generator is numerically singular")
     return y1, y2
+
+
+def _phase_type_moments(weights: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> tuple[float, float]:
+    """E[T] = -w A^-1 x0 and E[T^2] = 2 w A^-2 x0 of the absorption time,
+    for the survival functional w and the ``resolvent_solves`` of x0
+    (Neuts 1981)."""
+    return -float(np.real(weights @ y1)), 2.0 * float(np.real(weights @ y2))
 
 
 def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> float | None:
@@ -150,11 +163,9 @@ def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> flo
     that conserve some of the weight forever.
     """
     try:
-        y1, y2 = resolvent_solves(matrix, x0)
+        mean, second = _phase_type_moments(weights, *resolvent_solves(matrix, x0))
     except ConvergenceError:
         return None
-    mean = -float(np.real(weights @ y1))
-    second = 2.0 * float(np.real(weights @ y2))
     if mean <= 0 or second <= 0:
         return None
     spread = math.sqrt(max(second - mean**2, 0.0))
@@ -298,7 +309,7 @@ class BlockState:
 
 @dataclass(frozen=True)
 class Discretisation:
-    """Engine side of ``solve_absorbing``: the model, its initial density
+    """Engine side of the absorbing solves: the model, its initial density
     matrix, and what differs between the engines.
 
     The domain is a charge window or grid, as ``BlockState`` describes,
@@ -306,7 +317,8 @@ class Discretisation:
     ``state_type`` is the engine's ``BlockState`` subclass.  Subclasses
     set the class attributes and implement ``assemble(domain)``, the
     generator on the domain (with ``dim``, ``matrix``, ``survival_vector``
-    and ``flux_vector``).
+    and ``flux_vector``; ``absorbing_moments`` also reads its split
+    ``upper_flux`` and ``lower_flux``).
     """
 
     model: LindbladModel
@@ -314,8 +326,6 @@ class Discretisation:
 
     provenance: ClassVar[str]
     state_type: ClassVar[type]
-    max_widen_rounds: ClassVar[int]
-    max_doublings: ClassVar[int]
     # store every step's per-cell traces on the series
     keep_traces: ClassVar[bool] = False
 
@@ -324,8 +334,10 @@ class Discretisation:
 
 
 @dataclass
-class AbsorbingSeries:
-    """First-passage series of an absorbing solve on its final domain."""
+class FptSolution:
+    """First-passage series of an absorbing solve on its final domain.
+    ``cell_traces`` holds every step's per-cell traces if the engine keeps
+    them (the jump engine: cell probabilities), else None."""
 
     result: FptResult
     domain: object
@@ -335,9 +347,7 @@ class AbsorbingSeries:
     dt: float
 
 
-def _series(
-    disc: Discretisation, generator, domain, times: np.ndarray, method: str
-) -> AbsorbingSeries:
+def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSolution:
     d = generator.dim
     ncells = domain.ncells
     weights = domain.trace_weights
@@ -347,7 +357,7 @@ def _series(
     cells = np.empty((num, ncells)) if disc.keep_traces else None
     flux = generator.flux_vector
     lo_peak = hi_peak = 0.0
-    for i, x in propagate_uniform(generator.matrix, disc.initial(domain), times, method=method):
+    for i, x in propagate_uniform(generator.matrix, disc.initial(domain), times):
         traces = block_traces(x.reshape((ncells, d, d)))
         if cells is None:
             lo_peak = max(lo_peak, traces[0])
@@ -372,7 +382,7 @@ def _series(
     dens = np.clip(dens, 0.0, None)
     surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
     # x is the state at the horizon, the last one the propagator yielded
-    return AbsorbingSeries(
+    return FptSolution(
         FptResult(times, dens, surv, disc.provenance),
         domain,
         disc.state_type(domain, d, x, float(times[-1])),
@@ -392,22 +402,20 @@ def solve_absorbing(
     dt: float,
     auto_tail: bool,
     tail_epsilon: float,
-    max_horizon: float | None,
-    method: str = "auto",
-) -> AbsorbingSeries:
+) -> FptSolution:
     """First-passage series of an absorbing generator on a uniform grid.
 
-    Open domain sides are widened until the edge mass stays below
-    ``EDGE_TOLERANCE`` over the whole horizon.  With ``auto_tail`` an
-    initial state that ``reaches_flux`` does not connect to an absorbing
-    edge is refused at once; otherwise the resolvent estimate sets the
-    first horizon, which then doubles until the survival drops below
-    ``tail_epsilon``, up to ``max_horizon`` (default: ``max_doublings``
-    doublings); the widened domain is kept across extensions.  Each
-    domain's generator is assembled once.
+    Open domain sides are widened, up to ``MAX_WIDEN_ROUNDS`` times, until
+    the edge mass stays below ``EDGE_TOLERANCE`` over the whole horizon.
+    With ``auto_tail`` an initial state that ``reaches_flux`` does not
+    connect to an absorbing edge is refused at once; otherwise the
+    resolvent estimate sets the first horizon, which then doubles until
+    the survival drops below ``tail_epsilon``, up to ``MAX_DOUBLINGS``
+    doublings of the requested horizon; the widened domain is kept across
+    extensions.  Each domain's generator is assembled once.
     """
     horizon = float(horizon)
-    cap = max_horizon if max_horizon is not None else horizon * 2.0**disc.max_doublings
+    cap = horizon * 2.0**MAX_DOUBLINGS
     generator = None
     if auto_tail:
         generator = disc.assemble(domain)
@@ -422,12 +430,12 @@ def solve_absorbing(
         if guess is not None and guess > horizon:
             horizon = float(min(guess, cap))
             logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
-    for _ in range(disc.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         times = time_grid(horizon, dt)
-        for _ in range(disc.max_widen_rounds):
+        for _ in range(MAX_WIDEN_ROUNDS):
             if generator is None:
                 generator = disc.assemble(domain)
-            series = _series(disc, generator, domain, times, method)
+            series = _series(disc, generator, domain, times)
             lo_peak, hi_peak = series.edge_mass_peak
             grow_lower = lower_open and lo_peak > EDGE_TOLERANCE
             grow_upper = upper_open and hi_peak > EDGE_TOLERANCE
@@ -439,7 +447,7 @@ def solve_absorbing(
         else:
             raise ConvergenceError(
                 f"open sides of {domain} failed to satisfy the edge-mass "
-                f"tolerance {EDGE_TOLERANCE:g} after {disc.max_widen_rounds} widenings"
+                f"tolerance {EDGE_TOLERANCE:g} after {MAX_WIDEN_ROUNDS} widenings"
             )
         if not auto_tail or series.result.survival[-1] < tail_epsilon:
             return series
@@ -451,3 +459,34 @@ def solve_absorbing(
             )
         horizon *= 2.0
     raise ConvergenceError("horizon extension failed to converge the tail")
+
+
+def absorbing_moments(
+    disc: Discretisation, domain, *, lower_open: bool, upper_open: bool
+) -> tuple[float, float, float, float]:
+    """E[T], E[T^2] and the lower- and upper-exit probabilities of an
+    absorbing generator, from one ``resolvent_solves`` factorisation per
+    domain.  Open sides double until their exit probability is below
+    ``EDGE_TOLERANCE``, up to ``MAX_MOMENT_UNKNOWNS``; a singular generator
+    raises SingularGeneratorError naming the domain."""
+    while True:
+        generator = disc.assemble(domain)
+        try:
+            y1, y2 = resolvent_solves(generator.matrix, disc.initial(domain))
+        except SingularGeneratorError as exc:
+            raise SingularGeneratorError(f"{exc} on {domain}") from None
+        lower_exit = -float(np.real(generator.lower_flux @ y1))
+        upper_exit = -float(np.real(generator.upper_flux @ y1))
+        grow_lower = lower_open and lower_exit >= EDGE_TOLERANCE
+        grow_upper = upper_open and upper_exit >= EDGE_TOLERANCE
+        if not grow_lower and not grow_upper:
+            mean, second = _phase_type_moments(generator.survival_vector, y1, y2)
+            return mean, second, lower_exit, upper_exit
+        domain = domain.widened(grow_lower, grow_upper)
+        if domain.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
+            side, exit_p = ("lower", lower_exit) if grow_lower else ("upper", upper_exit)
+            raise ConvergenceError(
+                f"{side}-exit probability is still {exit_p:.3e} before {domain} "
+                f"outgrows {MAX_MOMENT_UNKNOWNS} unknowns; the charge may not "
+                "drift towards the threshold"
+            )

@@ -15,7 +15,7 @@ from scipy.integrate import trapezoid
 from scipy.linalg import expm
 
 from qfpt.analysis import integrate_moments, ks_distance
-from qfpt.diffusion import solve_diffusion_fpt
+from qfpt.diffusion import conditioned_charge_distribution, solve_diffusion_fpt
 from qfpt.jumps import ChargeResolvedJumpState, build_block_generator, evolve, solve_jump_fpt
 from qfpt.kur import (
     dynamical_activity,
@@ -69,14 +69,14 @@ def test_criterion_02_incoherent_limit_matches_classical_chain():
     for nbar in (0.1, 1.0):
         model = thermal_qubit(1.0, 0.0, nbar)
         sol = solve_jump_fpt(model, threshold=5, horizon=10.0)
-        chain = BirthDeathChain(1.0, nbar, sol.window.lower, sol.window.upper)
+        chain = BirthDeathChain(1.0, nbar, sol.domain.lower, sol.domain.upper)
         density, surv, cells = chain.run(sol.result.times)
         worst_f = max(
             worst_f,
             float(np.max(np.abs(sol.result.density - density))),
             float(np.max(np.abs(sol.result.survival - surv))),
         )
-        worst_p = max(worst_p, float(np.max(np.abs(sol.cell_probabilities - cells))))
+        worst_p = max(worst_p, float(np.max(np.abs(sol.cell_traces - cells))))
     assert worst_f < 1e-8
     assert worst_p < 1e-8
     print(
@@ -89,8 +89,8 @@ def test_criterion_03_open_window_counting_statistics():
     model = thermal_qubit(1.0, 1.0, 0.2)
     sol = solve_jump_fpt(model, horizon=10.0)
     rho_ss = steady_state(build_liouvillian(model))
-    gen = build_block_generator(model, sol.window)
-    state0 = ChargeResolvedJumpState.initial(sol.window, rho_ss)
+    gen = build_block_generator(model, sol.domain)
+    state0 = ChargeResolvedJumpState.initial(sol.domain, rho_ss)
     liou = build_liouvillian(model)
     worst = 0.0
     for t in (1.0, 2.5, 5.0, 10.0):
@@ -231,7 +231,7 @@ def test_criterion_09_homodyne_multimodal_and_conditioned():
     ks = ks_distance(det, ens)
     assert ks < 0.05
 
-    nodes, q = sol.conditioned_final_distribution()
+    nodes, q = conditioned_charge_distribution(sol.final_state)
     dn = nodes[1] - nodes[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (q[1:] + q[:-1]) * dn)))
     cdf /= cdf[-1]

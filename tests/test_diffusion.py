@@ -11,12 +11,13 @@ import scipy.sparse
 from scipy.integrate import trapezoid
 from scipy.linalg import expm
 
-from qfpt import diffusion
+from qfpt import diffusion, propagation
 from qfpt.diffusion import (
     ChargeGrid,
     DiffusionState,
     build_drift_superoperator,
     build_fokker_planck_generator,
+    conditioned_charge_distribution,
     evolve,
     peclet_number,
     solve_diffusion_fpt,
@@ -176,11 +177,11 @@ def test_coarse_grid_warns_on_peclet():
 def test_conditioned_distribution_is_normalized():
     model = homodyne_qubit(1.0, 1.0)
     sol = solve_diffusion_fpt(model, threshold=1.0, delta=0.02, horizon=3.0)
-    nodes, dens = sol.conditioned_final_distribution()
+    nodes, dens = conditioned_charge_distribution(sol.final_state)
     assert np.all(dens >= 0.0)
     assert trapezoid(dens, nodes) == pytest.approx(1.0, abs=1e-9)
     # the zeroed ghost sits exactly on the threshold, one spacing outside
-    assert sol.grid.upper == pytest.approx(1.0 - 0.02)
+    assert sol.domain.upper == pytest.approx(1.0 - 0.02)
 
 
 def test_survival_ledger_closes():
@@ -193,11 +194,13 @@ def test_survival_ledger_closes():
     assert np.max(np.abs(g + absorbed - 1.0)) < 1e-6
 
 
-def test_dense_and_sparse_methods_agree():
+def test_dense_and_sparse_methods_agree(monkeypatch):
     model = homodyne_qubit(1.0, 1.0)
     kwargs = dict(threshold=1.0, delta=0.05, horizon=2.0, dt=5e-4)
-    dense = solve_diffusion_fpt(model, method="dense", **kwargs)
-    implicit = solve_diffusion_fpt(model, method="cn", **kwargs)
+    monkeypatch.setattr(propagation, "DENSE_CUTOFF", 10**9)
+    dense = solve_diffusion_fpt(model, **kwargs)
+    monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
+    implicit = solve_diffusion_fpt(model, **kwargs)
     assert np.max(np.abs(dense.result.density - implicit.result.density)) < 2e-4
     assert np.max(np.abs(dense.result.survival - implicit.result.survival)) < 1e-5
 
@@ -230,12 +233,13 @@ def test_auto_tail_assembles_the_grid_once(monkeypatch):
     monkeypatch.setattr(diffusion, "build_fokker_planck_generator", counting)
     sol = solve_diffusion_fpt(drifted_charge(0.5), threshold=1.0, horizon=30.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
-    assert calls == [sol.grid]
+    assert calls == [sol.domain]
 
 
-def test_auto_tail_stops_at_the_horizon_cap():
+def test_auto_tail_stops_at_the_horizon_cap(monkeypatch):
     # the homodyne qubit drifts part of its weight away from a lower
     # threshold, so survival stalls near one half and doubling cannot help
+    monkeypatch.setattr(propagation, "MAX_DOUBLINGS", 2)
     with pytest.raises(ConvergenceError, match="horizon cap 12") as failure:
         solve_diffusion_fpt(
             homodyne_qubit(1.0, 1.0),
@@ -243,7 +247,6 @@ def test_auto_tail_stops_at_the_horizon_cap():
             delta=0.05,
             horizon=3.0,
             auto_tail=True,
-            max_horizon=12.0,
         )
     survival = float(str(failure.value).split()[2])
     assert 0.4 < survival < 0.5

@@ -120,7 +120,7 @@ def test_solve_above_dense_cutoff_matches_dense_window():
     big = solve_jump_fpt(model, window=ChargeWindow(-300, 4), horizon=10.0)
     small = solve_jump_fpt(model, window=ChargeWindow(-40, 4), horizon=10.0)
     assert big.final_state.data.size > DENSE_CUTOFF
-    assert np.max(big.cell_probabilities[:, :260]) < 1e-12
+    assert np.max(big.cell_traces[:, :260]) < 1e-12
     assert np.max(np.abs(big.result.survival - small.result.survival)) < 4.4e-7
     assert np.max(np.abs(big.result.density - small.result.density)) < 3.4e-7
 
@@ -129,11 +129,11 @@ def test_incoherent_dynamics_match_birth_death_chain():
     gamma, nbar, threshold = 1.0, 0.4, 3
     model = thermal_qubit(gamma, 0.0, nbar)
     sol = solve_jump_fpt(model, threshold=threshold, horizon=6.0, dt=0.002)
-    chain = BirthDeathChain(gamma, nbar, sol.window.lower, sol.window.upper)
+    chain = BirthDeathChain(gamma, nbar, sol.domain.lower, sol.domain.upper)
     density, surv, cells = chain.run(sol.result.times)
     assert np.max(np.abs(sol.result.density - density)) < 1e-9
     assert np.max(np.abs(sol.result.survival - surv)) < 1e-9
-    assert np.max(np.abs(sol.cell_probabilities - cells)) < 1e-9
+    assert np.max(np.abs(sol.cell_traces - cells)) < 1e-9
 
 
 def test_preview_window_matches_solver():
@@ -142,8 +142,8 @@ def test_preview_window_matches_solver():
     assert win.upper == 4
     assert not upper_open and lower_open
     sol = solve_jump_fpt(model, threshold=5, horizon=10.0)
-    assert sol.window.upper == 4
-    assert sol.window.lower <= win.lower
+    assert sol.domain.upper == 4
+    assert sol.domain.lower <= win.lower
 
 
 def test_auto_tail_extends_horizon():
@@ -166,7 +166,6 @@ def test_unreachable_threshold_raises():
             initial=excited,
             horizon=4.0,
             auto_tail=True,
-            max_horizon=64.0,
         )
 
 
