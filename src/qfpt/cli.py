@@ -61,7 +61,7 @@ from .jumps import ChargeWindow, integer_weight, preview_window, solve_jump_fpt
 from .kur import KurReport, kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, steady_state
-from .propagation import MAX_GRID_POINTS, default_step, grid_points
+from .propagation import MAX_GRID_POINTS, default_step, grid_points, positive_finite
 from .trajectories import (
     TrajectoryConfig,
     fpt_histogram,
@@ -478,6 +478,7 @@ def run_kur_scan(args) -> int:
 
 def run_validate(args) -> int:
     model = resolve_model(args)
+    horizon = positive_finite(args.horizon, "horizon")
     lines = [f"model: dim {model.dim}, {len(model.channels)} channels "
              f"({len(model.monitored)} monitored)"]
     lines.append("hamiltonian: Hermitian")
@@ -499,7 +500,6 @@ def run_validate(args) -> int:
             integer_weight(ch)
     except ModelError:
         jump_weights = False
-    horizon = args.horizon
     if jump_weights:
         # the same --threshold may still be a valid diffusion charge, so a
         # refused jump threshold is reported, not an error
@@ -544,6 +544,14 @@ def run_validate(args) -> int:
 
     print("\n".join(lines))
     return EXIT_OK
+
+
+def _count(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
@@ -623,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--start", default="steady", help="initial state")
     traj.add_argument("--horizon", type=float, default=10.0)
     traj.add_argument("--dt", type=float, help="integration step")
-    traj.add_argument("--bins", type=int, default=50, help="histogram bins")
-    traj.add_argument("--workers", type=int, default=1)
+    traj.add_argument("--bins", type=_count, default=50, help="histogram bins")
+    traj.add_argument("--workers", type=_count, default=1)
     traj.set_defaults(func=run_trajectories)
 
     scan = sub.add_parser("kur-scan", help="precision bounds over a drive range")
@@ -634,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-range", required=True, help="drive grid lo:hi:count (linear)"
     )
     scan.add_argument("--threshold", type=int, default=5)
-    scan.add_argument("--workers", type=int, default=1)
+    scan.add_argument("--workers", type=_count, default=1)
     scan.set_defaults(func=run_kur_scan)
 
     val = sub.add_parser("validate", help="dry-run configuration checks")

@@ -41,6 +41,7 @@ from .propagation import (
     default_step,
     evolve_to,
     initial_density,
+    positive_finite,
     propagate_uniform,
     solve_absorbing,
 )
@@ -364,6 +365,7 @@ def solve_diffusion_fpt(
     distributions that never fully absorb will hit the horizon cap
     instead, so leave it off for conditioned studies.
     """
+    horizon = positive_finite(horizon, "horizon")
     model.require_channels()
     drift = build_drift_superoperator(model)
     rho0 = initial_density(model, initial)
@@ -376,7 +378,7 @@ def solve_diffusion_fpt(
         work, lower_open, upper_open = grid, False, False
         near = min(work.upper + work.delta, -work.lower + work.delta)
     else:
-        work = _auto_grid(model, drift, rho0, threshold, lower_threshold, delta, float(horizon))
+        work = _auto_grid(model, drift, rho0, threshold, lower_threshold, delta, horizon)
         lower_open = lower_threshold is None
         upper_open = threshold is None
         near = min(

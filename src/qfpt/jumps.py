@@ -42,6 +42,7 @@ from .propagation import (
     default_step,
     evolve_to,
     initial_density,
+    positive_finite,
     solve_absorbing,
 )
 
@@ -273,6 +274,7 @@ def solve_jump_fpt(
     the horizon doubles until the survival drops below ``tail_epsilon``, so
     that moments are well defined afterwards; see ``solve_absorbing``.
     """
+    horizon = positive_finite(horizon, "horizon")
     model.require_channels()
     rho0 = initial_density(model, initial)
     if window is not None and (threshold is not None or lower_threshold is not None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhysicsError, QfptError
-from .jumps import passage_moments
+from .jumps import integer_threshold, passage_moments
 from .models import thermal_qubit
 from .operators import (
     LindbladModel,
@@ -166,12 +166,14 @@ def kur_scan(
 ) -> list[KurReport]:
     """Scan the driven thermal qubit over a grid of drive amplitudes.
 
-    Points whose moments do not exist or fail to converge are marked failed
-    and the scan continues.  Results are returned in grid order regardless
-    of worker count.
+    A threshold that is not a positive integer is refused before any
+    point runs.  Points whose moments do not exist or fail to converge are
+    marked failed and the scan continues.  Results are returned in grid
+    order regardless of worker count.
     """
+    threshold = integer_threshold(threshold, +1)
     jobs = [
-        (float(o), float(gamma), float(nbar), int(threshold))
+        (float(o), float(gamma), float(nbar), threshold)
         for o in np.asarray(omegas, dtype=float)
     ]
     if workers > 1:

@@ -68,6 +68,14 @@ def _non_finite(index: int) -> ConvergenceError:
     )
 
 
+def positive_finite(value, name: str) -> float:
+    """``value`` as a float, refused unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _check_finite(x: np.ndarray, index: int) -> None:
     # a non-finite entry stays non-finite under every later step, so one
     # check per solve catches what a check per step would
@@ -239,10 +247,8 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     still applies, so a horizon too long for the requested accuracy fails
     loudly.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
+    positive_finite(horizon, "horizon")
+    positive_finite(dt, "dt")
     num = grid_points(horizon, dt)
     if num > MAX_GRID_POINTS:
         logger.warning(
@@ -414,6 +420,8 @@ def solve_absorbing(
     doublings of the requested horizon; the widened domain is kept across
     extensions.  Each domain's generator is assembled once.
     """
+    if not 0.0 < tail_epsilon < 1.0:
+        raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
     horizon = float(horizon)
     cap = horizon * 2.0**MAX_DOUBLINGS
     generator = None

@@ -33,7 +33,7 @@ from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
 from .models import LindbladModel
-from .propagation import block_traces, initial_density
+from .propagation import block_traces, initial_density, positive_finite
 
 logger = logging.getLogger(__name__)
 
@@ -70,10 +70,9 @@ class TrajectoryConfig:
             raise ConfigError("need at least one trajectory")
         if self.index_offset < 0:
             raise ConfigError("index offset must be nonnegative")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        positive_finite(self.horizon, "horizon")
+        if self.dt is not None:
+            positive_finite(self.dt, "dt")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= SEED_MAX):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         self.model.require_channels()

@@ -258,3 +258,53 @@ def test_trajectories_fractional_jump_threshold_exits_config(tmp_path, capsys):
     assert code == 2
     assert "integer" in capsys.readouterr().err
     assert not (tmp_path / "trajectories.csv").exists()
+
+
+
+QUBIT = "--builtin thermal-qubit --gamma 1 --omega 1 --nbar 0.2"
+COMMANDS = {
+    "fpt-jump": f"fpt-jump {QUBIT} --threshold 3",
+    "fpt-diffusion": "fpt-diffusion --builtin homodyne-qubit --threshold 1 --delta 0.05",
+    "trajectories": f"trajectories {QUBIT} --unravelling jump --ntraj 8 --threshold 3",
+    "kur-scan": "kur-scan --omega-range 1:1:1",
+    "validate": f"validate {QUBIT}",
+}
+HORIZON = "horizon must be positive and finite"
+STEP = "dt must be positive and finite"
+OUT_OF_RANGE = [
+    ("fpt-jump", "--horizon nan", HORIZON),
+    ("fpt-jump", "--horizon inf", HORIZON),
+    ("fpt-jump", "--dt nan", STEP),
+    ("fpt-jump", "--dt inf", STEP),
+    ("fpt-diffusion", "--horizon nan", HORIZON),
+    ("trajectories", "--horizon nan", HORIZON),
+    ("trajectories", "--horizon inf", HORIZON),
+    ("trajectories", "--dt nan", STEP),
+    ("validate", "--horizon nan", HORIZON),
+    ("validate", "--horizon 0", HORIZON),
+    ("validate", "--horizon -1", HORIZON),
+    ("fpt-jump", "--horizon 5 --auto-tail --tail-epsilon 0", "tail epsilon"),
+    ("fpt-jump", "--horizon 5 --auto-tail --tail-epsilon nan", "tail epsilon"),
+    ("fpt-jump", "--horizon 5 --auto-tail --tail-epsilon 2", "tail epsilon"),
+    ("fpt-diffusion", "--horizon 3 --auto-tail --tail-epsilon 2", "tail epsilon"),
+    ("kur-scan", "--threshold 0", "upper threshold must be a positive integer"),
+    ("kur-scan", "--threshold -2", "upper threshold must be a positive integer"),
+    ("trajectories", "--bins 0", "--bins: must be at least 1"),
+    ("trajectories", "--workers 0", "--workers: must be at least 1"),
+    ("kur-scan", "--workers 0", "--workers: must be at least 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, options, message", OUT_OF_RANGE, ids=[f"{c} {o}" for c, o, _ in OUT_OF_RANGE]
+)
+def test_out_of_range_numbers_exit_config(command, options, message, tmp_path, monkeypatch, capsys):
+    # validate takes no --outdir, so every command writes through the env
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    try:
+        code = cli.main(f"{COMMANDS[command]} {options}".split())
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
