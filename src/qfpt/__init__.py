@@ -31,7 +31,6 @@ from .errors import (
     ModelError,
     PhysicsError,
     QfptError,
-    SingularGeneratorError,
     TailNotConvergedError,
 )
 from .jumps import (
@@ -102,7 +101,6 @@ __all__ = [
     "ModelError",
     "PhysicsError",
     "QfptError",
-    "SingularGeneratorError",
     "TailNotConvergedError",
     "TrajectoryConfig",
     "TrajectoryEnsemble",

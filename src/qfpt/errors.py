@@ -21,10 +21,6 @@ class TailNotConvergedError(ConvergenceError):
     """Survival mass remains beyond the horizon where moments were requested."""
 
 
-class SingularGeneratorError(ConvergenceError):
-    """An absorbing generator keeps some weight forever: it has no inverse."""
-
-
 class DegenerateKernelError(ConvergenceError):
     """The generator kernel is not one-dimensional."""
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse
 
 from .analysis import FptMoments
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError, SingularGeneratorError
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_jump_super,
@@ -310,13 +310,11 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     if threshold is None:
         raise ConfigError("first-passage moments need an upper threshold")
     window, _, _ = preview_window(model, threshold)
-    disc = _JumpDiscretisation(model, initial_density(model, "steady"))
-    try:
-        mean, second, _, upper_exit = absorbing_moments(disc, window, lower_open=True, upper_open=False)
-    except SingularGeneratorError as exc:
-        raise ConvergenceError(
-            f"threshold {threshold} is unreachable from the steady state: {exc}"
-        ) from None
+    mean, second, upper_exit = absorbing_moments(
+        _JumpDiscretisation(model, initial_density(model, "steady")),
+        window,
+        f"threshold {threshold} is unreachable from the steady state",
+    )
     if not abs(upper_exit - 1.0) <= CERTAIN_EXIT_TOLERANCE:
         raise ConvergenceError(
             f"threshold {threshold} is reached with probability {upper_exit:.9g}, "

@@ -38,7 +38,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .analysis import FptResult, uniform_step
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError, SingularGeneratorError
+from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_liouvillian,
@@ -56,7 +56,8 @@ MAX_GRID_POINTS = 200_000
 EDGE_TOLERANCE = 1e-12
 WEIGHT_EXCESS_TOLERANCE = 1e-6
 MAX_WIDEN_ROUNDS = 12
-MAX_DOUBLINGS = 12
+# an auto-tail horizon stops at 2**MAX_DOUBLINGS times the requested one
+MAX_DOUBLINGS = 16
 # largest generator a moments solve widens its domain to
 MAX_MOMENT_UNKNOWNS = 2**16
 
@@ -142,16 +143,16 @@ def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For a flux functional u, -u A^-1 x0 is the probability of leaving
     through the edges that u measures; ``_phase_type_moments`` turns the
     solves into moments of the absorption time.  A singular A, which keeps
-    some weight forever, raises SingularGeneratorError.
+    some weight forever, raises ConvergenceError.
     """
     try:
         lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(matrix, dtype=complex))
     except RuntimeError as exc:
-        raise SingularGeneratorError(f"the absorbing generator is singular ({exc})") from None
+        raise ConvergenceError(f"the absorbing generator is singular ({exc})") from None
     y1 = lu.solve(np.asarray(x0, dtype=complex))
     y2 = lu.solve(y1)
     if not np.isfinite(y2).all():
-        raise SingularGeneratorError("the absorbing generator is numerically singular")
+        raise ConvergenceError("the absorbing generator is numerically singular")
     return y1, y2
 
 
@@ -469,32 +470,27 @@ def solve_absorbing(
     raise ConvergenceError("horizon extension failed to converge the tail")
 
 
-def absorbing_moments(
-    disc: Discretisation, domain, *, lower_open: bool, upper_open: bool
-) -> tuple[float, float, float, float]:
-    """E[T], E[T^2] and the lower- and upper-exit probabilities of an
-    absorbing generator, from one ``resolvent_solves`` factorisation per
-    domain.  Open sides double until their exit probability is below
-    ``EDGE_TOLERANCE``, up to ``MAX_MOMENT_UNKNOWNS``; a singular generator
-    raises SingularGeneratorError naming the domain."""
+def absorbing_moments(disc: Discretisation, domain, singular: str) -> tuple[float, float, float]:
+    """E[T], E[T^2] and the upper-exit probability of an absorbing generator
+    whose lower domain side is open, from one ``resolvent_solves``
+    factorisation per domain.  The lower side doubles until its exit
+    probability is below ``EDGE_TOLERANCE``, up to ``MAX_MOMENT_UNKNOWNS``;
+    a singular generator raises ConvergenceError("<singular>: <cause> on
+    <domain>")."""
     while True:
         generator = disc.assemble(domain)
         try:
             y1, y2 = resolvent_solves(generator.matrix, disc.initial(domain))
-        except SingularGeneratorError as exc:
-            raise SingularGeneratorError(f"{exc} on {domain}") from None
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"{singular}: {exc} on {domain}") from None
         lower_exit = -float(np.real(generator.lower_flux @ y1))
-        upper_exit = -float(np.real(generator.upper_flux @ y1))
-        grow_lower = lower_open and lower_exit >= EDGE_TOLERANCE
-        grow_upper = upper_open and upper_exit >= EDGE_TOLERANCE
-        if not grow_lower and not grow_upper:
+        if lower_exit < EDGE_TOLERANCE:
             mean, second = _phase_type_moments(generator.survival_vector, y1, y2)
-            return mean, second, lower_exit, upper_exit
-        domain = domain.widened(grow_lower, grow_upper)
+            return mean, second, -float(np.real(generator.upper_flux @ y1))
+        domain = domain.widened(True, False)
         if domain.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
-            side, exit_p = ("lower", lower_exit) if grow_lower else ("upper", upper_exit)
             raise ConvergenceError(
-                f"{side}-exit probability is still {exit_p:.3e} before {domain} "
+                f"lower-exit probability is still {lower_exit:.3e} before {domain} "
                 f"outgrows {MAX_MOMENT_UNKNOWNS} unknowns; the charge may not "
                 "drift towards the threshold"
             )

@@ -260,7 +260,6 @@ def test_trajectories_fractional_jump_threshold_exits_config(tmp_path, capsys):
     assert not (tmp_path / "trajectories.csv").exists()
 
 
-
 QUBIT = "--builtin thermal-qubit --gamma 1 --omega 1 --nbar 0.2"
 COMMANDS = {
     "fpt-jump": f"fpt-jump {QUBIT} --threshold 3",

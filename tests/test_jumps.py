@@ -155,6 +155,14 @@ def test_auto_tail_extends_horizon():
     assert sol.result.survival[-1] < 1e-6
 
 
+def test_auto_tail_reaches_a_slow_current():
+    # a weak drive emits about once per 10^4 time units, so the resolvent
+    # sets a horizon near 10^5: 2^13 times the requested one
+    sol = solve_jump_fpt(thermal_qubit(1.0, 0.01, 0.0), threshold=5, auto_tail=True)
+    assert sol.result.times[-1] > 10.0 * 2**12
+    assert sol.result.survival[-1] < 1e-6
+
+
 def test_unreachable_threshold_raises():
     # pure decay emits at most one quantum, so a threshold of 2 never fires
     model = decay_qubit(1.0)
