@@ -181,12 +181,10 @@ def format_float(x: float) -> str:
 
 def write_series_csv(path, result: FptResult, *, config_hash: str = "") -> None:
     """Write t, G, f columns with deterministic formatting."""
-    lines = [
-        f"# provenance={result.provenance}",
-        f"# config_hash={config_hash}",
-        "t,G,f",
-    ]
-    for row in zip(result.times, result.survival, result.density):
-        lines.append(",".join(format_float(v) for v in row))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# provenance={result.provenance}\n# config_hash={config_hash}\nt,G,f\n")
+        # one format call per row, the same digits as ``format_float``
+        fh.writelines(map(
+            "{:.12g},{:.12g},{:.12g}\n".format,
+            result.times.tolist(), result.survival.tolist(), result.density.tolist(),
+        ))

@@ -196,20 +196,19 @@ def run_payload(command: str, args, model) -> dict:
     return payload
 
 
+def _csv_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, float):
+        return format_float(cell)
+    return str(cell)
+
+
 def write_rows_csv(path: Path, header: list[str], rows, chash: str) -> None:
     """Generic deterministic CSV with the configuration hash embedded."""
-    lines = [f"# config_hash={chash}", ",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("1" if cell else "0")
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={chash}\n{','.join(header)}\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def write_manifest(
@@ -271,12 +270,13 @@ def run_fpt_jump(args) -> int:
         auto_tail=args.auto_tail,
         tail_epsilon=args.tail_epsilon,
     )
+    # a run that cannot summarise its series writes nothing
+    results = conditional_moment_summary(solution.result)
+    results["window"] = [solution.domain.lower, solution.domain.upper]
     payload = run_payload("fpt-jump", args, model)
     chash = config_hash(payload)
     outdir = resolve_outdir(args)
     write_series_csv(outdir / "fpt_jump.csv", solution.result, config_hash=chash)
-    results = conditional_moment_summary(solution.result)
-    results["window"] = [solution.domain.lower, solution.domain.upper]
     write_manifest(
         outdir, payload, chash, ["fpt_jump.csv"], time.perf_counter() - t0, results
     )
@@ -308,14 +308,20 @@ def run_fpt_diffusion(args) -> int:
         auto_tail=args.auto_tail,
         tail_epsilon=args.tail_epsilon,
     )
+    # a run that cannot summarise its series writes nothing
+    results = conditional_moment_summary(solution.result)
+    results["grid"] = [solution.domain.lower, solution.domain.upper]
+    results["delta"] = solution.domain.delta
+    survivors = None
+    if float(solution.result.survival[-1]) > 1e-9:
+        survivors = conditioned_charge_distribution(solution.final_state)
     payload = run_payload("fpt-diffusion", args, model)
     chash = config_hash(payload)
     outdir = resolve_outdir(args)
     artifacts = ["fpt_diffusion.csv"]
     write_series_csv(outdir / "fpt_diffusion.csv", solution.result, config_hash=chash)
-    surviving = float(solution.result.survival[-1])
-    if surviving > 1e-9:
-        nodes, dens = conditioned_charge_distribution(solution.final_state)
+    if survivors is not None:
+        nodes, dens = survivors
         write_rows_csv(
             outdir / "final_distribution.csv",
             ["N", "density"],
@@ -323,9 +329,6 @@ def run_fpt_diffusion(args) -> int:
             chash,
         )
         artifacts.append("final_distribution.csv")
-    results = conditional_moment_summary(solution.result)
-    results["grid"] = [solution.domain.lower, solution.domain.upper]
-    results["delta"] = solution.domain.delta
     write_manifest(
         outdir, payload, chash, artifacts, time.perf_counter() - t0, results
     )

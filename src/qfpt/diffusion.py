@@ -268,8 +268,10 @@ def mean_charge_path(
         a = ch.rotated_operator()
         functional += ch.weight * vectorize((a + a.conj().T).T)
     rates = np.empty(times.size)
-    for i, x in propagate_uniform(liou, vectorize(rho0), times, method="dense"):
-        rates[i] = np.real(functional @ x)
+    for start, chunk, _ in propagate_uniform(
+        liou, vectorize(rho0), times, rows=functional[None, :], method="dense"
+    ):
+        rates[start : start + chunk.shape[0]] = chunk[:, 0]
     bad = ~np.isfinite(rates)
     if bad.any():
         raise _non_finite(int(np.argmax(bad)))

@@ -1,22 +1,27 @@
 """Time propagation of sparse block generators, and the absorbing solve
 that both first-passage engines share.
 
-Two backends, chosen by the stacked dimension:
+``propagate_uniform`` streams the observations ``rows @ x_i`` of the
+states x_i = exp(t_i A) x0 on a uniform grid in chunks of consecutive grid
+points, each with the state at its last point, so consumers never handle
+one state per step.  Two backends, chosen by the stacked dimension:
 
-* ``dense``: one dense matrix exponential of the single-step propagator,
-  then repeated matrix-vector products.  Exact in time; used up to
-  ``DENSE_CUTOFF`` unknowns.
+* ``dense``: one dense matrix exponential E of the single-step
+  propagator.  The stacked powers rows @ E^j, j = 1..B, turn the state at
+  every B-th point into the observations of the B points after it with
+  one real matrix product, and E^B carries the state from block to
+  block; where blocks cost more than they save, E steps point by point.
+  Exact in time; used up to ``DENSE_CUTOFF`` unknowns.
 * ``cn``: Crank-Nicolson with a short implicit-Euler startup to damp the
-  stiff content of delta-like initial data.  Second order in the step;
-  used above the cutoff, for jump windows and diffusion grids alike.
+  stiff content of delta-like initial data, one sparse solve per step.
+  Second order in the step; used above the cutoff, for jump windows and
+  diffusion grids alike.
 
-``propagate_uniform`` yields ``(index, state)`` pairs including the initial
-state at index 0, so consumers can stream observables without storing the
-whole trajectory.
+``CHUNK_BYTES`` bounds a chunk's buffers and the stacked powers.
 
 ``solve_absorbing`` turns a charge-resolved generator with absorbing edges
-into a first-passage-time series.  It owns the time grid, the per-step
-observables and their checks, the widening of open domain sides and the
+into a first-passage-time series.  It owns the time grid, the observation
+rows and their checks, the widening of open domain sides and the
 horizon extension; ``absorbing_moments`` solves the same generator once
 for its phase-type moments and edge exit probabilities.  A
 ``Discretisation`` supplies what differs between the jump window and the
@@ -43,6 +48,7 @@ from .operators import (
     LindbladModel,
     build_liouvillian,
     steady_state,
+    trace_functional,
     validate_density_matrix,
     vectorize,
 )
@@ -50,6 +56,8 @@ from .operators import (
 logger = logging.getLogger(__name__)
 
 DENSE_CUTOFF = 1200
+# memory budget of one chunk's buffers and of the dense stacked powers
+CHUNK_BYTES = 2**21
 STARTUP_STEPS = 4
 STEP_FACTOR = 0.002
 MAX_GRID_POINTS = 200_000
@@ -84,32 +92,101 @@ def _check_finite(x: np.ndarray, index: int) -> None:
         raise _non_finite(index)
 
 
-def _dense_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    dt = uniform_step(times)
+def _block_size(steps: int, m: int, n: int) -> int:
+    """Grid points per dense observation block, 1 for plain stepping.
+
+    In units of a matrix-vector product, building rows @ E^j for j <= B
+    costs B*m, the anchors every B-th state steps/B, and E^B its matrix
+    products at n each; B minimises the sum below sqrt(steps/m), where
+    the first two balance, and below the ``CHUNK_BYTES`` cap on the
+    stacked powers.
+    """
+    m = max(m, 1)
+    top = max(1, min(steps, math.isqrt(steps // m), CHUNK_BYTES // (16 * m * n)))
+
+    def cost(b: int) -> float:
+        return b * m + steps / b + n * (b.bit_length() + b.bit_count() - 2)
+
+    return min(range(1, top + 1), key=cost)
+
+
+def _stepped_chunks(step, x: np.ndarray, first: int, last: int, rows):
+    """Chunks of the grid points first..last that the one-step map ``step``
+    reaches from x, the state at point first - 1, each state observed as
+    it is reached.  A chunk spans as many steps as ``CHUNK_BYTES`` holds
+    states, so its observations stay a fraction of the budget.  Returns
+    the last state."""
+    size = max(1, min(last - first + 1, CHUNK_BYTES // (16 * x.size)))
+    for start in range(first, last + 1, size):
+        obs = np.empty((min(size, last + 1 - start), rows.shape[0]))
+        for k in range(obs.shape[0]):
+            x = step(x)
+            obs[k] = np.real(rows @ x)
+        yield start, obs, x
+    return x
+
+
+def _block_chunks(prop: np.ndarray, x: np.ndarray, steps: int, block: int, rows):
+    """Chunks of the grid points 1..steps, a multiple of ``block``, from
+    the dense one-step propagator; returns the last state."""
+    m, n = rows.shape
+    # row j*m + r of the stacked powers is rows[r] @ E^(j+1), split as
+    # [Re, -Im] so that one real product with [Re x; Im x] gives the
+    # observations of the block's points from the state x before them
+    powers = np.empty((block, m, 2 * n))
+    power = rows.toarray() if scipy.sparse.issparse(rows) else np.asarray(rows, dtype=complex)
+    for j in range(block):
+        power = power @ prop
+        powers[j, :, :n] = power.real
+        powers[j, :, n:] = -power.imag
+    powers = powers.reshape(block * m, 2 * n).T
+    leap = np.linalg.matrix_power(prop, block)
+    per_chunk = block * max(1, CHUNK_BYTES // (8 * max(block * m, 2 * n)))
+    for start in range(1, steps + 1, per_chunk):
+        count = min(per_chunk, steps + 1 - start)
+        anchors = np.empty((count // block, 2 * n))
+        for a in range(anchors.shape[0]):
+            anchors[a, :n] = x.real
+            anchors[a, n:] = x.imag
+            x = leap @ x
+        yield start, (anchors @ powers).reshape(count, m), x
+    return x
+
+
+def _first_chunk(x: np.ndarray, rows):
+    # no step writes into a state, so the initial one is yielded as given
+    return 0, np.real(rows @ x)[None, :], x
+
+
+def _dense_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
     dense = matrix.toarray() if scipy.sparse.issparse(matrix) else np.asarray(matrix)
     prop = scipy.linalg.expm(dense * dt)
-    x = x0.astype(complex, copy=True)
-    yield 0, x
-    for i in range(1, times.size):
-        x = prop @ x
-        yield i, x
+    yield _first_chunk(x, rows)
+    block = _block_size(steps, *rows.shape)
+    # whole blocks where they pay, then plain steps for the rest
+    whole = steps - steps % block if block > 1 else 0
+    if whole:
+        x = yield from _block_chunks(prop, x, whole, block, rows)
+    yield from _stepped_chunks(lambda x: prop @ x, x, whole + 1, steps, rows)
 
 
-def _cn_steps(matrix, x0: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    dt = uniform_step(times)
+def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
     mat = scipy.sparse.csc_matrix(matrix)
     ident = scipy.sparse.identity(mat.shape[0], format="csc", dtype=complex)
     lu_cn = scipy.sparse.linalg.splu((ident - 0.5 * dt * mat).tocsc())
     lu_be = scipy.sparse.linalg.splu((ident - dt * mat).tocsc())
-    half = 0.5 * dt
-    x = x0.astype(complex, copy=True)
-    yield 0, x
-    for i in range(1, times.size):
-        if i <= STARTUP_STEPS:
-            x = lu_be.solve(x)
-        else:
-            x = lu_cn.solve(x + half * (mat @ x))
-        yield i, x
+
+    def cn_step(x):
+        # (I + hA) = 2I - (I - hA): one solve per Crank-Nicolson step
+        y = lu_cn.solve(x)
+        y *= 2.0
+        y -= x
+        return y
+
+    yield _first_chunk(x, rows)
+    startup = min(STARTUP_STEPS, steps)
+    x = yield from _stepped_chunks(lu_be.solve, x, 1, startup, rows)
+    yield from _stepped_chunks(cn_step, x, startup + 1, steps, rows)
 
 
 def propagate_uniform(
@@ -117,24 +194,32 @@ def propagate_uniform(
     x0: np.ndarray,
     times: np.ndarray,
     *,
+    rows=None,
     method: str = "auto",
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream exp(t_i * matrix) @ x0 over a uniform time grid.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Stream observations of x_i = exp(t_i * matrix) @ x0 over a uniform
+    time grid, in chunks of consecutive grid points.
 
+    Each chunk is ``(start, obs, state)``: ``obs[k]`` is the real part of
+    ``rows @ x_(start+k)``, one row per grid point of the chunk, and
+    ``state`` is the state at its last point.  The first chunk is the
+    initial point alone.  ``rows`` is a dense or sparse matrix with one
+    row per observed functional; ``None`` observes nothing.
     ``method='auto'`` picks the dense propagator up to ``DENSE_CUTOFF``
     unknowns and Crank-Nicolson above it.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     n = matrix.shape[0]
-    if matrix.shape != (n, n) or x0.size != n:
-        raise ValueError("matrix and state dimensions disagree")
+    if rows is None:
+        rows = scipy.sparse.csr_matrix((0, n), dtype=complex)
+    if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError("matrix, state and observation dimensions disagree")
     if method == "auto":
         method = "dense" if n <= DENSE_CUTOFF else "cn"
-    if method == "dense":
-        return _dense_steps(matrix, x0, times)
-    if method == "cn":
-        return _cn_steps(matrix, x0, times)
-    raise ValueError(f"unknown propagation method {method!r}")
+    backends = {"dense": _dense_chunks, "cn": _cn_chunks}
+    if method not in backends:
+        raise ValueError(f"unknown propagation method {method!r}")
+    return backends[method](matrix, x0, uniform_step(times), times.size - 1, rows)
 
 
 def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +296,10 @@ def evolve_to(matrix, x0: np.ndarray, t: float, dt: float) -> np.ndarray:
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if t == 0.0:
         return x.copy()
-    for i, x in propagate_uniform(matrix, x, time_grid(t, dt)):
+    times = time_grid(t, dt)
+    for _, _, x in propagate_uniform(matrix, x, times):
         pass
-    _check_finite(x, i)
+    _check_finite(x, times.size - 1)
     return x
 
 
@@ -357,29 +443,26 @@ class FptSolution:
 def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSolution:
     d = generator.dim
     ncells = domain.ncells
-    weights = domain.trace_weights
-    num = times.size
-    surv = np.empty(num)
-    dens = np.empty(num)
-    cells = np.empty((num, ncells)) if disc.keep_traces else None
-    flux = generator.flux_vector
-    lo_peak = hi_peak = 0.0
-    for i, x in propagate_uniform(generator.matrix, disc.initial(domain), times):
-        traces = block_traces(x.reshape((ncells, d, d)))
-        if cells is None:
-            lo_peak = max(lo_peak, traces[0])
-            hi_peak = max(hi_peak, traces[-1])
-        else:
-            cells[i] = traces
-        surv[i] = traces.sum() if weights is None else weights @ traces
-        dens[i] = np.real(flux @ x)
-    bad = ~(np.isfinite(surv) & np.isfinite(dens))
+    # per-cell traces if the engine keeps them, else only the two edge cells
+    kept = slice(None) if disc.keep_traces else [0, ncells - 1]
+    cells = scipy.sparse.kron(
+        scipy.sparse.identity(ncells, format="csr")[kept], trace_functional(d)[None, :], format="csr"
+    )
+    rows = scipy.sparse.vstack(
+        [generator.survival_vector, generator.flux_vector, cells], format="csr"
+    )
+    obs = np.empty((times.size, rows.shape[0]))
+    for start, chunk, x in propagate_uniform(
+        generator.matrix, disc.initial(domain), times, rows=rows
+    ):
+        obs[start : start + chunk.shape[0]] = chunk
+    bad = ~np.isfinite(obs).all(axis=1)
     if bad.any():
         raise _non_finite(int(np.argmax(bad)))
-    _check_finite(x, num - 1)
-    if cells is not None:
-        lo_peak = max(lo_peak, cells[:, 0].max())
-        hi_peak = max(hi_peak, cells[:, -1].max())
+    _check_finite(x, times.size - 1)
+    surv, dens, traces = obs[:, 0], obs[:, 1], obs[:, 2:]
+    lo_peak = max(traces[:, 0].max(), 0.0)
+    hi_peak = max(traces[:, -1].max(), 0.0)
     if dens.min() < -1e-10:
         raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
     if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
@@ -394,7 +477,7 @@ def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSo
         domain,
         disc.state_type(domain, d, x, float(times[-1])),
         (domain.cell_width * lo_peak, domain.cell_width * hi_peak),
-        cells,
+        traces if disc.keep_traces else None,
         float(times[1] - times[0]),
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -109,6 +111,22 @@ def test_format_float_is_stable():
     assert format_float(1.0) == "1"
     assert format_float(0.1) == "0.1"
     assert format_float(1e-300) == "1e-300"
+
+
+def test_write_series_csv_matches_per_value_formatting(tmp_path):
+    # the streamed writer must keep the bytes of joining format_float values
+    values = np.array([0.0, 1e-05, 1e-300, 0.1, 123456789012345.0, 1.0 / 3.0, 2.5e-7])
+    res = SimpleNamespace(
+        times=values, survival=values[::-1].copy(), density=np.roll(values, 2),
+        provenance="deterministic-jump",
+    )
+    path = tmp_path / "series.csv"
+    write_series_csv(path, res, config_hash="abc123")
+    lines = ["# provenance=deterministic-jump", "# config_hash=abc123", "t,G,f"]
+    for row in zip(res.times, res.survival, res.density):
+        lines.append(",".join(format_float(v) for v in row))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert "\n1.23456789012e+14,1e-300,1e-300\n" in path.read_text()
 
 
 def test_write_series_csv_roundtrip(tmp_path):

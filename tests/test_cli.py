@@ -165,6 +165,21 @@ def test_fpt_jump_auto_tail_unreachable_exits_convergence(tmp_path, capsys):
     assert "unreachable from the initial state" in capsys.readouterr().err
 
 
+def test_fpt_jump_failed_summary_writes_no_csv(tmp_path):
+    # n̄ = 0 never lowers the charge, so nothing is absorbed and the
+    # moment summary refuses; the run must not leave a series behind
+    code = run(
+        [
+            "fpt-jump", "--builtin", "thermal-qubit", "--lower-threshold", "-3",
+            "--horizon", "10",
+        ],
+        tmp_path,
+    )
+    assert code == cli.EXIT_CONVERGENCE
+    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_kur_scan_all_failed_exits_convergence(tmp_path, monkeypatch):
     def fake_scan(omegas, **kwargs):
         return [KurReport.failed(o, 1.0, 0.0, "nope") for o in omegas]

@@ -6,15 +6,26 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import qfpt
+from qfpt.diffusion import solve_diffusion_fpt
+from qfpt.jumps import solve_jump_fpt
+from qfpt.models import homodyne_qubit, thermal_qubit
+from qfpt.propagation import DENSE_CUTOFF
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def test_traced_functions_exist():
     # Tracer.install looks up every TRACED name with getattr, so renaming
     # one of these functions breaks the benchmark's --trace run
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing()
     missing = [
         f"qfpt.{layer}.{name}"
         for layer, names in tracing.TRACED.items()
@@ -22,3 +33,22 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"qfpt.{layer}"), name, None))
     ]
     assert tracing.TRACED and not missing
+
+
+def test_tracer_sees_propagation_chunks():
+    # the --trace run wraps propagate_uniform as an iterator; both
+    # backends must still yield through the wrapper
+    tracer = _tracing().Tracer()
+    tracer.install(qfpt)
+    try:
+        qfpt.jumps.solve_jump_fpt(thermal_qubit(1.0, 1.0, 0.2), threshold=2, horizon=1.0)
+        qfpt.diffusion.solve_diffusion_fpt(
+            homodyne_qubit(1.0, 1.0), threshold=0.5, delta=0.01, horizon=0.1
+        )
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s["name"] == "propagation.propagate_uniform"]
+    assert any(s["yields"] >= 1 and s["unknowns"] <= DENSE_CUTOFF for s in spans)
+    assert any(s["yields"] >= 1 and s["unknowns"] > DENSE_CUTOFF for s in spans)
+    assert qfpt.jumps.solve_jump_fpt is solve_jump_fpt
+    assert qfpt.diffusion.solve_diffusion_fpt is solve_diffusion_fpt
