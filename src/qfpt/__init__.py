@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .diffusion import (
     ChargeGrid,
-    DiffusionState,
     build_drift_superoperator,
     build_fokker_planck_generator,
     conditioned_charge_distribution,
@@ -34,7 +33,6 @@ from .errors import (
     TailNotConvergedError,
 )
 from .jumps import (
-    ChargeResolvedJumpState,
     ChargeWindow,
     JumpBlockGenerator,
     build_block_generator,
@@ -84,12 +82,10 @@ from .trajectories import (
 
 __all__ = [
     "ChargeGrid",
-    "ChargeResolvedJumpState",
     "ChargeWindow",
     "ConfigError",
     "ConvergenceError",
     "DegenerateKernelError",
-    "DiffusionState",
     "EmpiricalFpt",
     "FptMoments",
     "FptResult",

@@ -30,6 +30,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -95,6 +96,8 @@ def parse_range(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"range {spec!r} has a non-numeric part") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range {spec!r} has a non-finite bound")
     if count < 1:
         raise ConfigError("range count must be at least 1")
     if count == 1 and hi != lo:
@@ -417,19 +420,16 @@ def run_kur_scan(args) -> int:
     if args.omega is not None:
         raise ConfigError("kur-scan takes --omega-range, not --omega")
     omegas = parse_range(args.omega_range)
-    if args.gamma is not None and args.gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    gamma = args.gamma if args.gamma is not None else 1.0
+    gamma = positive_finite(args.gamma, "gamma") if args.gamma is not None else 1.0
     nbar = args.nbar if args.nbar is not None else 0.0
-    if nbar < 0:
-        raise ConfigError("nbar must be nonnegative")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ConfigError(f"nbar must be nonnegative and finite, got {nbar!r}")
     t0 = time.perf_counter()
     reports = kur_scan(
         omegas,
         gamma=gamma,
         nbar=nbar,
         threshold=args.threshold,
-        workers=args.workers,
     )
     payload = {
         "command": "kur-scan",
@@ -482,6 +482,7 @@ def run_kur_scan(args) -> int:
 def run_validate(args) -> int:
     model = resolve_model(args)
     horizon = positive_finite(args.horizon, "horizon")
+    delta = DEFAULT_RESOLUTION if args.delta is None else positive_finite(args.delta, "delta")
     lines = [f"model: dim {model.dim}, {len(model.channels)} channels "
              f"({len(model.monitored)} monitored)"]
     lines.append("hamiltonian: Hermitian")
@@ -535,7 +536,6 @@ def run_validate(args) -> int:
     if model.monitored:
         drift = build_drift_superoperator(model)
         if drift.diffusion > 0:
-            delta = args.delta if args.delta is not None else DEFAULT_RESOLUTION
             pe = peclet_number(drift, delta)
             if pe > PECLET_LIMIT:
                 lines.append(
@@ -645,7 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega-range", required=True, help="drive grid lo:hi:count (linear)"
     )
     scan.add_argument("--threshold", type=int, default=5)
-    scan.add_argument("--workers", type=_count, default=1)
+    scan.add_argument(
+        "--workers", type=_count, default=1,
+        help="accepted for compatibility; has no effect, the scan runs serially",
+    )
     scan.set_defaults(func=run_kur_scan)
 
     val = sub.add_parser("validate", help="dry-run configuration checks")

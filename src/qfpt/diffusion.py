@@ -39,7 +39,6 @@ from .propagation import (
     FptSolution,
     _non_finite,
     default_step,
-    evolve_to,
     initial_density,
     positive_finite,
     propagate_uniform,
@@ -152,7 +151,6 @@ def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
 class FokkerPlanckGenerator:
     """Block-tridiagonal generator of the discretized charge equation."""
 
-    model: LindbladModel
     grid: ChargeGrid
     dim: int
     matrix: scipy.sparse.csr_matrix
@@ -201,23 +199,13 @@ def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> Fok
     matrix = matrix.tocsr()
     survival = np.kron(grid.weights(), trace_functional(d)).astype(complex)
     flux = -(matrix.T @ survival)
-    return FokkerPlanckGenerator(
-        model, grid, d, matrix, survival, flux, drift
-    )
+    return FokkerPlanckGenerator(grid, d, matrix, survival, flux, drift)
 
 
-class DiffusionState(BlockState):
-    """Node-resolved state of the discretized charge equation, on a
-    ``ChargeGrid``; the initial state puts unit trapezoid weight on the
-    node at 0."""
-
-    node_traces = BlockState.traces
-
-
-def conditioned_charge_distribution(state: DiffusionState) -> tuple[np.ndarray, np.ndarray]:
-    """Node charges and densities of the survivors, normalized to unit
-    trapezoidal integral."""
-    traces = state.node_traces()
+def conditioned_charge_distribution(state: BlockState) -> tuple[np.ndarray, np.ndarray]:
+    """Node charges and densities of the survivors of a node-resolved state
+    on a ``ChargeGrid``, normalized to unit trapezoidal integral."""
+    traces = state.traces()
     low = traces.min()
     if low < -TRACE_DENSITY_ABORT:
         raise PhysicsError(f"node density {low:.3e} is below the abort threshold")
@@ -229,7 +217,7 @@ def conditioned_charge_distribution(state: DiffusionState) -> tuple[np.ndarray, 
 
 
 def _default_step(
-    model: LindbladModel, drift: DriftSuperoperator, nearest_threshold: float = math.inf
+    model: LindbladModel, drift: DriftSuperoperator, nearest_threshold: float
 ) -> float:
     """Output step resolving the fastest of the dissipative, drift and
     diffusion scales.
@@ -242,15 +230,6 @@ def _default_step(
         max(model.rate_scale(), drift.diffusion, float(np.linalg.norm(drift.matrix, 2)))
     )
     return min(dt, STEP_FACTOR * nearest_threshold**2 / drift.diffusion)
-
-
-def evolve(generator: FokkerPlanckGenerator, state: DiffusionState, t: float) -> DiffusionState:
-    """Propagate a node-resolved state forward by t in default-size steps."""
-    if state.domain != generator.grid or state.dim != generator.dim:
-        raise ConfigError("state and generator live on different grids")
-    dt = _default_step(generator.model, generator.drift)
-    data = evolve_to(generator.matrix, state.data, t, dt)
-    return DiffusionState(state.domain, state.dim, data, state.time + t)
 
 
 def mean_charge_path(
@@ -338,7 +317,6 @@ def _auto_grid(
 
 class _DiffusionDiscretisation(Discretisation):
     provenance = "deterministic-diffusion"
-    state_type = DiffusionState
 
     def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
         return build_fokker_planck_generator(self.model, grid)
@@ -368,6 +346,8 @@ def solve_diffusion_fpt(
     instead, so leave it off for conditioned studies.
     """
     horizon = positive_finite(horizon, "horizon")
+    if delta is not None:
+        delta = positive_finite(delta, "delta")
     model.require_channels()
     drift = build_drift_superoperator(model)
     rho0 = initial_density(model, initial)

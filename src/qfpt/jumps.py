@@ -11,9 +11,12 @@ charge reaches n", realized by the window edge b = n - 1 (symmetrically
 a = n + 1 for a lower threshold).  One-sided thresholds keep the open side
 wide enough that the edge cell stays numerically unoccupied.
 
-``passage_moments`` gives the exact mean and variance of the hit time from
-``propagation.absorbing_moments`` on the same generator, without a time
-series.
+``solve_jump_fpt`` returns the first-passage series together with the
+charge-resolved ``BlockState`` at the horizon; on an explicit window with
+nothing absorbed over the horizon t, ``charge_distribution`` of that state
+is the counting distribution P(N, t).  ``passage_moments`` gives the exact
+mean and variance of the hit time from ``propagation.absorbing_moments``
+on the same generator, without a time series.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .propagation import (
     FptSolution,
     absorbing_moments,
     default_step,
-    evolve_to,
     initial_density,
     positive_finite,
     solve_absorbing,
@@ -107,15 +109,13 @@ def _clip_trace(value: float, what: str) -> float:
     return 0.0
 
 
-class ChargeResolvedJumpState(BlockState):
-    """Stacked charge-resolved state at one instant, on a ``ChargeWindow``."""
-
-    def charge_distribution(self) -> dict[int, float]:
-        """Map N -> probability, with tiny negative traces clipped to zero."""
-        return {
-            int(n): _clip_trace(float(p), f"charge-cell probability at N={n}")
-            for n, p in zip(self.domain.charges, self.traces())
-        }
+def charge_distribution(state: BlockState) -> dict[int, float]:
+    """Map N -> probability of a charge-resolved state on a
+    ``ChargeWindow``, with tiny negative traces clipped to zero."""
+    return {
+        int(n): _clip_trace(float(p), f"charge-cell probability at N={n}")
+        for n, p in zip(state.domain.charges, state.traces())
+    }
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ class JumpBlockGenerator:
     upper and the lower window edge as functionals on the stacked state.
     """
 
-    model: LindbladModel
     window: ChargeWindow
     dim: int
     matrix: scipy.sparse.csr_matrix
@@ -195,19 +194,8 @@ def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlo
     )
     survival = np.tile(trace_functional(d), n_cells)
     return JumpBlockGenerator(
-        model, window, d, matrix, survival, upper_flux.ravel(), lower_flux.ravel()
+        window, d, matrix, survival, upper_flux.ravel(), lower_flux.ravel()
     )
-
-
-def evolve(
-    generator: JumpBlockGenerator, state: ChargeResolvedJumpState, t: float
-) -> ChargeResolvedJumpState:
-    """Propagate a charge-resolved state forward by t in default-size steps."""
-    if state.domain != generator.window or state.dim != generator.dim:
-        raise ConfigError("state and generator live on different windows")
-    dt = default_step(generator.model.rate_scale())
-    data = evolve_to(generator.matrix, state.data, t, dt)
-    return ChargeResolvedJumpState(state.domain, state.dim, data, state.time + t)
 
 
 def integer_threshold(value, sign: int) -> int | None:
@@ -248,7 +236,6 @@ def preview_window(
 
 class _JumpDiscretisation(Discretisation):
     provenance = "deterministic-jump"
-    state_type = ChargeResolvedJumpState
     keep_traces = True
 
     def assemble(self, window: ChargeWindow) -> JumpBlockGenerator:

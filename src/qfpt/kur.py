@@ -10,7 +10,6 @@ point together with the exact first-passage moments.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +141,7 @@ def kur_point(model: LindbladModel, *, threshold: int) -> dict:
     }
 
 
-def _scan_one(args) -> KurReport:
-    omega, gamma, nbar, threshold = args
+def _scan_one(omega: float, gamma: float, nbar: float, threshold: int) -> KurReport:
     try:
         point = kur_point(thermal_qubit(gamma, omega, nbar), threshold=threshold)
     except (QfptError, ValueError) as exc:
@@ -162,21 +160,15 @@ def kur_scan(
     gamma: float = 1.0,
     nbar: float = 0.0,
     threshold: int = 5,
-    workers: int = 1,
 ) -> list[KurReport]:
     """Scan the driven thermal qubit over a grid of drive amplitudes.
 
     A threshold that is not a positive integer is refused before any
     point runs.  Points whose moments do not exist or fail to converge are
-    marked failed and the scan continues.  Results are returned in grid
-    order regardless of worker count.
+    marked failed and the scan continues.  Results come in grid order.
     """
     threshold = integer_threshold(threshold, +1)
-    jobs = [
-        (float(o), float(gamma), float(nbar), threshold)
+    return [
+        _scan_one(float(o), float(gamma), float(nbar), threshold)
         for o in np.asarray(omegas, dtype=float)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_scan_one, jobs))
-    return [_scan_one(job) for job in jobs]

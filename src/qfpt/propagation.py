@@ -25,7 +25,9 @@ rows and their checks, the widening of open domain sides and the
 horizon extension; ``absorbing_moments`` solves the same generator once
 for its phase-type moments and edge exit probabilities.  A
 ``Discretisation`` supplies what differs between the jump window and the
-diffusion grid.
+diffusion grid.  The series ends with the charge-resolved ``BlockState``
+at the horizon; a solve on an explicit window or grid up to horizon t is
+how either engine propagates a state to time t.
 """
 
 from __future__ import annotations
@@ -289,20 +291,6 @@ def reaches_flux(matrix, x0: np.ndarray, flux: np.ndarray) -> bool:
     return bool(np.any(flux[reached[reached < n]] != 0))
 
 
-def evolve_to(matrix, x0: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """exp(t * matrix) @ x0, stepped on the uniform grid of step ``dt``."""
-    if t < 0:
-        raise ConfigError("evolution time must be non-negative")
-    x = np.asarray(x0, dtype=complex).reshape(-1)
-    if t == 0.0:
-        return x.copy()
-    times = time_grid(t, dt)
-    for _, _, x in propagate_uniform(matrix, x, times):
-        pass
-    _check_finite(x, times.size - 1)
-    return x
-
-
 def initial_density(model: LindbladModel, initial: np.ndarray | str) -> np.ndarray:
     """Density matrix of an initial-state spec: ``"steady"`` or a matrix."""
     if isinstance(initial, str):
@@ -407,37 +395,36 @@ class Discretisation:
 
     The domain is a charge window or grid, as ``BlockState`` describes,
     that widens itself through ``domain.widened(grow_lower, grow_upper)``.
-    ``state_type`` is the engine's ``BlockState`` subclass.  Subclasses
-    set the class attributes and implement ``assemble(domain)``, the
-    generator on the domain (with ``dim``, ``matrix``, ``survival_vector``
-    and ``flux_vector``; ``absorbing_moments`` also reads its split
-    ``upper_flux`` and ``lower_flux``).
+    Subclasses set the class attributes and implement
+    ``assemble(domain)``, the generator on the domain (with ``dim``,
+    ``matrix``, ``survival_vector`` and ``flux_vector``;
+    ``absorbing_moments`` also reads its split ``upper_flux`` and
+    ``lower_flux``).
     """
 
     model: LindbladModel
     rho0: np.ndarray
 
     provenance: ClassVar[str]
-    state_type: ClassVar[type]
     # store every step's per-cell traces on the series
     keep_traces: ClassVar[bool] = False
 
     def initial(self, domain) -> np.ndarray:
-        return self.state_type.initial(domain, self.rho0).data
+        return BlockState.initial(domain, self.rho0).data
 
 
 @dataclass
 class FptSolution:
     """First-passage series of an absorbing solve on its final domain.
+    ``final_state`` is the charge-resolved state at the horizon.
     ``cell_traces`` holds every step's per-cell traces if the engine keeps
     them (the jump engine: cell probabilities), else None."""
 
     result: FptResult
     domain: object
-    final_state: object
+    final_state: BlockState
     edge_mass_peak: tuple[float, float]
     cell_traces: np.ndarray | None
-    dt: float
 
 
 def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSolution:
@@ -475,10 +462,9 @@ def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSo
     return FptSolution(
         FptResult(times, dens, surv, disc.provenance),
         domain,
-        disc.state_type(domain, d, x, float(times[-1])),
+        BlockState(domain, d, x, float(times[-1])),
         (domain.cell_width * lo_peak, domain.cell_width * hi_peak),
         traces if disc.keep_traces else None,
-        float(times[1] - times[0]),
     )
 
 

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from qfpt.analysis import integrate_moments, ks_distance
 from qfpt.diffusion import conditioned_charge_distribution, solve_diffusion_fpt
-from qfpt.jumps import ChargeResolvedJumpState, build_block_generator, evolve, solve_jump_fpt
+from qfpt.jumps import charge_distribution, solve_jump_fpt
 from qfpt.kur import (
     dynamical_activity,
     kur_scan,
@@ -89,13 +89,11 @@ def test_criterion_03_open_window_counting_statistics():
     model = thermal_qubit(1.0, 1.0, 0.2)
     sol = solve_jump_fpt(model, horizon=10.0)
     rho_ss = steady_state(build_liouvillian(model))
-    gen = build_block_generator(model, sol.domain)
-    state0 = ChargeResolvedJumpState.initial(sol.domain, rho_ss)
     liou = build_liouvillian(model)
     worst = 0.0
     for t in (1.0, 2.5, 5.0, 10.0):
-        out = evolve(gen, state0, t)
-        dist = out.charge_distribution()
+        out = solve_jump_fpt(model, window=sol.domain, initial=rho_ss, horizon=t).final_state
+        dist = charge_distribution(out)
         total = sum(dist.values())
         assert abs(total - 1.0) < 1e-9
         reference = np.reshape(expm(liou * t) @ vectorize(rho_ss), (2, 2), order="F")

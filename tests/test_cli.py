@@ -285,6 +285,10 @@ COMMANDS = {
 }
 HORIZON = "horizon must be positive and finite"
 STEP = "dt must be positive and finite"
+DELTA = "delta must be positive and finite"
+GAMMA = "gamma must be positive and finite"
+NBAR = "nbar must be nonnegative and finite"
+RANGE = "has a non-finite bound"
 OUT_OF_RANGE = [
     ("fpt-jump", "--horizon nan", HORIZON),
     ("fpt-jump", "--horizon inf", HORIZON),
@@ -306,6 +310,19 @@ OUT_OF_RANGE = [
     ("trajectories", "--bins 0", "--bins: must be at least 1"),
     ("trajectories", "--workers 0", "--workers: must be at least 1"),
     ("kur-scan", "--workers 0", "--workers: must be at least 1"),
+    ("fpt-diffusion", "--delta 0", DELTA),
+    ("fpt-diffusion", "--delta nan", DELTA),
+    ("fpt-diffusion", "--delta -0.01", DELTA),
+    ("fpt-diffusion", "--delta inf", DELTA),
+    ("validate", "--delta 0", DELTA),
+    ("validate", "--delta nan", DELTA),
+    ("validate", "--delta -1", DELTA),
+    ("kur-scan", "--gamma nan", GAMMA),
+    ("kur-scan", "--gamma inf", GAMMA),
+    ("kur-scan", "--nbar nan", NBAR),
+    ("kur-scan", "--nbar inf", NBAR),
+    ("kur-scan", "--omega-range 0:nan:3", RANGE),
+    ("kur-scan", "--omega-range 0:inf:3", RANGE),
 ]
 
 

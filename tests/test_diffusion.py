@@ -14,11 +14,9 @@ from scipy.linalg import expm
 from qfpt import diffusion, propagation
 from qfpt.diffusion import (
     ChargeGrid,
-    DiffusionState,
     build_drift_superoperator,
     build_fokker_planck_generator,
     conditioned_charge_distribution,
-    evolve,
     peclet_number,
     solve_diffusion_fpt,
 )
@@ -124,12 +122,11 @@ def test_wide_grid_reproduces_unconditional_dynamics():
     # set by the edge truncation, not by the spacing
     model = homodyne_qubit(1.0, 1.0)
     grid = ChargeGrid(-8.0, 8.0, 0.0625)
-    gen = build_fokker_planck_generator(model, grid)
     rho0 = np.diag([0.4, 0.6]).astype(complex)
-    state = DiffusionState.initial(grid, rho0)
     liou = build_liouvillian(model)
     t = 1.5
-    marginal = evolve(gen, state, t).total_state()
+    out = solve_diffusion_fpt(model, grid=grid, initial=rho0, horizon=t).final_state
+    marginal = out.total_state()
     reference = np.reshape(expm(liou * t) @ vectorize(rho0), (2, 2), order="F")
     assert np.max(np.abs(marginal - reference)) < 1e-6
 
@@ -160,9 +157,13 @@ def test_reflecting_edges_conserve_weight():
     grid = ChargeGrid(-5.0, 5.0, 0.05)
     gen = _reflecting(build_fokker_planck_generator(model, grid))
     rho0 = np.diag([0.5, 0.5]).astype(complex)
-    state = DiffusionState.initial(grid, rho0)
-    out = evolve(gen, state, 1.0)
-    assert out.survival() == pytest.approx(1.0, abs=1e-8)
+    x0 = propagation.BlockState.initial(grid, rho0).data
+    times = propagation.time_grid(1.0, diffusion._default_step(model, gen.drift, math.inf))
+    for _, obs, _ in propagation.propagate_uniform(
+        gen.matrix, x0, times, rows=gen.survival_vector[None, :]
+    ):
+        pass
+    assert obs[-1, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_coarse_grid_warns_on_peclet():
@@ -208,11 +209,11 @@ def test_dense_and_sparse_methods_agree(monkeypatch):
 def test_evolve_on_sparse_grid_matches_heat_kernel():
     # 2,401 nodes puts the generator on the sparse Crank-Nicolson path
     grid = ChargeGrid(-6.0, 6.0, 0.005)
-    gen = build_fokker_planck_generator(wiener_charge(), grid)
-    state = DiffusionState.initial(grid, np.eye(1, dtype=complex))
-    out = evolve(gen, state, 1.0)
+    out = solve_diffusion_fpt(
+        wiener_charge(), grid=grid, initial=np.eye(1, dtype=complex), horizon=1.0
+    ).final_state
     kernel = np.exp(-0.5 * grid.nodes**2) / np.sqrt(2.0 * np.pi)
-    assert np.max(np.abs(out.node_traces() - kernel)) < 1e-4
+    assert np.max(np.abs(out.traces() - kernel)) < 1e-4
 
 
 def test_mean_charge_path_refuses_overflowing_rates():

@@ -10,10 +10,8 @@ from qfpt import jumps
 from qfpt.analysis import integrate_moments
 from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.jumps import (
-    ChargeResolvedJumpState,
     ChargeWindow,
     build_block_generator,
-    evolve,
     passage_moments,
     preview_window,
     solve_jump_fpt,
@@ -71,12 +69,10 @@ def test_interior_evolution_conserves_trace():
     # with both edges far away, no probability leaks over the horizon
     model = thermal_qubit(1.0, 1.0, 0.2)
     win = ChargeWindow(-12, 12)
-    gen = build_block_generator(model, win)
     rho0 = steady_state(build_liouvillian(model))
-    state = ChargeResolvedJumpState.initial(win, rho0)
-    out = evolve(gen, state, 2.0)
+    out = solve_jump_fpt(model, window=win, initial=rho0, horizon=2.0).final_state
     assert out.survival() == pytest.approx(1.0, abs=1e-10)
-    dist = out.charge_distribution()
+    dist = jumps.charge_distribution(out)
     assert all(p >= 0.0 for p in dist.values())
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
@@ -85,12 +81,11 @@ def test_wide_window_reproduces_unconditional_dynamics():
     # summing charge blocks of an unabsorbed solve recovers exp(Lt) rho0
     model = thermal_qubit(1.0, 1.0, 0.2)
     win = ChargeWindow(-14, 14)
-    gen = build_block_generator(model, win)
     rho0 = np.diag([0.3, 0.7]).astype(complex)
-    state = ChargeResolvedJumpState.initial(win, rho0)
     liou = build_liouvillian(model)
     for t in (0.5, 2.0, 5.0):
-        marginal = evolve(gen, state, t).total_state()
+        out = solve_jump_fpt(model, window=win, initial=rho0, horizon=t).final_state
+        marginal = out.total_state()
         reference = np.reshape(expm(liou * t) @ vectorize(rho0), (2, 2), order="F")
         assert np.max(np.abs(marginal - reference)) < 1e-9
 
@@ -104,10 +99,10 @@ def test_wide_window_above_dense_cutoff_steps_with_cn():
     gen = build_block_generator(model, win)
     assert gen.matrix.shape[0] > DENSE_CUTOFF
     rho0 = np.diag([0.3, 0.7]).astype(complex)
-    state = ChargeResolvedJumpState.initial(win, rho0)
     liou = build_liouvillian(model)
     for t, bound in ((0.5, 1.1e-5), (2.0, 2.1e-6), (5.0, 8.3e-8)):
-        marginal = evolve(gen, state, t).total_state()
+        out = solve_jump_fpt(model, window=win, initial=rho0, horizon=t).final_state
+        marginal = out.total_state()
         reference = np.reshape(expm(liou * t) @ vectorize(rho0), (2, 2), order="F")
         assert np.max(np.abs(marginal - reference)) < bound
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import types
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ import scipy.sparse.linalg
 from qfpt import propagation
 from qfpt.diffusion import mean_charge_path
 from qfpt.errors import ConvergenceError
-from qfpt.models import homodyne_qubit
+from qfpt.jumps import ChargeWindow
+from qfpt.models import homodyne_qubit, wiener_charge
 from qfpt.operators import build_liouvillian, vectorize
 from qfpt.propagation import (
     MAX_GRID_POINTS,
     STARTUP_STEPS,
     absorption_horizon_guess,
-    evolve_to,
     propagate_uniform,
     resolvent_solves,
     time_grid,
@@ -65,10 +66,31 @@ def test_capped_time_grid_warns(caplog):
     assert "capping time grid" in caplog.text
 
 
-def test_evolve_to_refuses_overflow():
-    # exp(800) overflows double precision; the final-state check catches it
-    with pytest.raises(ConvergenceError, match="non-finite"), np.errstate(all="ignore"):
-        evolve_to(np.array([[800.0]]), np.array([1.0]), 1.0, 0.1)
+class _Growing(propagation.Discretisation):
+    """A one-level generator that grows like exp(800 t) in every cell."""
+
+    provenance = "growing"
+
+    def assemble(self, domain):
+        n = domain.ncells
+        return types.SimpleNamespace(
+            dim=1,
+            matrix=800.0 * scipy.sparse.identity(n, format="csr"),
+            survival_vector=np.ones(n),
+            flux_vector=np.zeros(n),
+        )
+
+
+def test_absorbing_solve_refuses_overflow():
+    # exp(800) overflows double precision within the horizon; the series
+    # check refuses before any physics check reads the values
+    disc = _Growing(wiener_charge(), np.eye(1))
+    message = "non-finite values at grid index"
+    with pytest.raises(ConvergenceError, match=message), np.errstate(all="ignore"):
+        propagation.solve_absorbing(
+            disc, ChargeWindow(-2, 2), lower_open=False, upper_open=False,
+            horizon=1.0, dt=0.1, auto_tail=False, tail_epsilon=1e-6,
+        )
 
 
 def test_resolvent_solves_give_exponential_moments():
@@ -137,12 +159,6 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     bound = num * 16 * np.finfo(float).eps * np.abs(x0).max() * np.abs(rows).sum(axis=1).max()
     assert np.max(np.abs(obs - np.real(ref @ rows.T))) < bound
     assert np.max(np.abs(state - x)) < num * 16 * np.finfo(float).eps * np.abs(x0).max()
-
-
-def test_evolve_to_matches_matrix_exponential():
-    a, _, x0 = _stable_system()
-    assert np.max(np.abs(evolve_to(a, x0, 1.3, 0.01) - scipy.linalg.expm(1.3 * a) @ x0)) < 1e-13
-    assert np.array_equal(evolve_to(a, x0, 0.0, 0.01), x0)
 
 
 def test_mean_charge_path_matches_stepped_rates():

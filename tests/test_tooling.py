@@ -1,4 +1,5 @@
-"""Contracts between the package and the benchmark harness in perfbench/."""
+"""Contracts between the package, its README and the benchmark harness in
+perfbench/."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ import importlib.util
 from pathlib import Path
 
 import qfpt
+from qfpt import cli
 from qfpt.diffusion import solve_diffusion_fpt
 from qfpt.jumps import solve_jump_fpt
 from qfpt.models import homodyne_qubit, thermal_qubit
 from qfpt.propagation import DENSE_CUTOFF
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -52,3 +55,16 @@ def test_tracer_sees_propagation_chunks():
     assert any(s["yields"] >= 1 and s["unknowns"] > DENSE_CUTOFF for s in spans)
     assert qfpt.jumps.solve_jump_fpt is solve_jump_fpt
     assert qfpt.diffusion.solve_diffusion_fpt is solve_diffusion_fpt
+
+
+def test_readme_commands_parse():
+    # every command of the README's command-line block must still parse,
+    # flags and values alike; parse_args exits on any it does not accept
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith("qfpt ")]
+    assert len(commands) == 5
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
