@@ -34,7 +34,6 @@ from .errors import (
 )
 from .jumps import (
     ChargeWindow,
-    JumpBlockGenerator,
     build_block_generator,
     passage_moments,
     preview_window,
@@ -69,7 +68,7 @@ from .operators import (
     steady_state,
     validate_density_matrix,
 )
-from .propagation import FptSolution
+from .propagation import BlockGenerator, FptSolution
 from .trajectories import (
     EmpiricalFpt,
     TrajectoryConfig,
@@ -81,6 +80,7 @@ from .trajectories import (
 )
 
 __all__ = [
+    "BlockGenerator",
     "ChargeGrid",
     "ChargeWindow",
     "ConfigError",
@@ -90,7 +90,6 @@ __all__ = [
     "FptMoments",
     "FptResult",
     "FptSolution",
-    "JumpBlockGenerator",
     "JumpChannel",
     "KurReport",
     "LindbladModel",

@@ -49,6 +49,7 @@ from .diffusion import (
     build_drift_superoperator,
     conditioned_charge_distribution,
     peclet_number,
+    real_threshold,
     solve_diffusion_fpt,
 )
 from .errors import (
@@ -483,6 +484,10 @@ def run_validate(args) -> int:
     model = resolve_model(args)
     horizon = positive_finite(args.horizon, "horizon")
     delta = DEFAULT_RESOLUTION if args.delta is None else positive_finite(args.delta, "delta")
+    if model.monitored:
+        # refuse what no engine takes; a threshold only the jump engine
+        # refuses is reported below
+        real_threshold(args.threshold, +1)
     lines = [f"model: dim {model.dim}, {len(model.channels)} channels "
              f"({len(model.monitored)} monitored)"]
     lines.append("hamiltonian: Hermitian")

@@ -15,6 +15,7 @@ exactly at c, so the last live node sits at c - delta.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .operators import (
 )
 from .propagation import (
     STEP_FACTOR,
+    BlockGenerator,
     BlockState,
     Discretisation,
     FptSolution,
@@ -47,7 +49,6 @@ from .propagation import (
 
 DEFAULT_RESOLUTION = 0.01
 PECLET_LIMIT = 2.0
-TRACE_DENSITY_ABORT = 1e-9
 ALIGNMENT_TOL = 1e-9
 
 
@@ -77,14 +78,12 @@ class ChargeGrid:
         object.__setattr__(self, "upper", round(self.upper / self.delta) * self.delta)
 
     @property
-    def nnodes(self) -> int:
+    def ncells(self) -> int:
         return int(round((self.upper - self.lower) / self.delta)) + 1
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.lower + self.delta * np.arange(self.nnodes)
-
-    ncells = nnodes  # the cell count BlockState reads
+        return self.lower + self.delta * np.arange(self.ncells)
 
     @property
     def cell_width(self) -> float:
@@ -95,19 +94,18 @@ class ChargeGrid:
     def zero_index(self) -> int:
         return int(round(-self.lower / self.delta))
 
-    def weights(self) -> np.ndarray:
+    @property
+    def trace_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over the nodes."""
-        w = np.full(self.nnodes, self.delta)
+        w = np.full(self.ncells, self.delta)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
 
-    trace_weights = property(weights)
-
     def index(self, charge: float) -> int:
         ratio = (charge - self.lower) / self.delta
         i = int(round(ratio))
-        if abs(ratio - i) > 1e-6 or not 0 <= i < self.nnodes:
+        if abs(ratio - i) > 1e-6 or not 0 <= i < self.ncells:
             raise ValueError(f"charge {charge} is not a grid node")
         return i
 
@@ -147,29 +145,21 @@ def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
     return DriftSuperoperator(kmat, float(kdiff))
 
 
-@dataclass(frozen=True)
-class FokkerPlanckGenerator:
-    """Block-tridiagonal generator of the discretized charge equation."""
-
-    grid: ChargeGrid
-    dim: int
-    matrix: scipy.sparse.csr_matrix
-    survival_vector: np.ndarray
-    flux_vector: np.ndarray
-    drift: DriftSuperoperator
-
-
 def peclet_number(drift: DriftSuperoperator, delta: float) -> float:
     return float(np.linalg.norm(drift.matrix, 2)) * delta / drift.diffusion
 
 
-def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> FokkerPlanckGenerator:
+def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> BlockGenerator:
     """Assemble the central-difference generator on a charge grid.
 
     Per node: the full dissipative generator, minus drift toward larger
     charge at first-difference order, plus scalar diffusion at second
     order.  Ghost nodes outside the grid are zero, so edge stencils lose
-    weight; that loss is the first-passage flux.
+    weight; that loss is the first-passage flux.  The stencil blocks sum
+    to the trace-preserving generator, so the flux of node j is
+    (delta - w_j) tr o diag + (delta - w_(j-1)) tr o up + (delta - w_(j+1))
+    tr o down for the trapezoidal weights w, zero outside the grid: the
+    half-weight edge node and the ghost beyond it give each side's flux.
     """
     drift = build_drift_superoperator(model)
     pe = peclet_number(drift, grid.delta)
@@ -182,7 +172,7 @@ def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> Fok
             stacklevel=2,
         )
     d = model.dim
-    m = grid.nnodes
+    m = grid.ncells
     dn = grid.delta
     eye = np.eye(d * d, dtype=complex)
     liou = build_liouvillian(model)
@@ -197,20 +187,25 @@ def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> Fok
         + scipy.sparse.kron(shift_down, down, format="csr")
     )
     matrix = matrix.tocsr()
-    survival = np.kron(grid.weights(), trace_functional(d)).astype(complex)
-    flux = -(matrix.T @ survival)
-    return FokkerPlanckGenerator(grid, d, matrix, survival, flux, drift)
+    tr = trace_functional(d)
+    survival = np.kron(grid.trace_weights, tr).astype(complex)
+    # delta - w on the nodes -1..m, split into the ghost and edge node of each side
+    deficit = dn - np.concatenate(([0.0], grid.trace_weights, [0.0]))
+    lower, upper = np.zeros((2, m + 2))
+    lower[:2], upper[-2:] = deficit[:2], deficit[-2:]
+
+    def flux(e: np.ndarray) -> np.ndarray:
+        return np.kron(e[1:-1], tr @ diag) + np.kron(e[:-2], tr @ up) + np.kron(e[2:], tr @ down)
+
+    return BlockGenerator(d, matrix, survival, flux(upper), flux(lower))
 
 
 def conditioned_charge_distribution(state: BlockState) -> tuple[np.ndarray, np.ndarray]:
     """Node charges and densities of the survivors of a node-resolved state
-    on a ``ChargeGrid``, normalized to unit trapezoidal integral."""
-    traces = state.traces()
-    low = traces.min()
-    if low < -TRACE_DENSITY_ABORT:
-        raise PhysicsError(f"node density {low:.3e} is below the abort threshold")
-    traces = np.clip(traces, 0.0, None)
-    total = float(state.domain.weights() @ traces)
+    on a ``ChargeGrid``, normalized to unit trapezoidal integral; see
+    ``BlockState.clipped_traces``."""
+    traces = state.clipped_traces()
+    total = float(state.domain.trace_weights @ traces)
     if total <= 0:
         raise PhysicsError("no surviving weight to condition on")
     return state.domain.nodes, traces / total
@@ -315,13 +310,6 @@ def _auto_grid(
     return ChargeGrid(lower, upper, delta)
 
 
-class _DiffusionDiscretisation(Discretisation):
-    provenance = "deterministic-diffusion"
-
-    def assemble(self, grid: ChargeGrid) -> FokkerPlanckGenerator:
-        return build_fokker_planck_generator(self.model, grid)
-
-
 def solve_diffusion_fpt(
     model: LindbladModel,
     *,
@@ -368,7 +356,9 @@ def solve_diffusion_fpt(
             -lower_threshold if lower_threshold is not None else math.inf,
         )
     return solve_absorbing(
-        _DiffusionDiscretisation(model, rho0),
+        Discretisation(
+            functools.partial(build_fokker_planck_generator, model), rho0, "deterministic-diffusion"
+        ),
         work,
         lower_open=lower_open,
         upper_open=upper_open,

@@ -21,7 +21,7 @@ on the same generator, without a time series.
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse
 
 from .analysis import FptMoments
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .errors import ConfigError, ConvergenceError, ModelError
 from .operators import (
     LindbladModel,
     build_jump_super,
@@ -38,6 +38,7 @@ from .operators import (
     vectorize,
 )
 from .propagation import (
+    BlockGenerator,
     BlockState,
     Discretisation,
     FptSolution,
@@ -48,9 +49,6 @@ from .propagation import (
     solve_absorbing,
 )
 
-logger = logging.getLogger(__name__)
-
-TRACE_CLIP_ABORT = 1e-9
 # the upper-exit probability of a moments solve must be 1 to this
 CERTAIN_EXIT_TOLERANCE = 1e-9
 
@@ -62,10 +60,8 @@ class ChargeWindow:
     lower: int
     upper: int
 
-    # one integer charge per cell: a cell trace is already probability
-    # mass, and the surviving mass is the plain sum of the cell traces
+    # one integer charge per cell: a cell trace is already probability mass
     cell_width = 1.0
-    trace_weights = None
 
     def __post_init__(self):
         if not (isinstance(self.lower, (int, np.integer)) and isinstance(self.upper, (int, np.integer))):
@@ -85,6 +81,11 @@ class ChargeWindow:
     def charges(self) -> np.ndarray:
         return np.arange(self.lower, self.upper + 1)
 
+    @property
+    def trace_weights(self) -> np.ndarray:
+        """Unit weights: the surviving mass is the plain sum of the cell traces."""
+        return np.ones(self.ncells)
+
     def index(self, charge: int) -> int:
         if not self.lower <= charge <= self.upper:
             raise ValueError(f"charge {charge} outside window [{self.lower}, {self.upper}]")
@@ -100,43 +101,10 @@ class ChargeWindow:
         return f"window [{self.lower}, {self.upper}]"
 
 
-def _clip_trace(value: float, what: str) -> float:
-    if value >= 0.0:
-        return value
-    if value < -TRACE_CLIP_ABORT:
-        raise PhysicsError(f"{what} is {value:.3e}, below the abort threshold")
-    logger.debug("clipping negative %s %.3e to zero", what, value)
-    return 0.0
-
-
 def charge_distribution(state: BlockState) -> dict[int, float]:
     """Map N -> probability of a charge-resolved state on a
-    ``ChargeWindow``, with tiny negative traces clipped to zero."""
-    return {
-        int(n): _clip_trace(float(p), f"charge-cell probability at N={n}")
-        for n, p in zip(state.domain.charges, state.traces())
-    }
-
-
-@dataclass(frozen=True)
-class JumpBlockGenerator:
-    """Sparse generator of the charge-resolved dynamics on a window.
-
-    ``upper_flux`` and ``lower_flux`` are the absorption rates through the
-    upper and the lower window edge as functionals on the stacked state.
-    """
-
-    window: ChargeWindow
-    dim: int
-    matrix: scipy.sparse.csr_matrix
-    survival_vector: np.ndarray
-    upper_flux: np.ndarray
-    lower_flux: np.ndarray
-
-    @property
-    def flux_vector(self) -> np.ndarray:
-        """Absorption rate through either edge: the first-passage density."""
-        return self.upper_flux + self.lower_flux
+    ``ChargeWindow``; see ``BlockState.clipped_traces``."""
+    return dict(zip(state.domain.charges.tolist(), state.clipped_traces().tolist()))
 
 
 def integer_weight(channel) -> int:
@@ -150,7 +118,7 @@ def integer_weight(channel) -> int:
     return int(round(w))
 
 
-def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlockGenerator:
+def build_block_generator(model: LindbladModel, window: ChargeWindow) -> BlockGenerator:
     """Assemble the block generator for a charge window.
 
     Diagonal blocks carry the no-jump generator plus the sharp jumps of any
@@ -193,9 +161,7 @@ def build_block_generator(model: LindbladModel, window: ChargeWindow) -> JumpBlo
         shape=(size, size),
     )
     survival = np.tile(trace_functional(d), n_cells)
-    return JumpBlockGenerator(
-        window, d, matrix, survival, upper_flux.ravel(), lower_flux.ravel()
-    )
+    return BlockGenerator(d, matrix, survival, upper_flux.ravel(), lower_flux.ravel())
 
 
 def integer_threshold(value, sign: int) -> int | None:
@@ -234,12 +200,10 @@ def preview_window(
     return ChargeWindow(lower, upper), lower_open, upper_open
 
 
-class _JumpDiscretisation(Discretisation):
-    provenance = "deterministic-jump"
-    keep_traces = True
-
-    def assemble(self, window: ChargeWindow) -> JumpBlockGenerator:
-        return build_block_generator(self.model, window)
+def _discretisation(model: LindbladModel, rho0: np.ndarray) -> Discretisation:
+    return Discretisation(
+        functools.partial(build_block_generator, model), rho0, "deterministic-jump", keep_traces=True
+    )
 
 
 def solve_jump_fpt(
@@ -271,7 +235,7 @@ def solve_jump_fpt(
     else:
         win, lower_open, upper_open = preview_window(model, threshold, lower_threshold, horizon)
     return solve_absorbing(
-        _JumpDiscretisation(model, rho0),
+        _discretisation(model, rho0),
         win,
         lower_open=lower_open,
         upper_open=upper_open,
@@ -298,7 +262,7 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
         raise ConfigError("first-passage moments need an upper threshold")
     window, _, _ = preview_window(model, threshold)
     mean, second, upper_exit = absorbing_moments(
-        _JumpDiscretisation(model, initial_density(model, "steady")),
+        _discretisation(model, initial_density(model, "steady")),
         window,
         f"threshold {threshold} is unreachable from the steady state",
     )

@@ -23,20 +23,22 @@ one state per step.  Two backends, chosen by the stacked dimension:
 into a first-passage-time series.  It owns the time grid, the observation
 rows and their checks, the widening of open domain sides and the
 horizon extension; ``absorbing_moments`` solves the same generator once
-for its phase-type moments and edge exit probabilities.  A
-``Discretisation`` supplies what differs between the jump window and the
-diffusion grid.  The series ends with the charge-resolved ``BlockState``
-at the horizon; a solve on an explicit window or grid up to horizon t is
-how either engine propagates a state to time t.
+for its phase-type moments and edge exit probabilities.  Both engines
+hand the driver the same contract: a ``Discretisation`` whose
+``assemble(domain)`` returns a ``BlockGenerator`` (the sparse matrix, the
+survival functional and the absorption rate split by domain edge), on a
+domain that supplies the cell count, the charge per cell, the trace
+weights and its own widening.  The series ends with the charge-resolved
+``BlockState`` at the horizon; a solve on an explicit window or grid up
+to horizon t is how either engine propagates a state to time t.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -70,6 +72,8 @@ MAX_WIDEN_ROUNDS = 12
 MAX_DOUBLINGS = 16
 # largest generator a moments solve widens its domain to
 MAX_MOMENT_UNKNOWNS = 2**16
+# cell traces this far below zero are an error, not roundoff
+TRACE_CLIP_ABORT = 1e-9
 
 
 def _non_finite(index: int) -> ConvergenceError:
@@ -339,6 +343,27 @@ def block_traces(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("nii->n", blocks).real
 
 
+@dataclass(frozen=True)
+class BlockGenerator:
+    """Sparse generator of the charge-resolved dynamics on a window or grid.
+
+    ``survival_vector`` is the surviving weight as a functional on the
+    stacked state; ``upper_flux`` and ``lower_flux`` are the absorption
+    rates through the upper and the lower domain edge.
+    """
+
+    dim: int
+    matrix: scipy.sparse.csr_matrix
+    survival_vector: np.ndarray
+    upper_flux: np.ndarray
+    lower_flux: np.ndarray
+
+    @property
+    def flux_vector(self) -> np.ndarray:
+        """Absorption rate through either edge: the first-passage density."""
+        return self.upper_flux + self.lower_flux
+
+
 @dataclass
 class BlockState:
     """Charge-resolved state at one instant: one column-stacked density
@@ -347,7 +372,7 @@ class BlockState:
     The domain is a charge window or grid.  It supplies ``ncells``,
     ``index(charge)``, the charge ``cell_width`` that turns a cell trace
     into probability mass, and ``trace_weights``, the quadrature weights
-    of the cell traces (None: their plain sum).
+    of the cell traces.
     """
 
     domain: object
@@ -373,41 +398,42 @@ class BlockState:
         # stacking order inside each block is irrelevant for the trace
         return block_traces(self.blocks())
 
-    def survival(self) -> float:
-        weights = self.domain.trace_weights
+    def clipped_traces(self) -> np.ndarray:
+        """Cell traces with roundoff negatives set to zero; a trace below
+        ``-TRACE_CLIP_ABORT`` raises PhysicsError."""
         traces = self.traces()
-        return float(traces.sum() if weights is None else weights @ traces)
+        low = int(np.argmin(traces))
+        if traces[low] < -TRACE_CLIP_ABORT:
+            raise PhysicsError(
+                f"cell trace {traces[low]:.3e} at cell {low} of {self.domain} "
+                "is below the abort threshold"
+            )
+        return np.clip(traces, 0.0, None)
+
+    def survival(self) -> float:
+        return float(self.domain.trace_weights @ self.traces())
 
     def total_state(self) -> np.ndarray:
         """Trace-weighted sum of all blocks: the surviving unconditional
         state."""
-        weights = self.domain.trace_weights
-        blocks = self.blocks()
-        if weights is None:
-            return blocks.sum(axis=0).T.copy()
-        return np.tensordot(weights, blocks, axes=(0, 0)).T.copy()
+        return np.tensordot(self.domain.trace_weights, self.blocks(), axes=(0, 0)).T.copy()
 
 
 @dataclass(frozen=True)
 class Discretisation:
-    """Engine side of the absorbing solves: the model, its initial density
-    matrix, and what differs between the engines.
+    """Engine side of the absorbing solves.
 
-    The domain is a charge window or grid, as ``BlockState`` describes,
-    that widens itself through ``domain.widened(grow_lower, grow_upper)``.
-    Subclasses set the class attributes and implement
-    ``assemble(domain)``, the generator on the domain (with ``dim``,
-    ``matrix``, ``survival_vector`` and ``flux_vector``;
-    ``absorbing_moments`` also reads its split ``upper_flux`` and
-    ``lower_flux``).
+    ``assemble(domain)`` returns the ``BlockGenerator`` on a domain: a
+    charge window or grid, as ``BlockState`` describes, that widens itself
+    through ``domain.widened(grow_lower, grow_upper)``.  ``rho0`` is the
+    initial density matrix, ``provenance`` labels the series, and
+    ``keep_traces`` stores every step's per-cell traces on it.
     """
 
-    model: LindbladModel
+    assemble: Callable[[object], BlockGenerator]
     rho0: np.ndarray
-
-    provenance: ClassVar[str]
-    # store every step's per-cell traces on the series
-    keep_traces: ClassVar[bool] = False
+    provenance: str
+    keep_traces: bool = False
 
     def initial(self, domain) -> np.ndarray:
         return BlockState.initial(domain, self.rho0).data
@@ -423,11 +449,14 @@ class FptSolution:
     result: FptResult
     domain: object
     final_state: BlockState
-    edge_mass_peak: tuple[float, float]
     cell_traces: np.ndarray | None
 
 
-def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSolution:
+def _series(
+    disc: Discretisation, generator: BlockGenerator, domain, times: np.ndarray
+) -> tuple[FptSolution, float, float]:
+    """The series on one domain and the peak probability mass of its lower
+    and upper edge cells."""
     d = generator.dim
     ncells = domain.ncells
     # per-cell traces if the engine keeps them, else only the two edge cells
@@ -459,13 +488,13 @@ def _series(disc: Discretisation, generator, domain, times: np.ndarray) -> FptSo
     dens = np.clip(dens, 0.0, None)
     surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
     # x is the state at the horizon, the last one the propagator yielded
-    return FptSolution(
+    series = FptSolution(
         FptResult(times, dens, surv, disc.provenance),
         domain,
         BlockState(domain, d, x, float(times[-1])),
-        (domain.cell_width * lo_peak, domain.cell_width * hi_peak),
         traces if disc.keep_traces else None,
     )
+    return series, domain.cell_width * lo_peak, domain.cell_width * hi_peak
 
 
 def solve_absorbing(
@@ -513,8 +542,7 @@ def solve_absorbing(
         for _ in range(MAX_WIDEN_ROUNDS):
             if generator is None:
                 generator = disc.assemble(domain)
-            series = _series(disc, generator, domain, times)
-            lo_peak, hi_peak = series.edge_mass_peak
+            series, lo_peak, hi_peak = _series(disc, generator, domain, times)
             grow_lower = lower_open and lo_peak > EDGE_TOLERANCE
             grow_upper = upper_open and hi_peak > EDGE_TOLERANCE
             if not grow_lower and not grow_upper:

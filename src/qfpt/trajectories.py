@@ -433,10 +433,9 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class EmpiricalFpt:
-    """Histogram summary of an ensemble's hit times."""
+    """Histogram bins of an ensemble's hit times plus the censored mass."""
 
     bin_edges: np.ndarray
-    density: np.ndarray
     censored_mass: float
     nabsorbed: int
     hit_times: np.ndarray = field(repr=False)
@@ -452,18 +451,11 @@ class EmpiricalFpt:
 
 
 def fpt_histogram(ensemble: TrajectoryEnsemble, bins: int | np.ndarray = 50) -> EmpiricalFpt:
-    """Density over absorbed trajectories plus the censored mass."""
-    hits = ensemble.absorbed_times()
-    horizon = ensemble.config.horizon
+    """Histogram bins over the horizon (or the given edges) for an ensemble."""
     if isinstance(bins, (int, np.integer)):
-        edges = np.linspace(0.0, horizon, int(bins) + 1)
+        edges = np.linspace(0.0, ensemble.config.horizon, int(bins) + 1)
     else:
         edges = np.asarray(bins, dtype=float)
-    if hits.size:
-        counts, _ = np.histogram(hits, bins=edges)
-        dens = counts / (hits.size * np.diff(edges))
-    else:
-        dens = np.zeros(edges.size - 1)
     return EmpiricalFpt(
-        edges, dens, ensemble.censored_fraction(), hits.size, ensemble.hit_times,
+        edges, ensemble.censored_fraction(), ensemble.absorbed_times().size, ensemble.hit_times,
     )

@@ -323,6 +323,9 @@ OUT_OF_RANGE = [
     ("kur-scan", "--nbar inf", NBAR),
     ("kur-scan", "--omega-range 0:nan:3", RANGE),
     ("kur-scan", "--omega-range 0:inf:3", RANGE),
+    ("validate", "--threshold nan", "upper threshold must be finite"),
+    ("validate", "--threshold inf", "upper threshold must be finite"),
+    ("validate", "--threshold 0", "upper threshold must be positive"),
 ]
 
 

@@ -37,10 +37,10 @@ def test_charge_grid_validation():
     with pytest.raises(ConfigError):
         ChargeGrid(-0.25, 1.0, 0.1)
     grid = ChargeGrid(-1.0, 2.0, 0.5)
-    assert grid.nnodes == 7
+    assert grid.ncells == 7
     assert grid.zero_index == 2
     assert np.allclose(grid.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
-    w = grid.weights()
+    w = grid.trace_weights
     assert w[0] == pytest.approx(0.25) and w[-1] == pytest.approx(0.25)
     assert w[1:-1] == pytest.approx(0.5)
     assert float(w.sum()) == pytest.approx(3.0)
@@ -131,10 +131,11 @@ def test_wide_grid_reproduces_unconditional_dynamics():
     assert np.max(np.abs(marginal - reference)) < 1e-6
 
 
-def _reflecting(gen):
+def _reflecting(model, grid):
     """The generator with its edge rows changed to conserve the trapezoidal
     total weight exactly, which isolates integrator error."""
-    drift, m, dn = gen.drift, gen.grid.nnodes, gen.grid.delta
+    gen = build_fokker_planck_generator(model, grid)
+    drift, m, dn = build_drift_superoperator(model), grid.ncells, grid.delta
     eye = np.eye(gen.dim**2, dtype=complex)
     up = -drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
     down = drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
@@ -155,10 +156,11 @@ def _reflecting(gen):
 def test_reflecting_edges_conserve_weight():
     model = homodyne_qubit(1.0, 1.0)
     grid = ChargeGrid(-5.0, 5.0, 0.05)
-    gen = _reflecting(build_fokker_planck_generator(model, grid))
+    gen = _reflecting(model, grid)
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     x0 = propagation.BlockState.initial(grid, rho0).data
-    times = propagation.time_grid(1.0, diffusion._default_step(model, gen.drift, math.inf))
+    drift = build_drift_superoperator(model)
+    times = propagation.time_grid(1.0, diffusion._default_step(model, drift, math.inf))
     for _, obs, _ in propagation.propagate_uniform(
         gen.matrix, x0, times, rows=gen.survival_vector[None, :]
     ):
@@ -173,6 +175,29 @@ def test_coarse_grid_warns_on_peclet():
     assert peclet_number(drift, delta) > 2.0
     with pytest.warns(RuntimeWarning, match="cell ratio"):
         build_fokker_planck_generator(model, ChargeGrid(-4.0, 4.0, delta))
+
+
+def test_flux_splits_by_the_ghost_node_behind_it():
+    model = homodyne_qubit(1.0, 1.0)
+    gen = build_fokker_planck_generator(model, ChargeGrid(-1.0, 1.0, 0.01))
+    # the split sums to the total weight loss of the survival functional
+    loss = -(gen.matrix.T @ gen.survival_vector)
+    assert np.max(np.abs(gen.lower_flux + gen.upper_flux - loss)) <= 1e-12 * np.max(np.abs(loss))
+    blocks = {"lower": gen.lower_flux, "upper": gen.upper_flux}
+    blocks = {side: flux.reshape(-1, gen.dim**2) for side, flux in blocks.items()}
+    assert np.all(np.any(blocks["lower"][:2], axis=1)) and not np.any(blocks["lower"][2:])
+    assert np.all(np.any(blocks["upper"][-2:], axis=1)) and not np.any(blocks["upper"][:-2])
+    # on three nodes the middle one neighbours both edge nodes
+    small = build_fokker_planck_generator(model, ChargeGrid(-0.1, 0.1, 0.1))
+    middle = slice(small.dim**2, 2 * small.dim**2)
+    assert np.any(small.lower_flux[middle]) and np.any(small.upper_flux[middle])
+
+
+def test_density_vanishes_before_mass_reaches_an_edge():
+    # the initial state sits on the interior node at charge 0, which no
+    # flux functional reads, so the density at t=0 is exactly zero
+    sol = solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), threshold=1.0, horizon=0.5)
+    assert sol.result.density[0] == 0.0
 
 
 def test_conditioned_distribution_is_normalized():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-import types
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from qfpt import propagation
-from qfpt.diffusion import mean_charge_path
-from qfpt.errors import ConvergenceError
-from qfpt.jumps import ChargeWindow
-from qfpt.models import homodyne_qubit, wiener_charge
+from qfpt.diffusion import ChargeGrid, conditioned_charge_distribution, mean_charge_path
+from qfpt.errors import ConvergenceError, PhysicsError
+from qfpt.jumps import ChargeWindow, charge_distribution
+from qfpt.models import homodyne_qubit
 from qfpt.operators import build_liouvillian, vectorize
 from qfpt.propagation import (
     MAX_GRID_POINTS,
@@ -66,25 +65,18 @@ def test_capped_time_grid_warns(caplog):
     assert "capping time grid" in caplog.text
 
 
-class _Growing(propagation.Discretisation):
+def _growing(domain):
     """A one-level generator that grows like exp(800 t) in every cell."""
-
-    provenance = "growing"
-
-    def assemble(self, domain):
-        n = domain.ncells
-        return types.SimpleNamespace(
-            dim=1,
-            matrix=800.0 * scipy.sparse.identity(n, format="csr"),
-            survival_vector=np.ones(n),
-            flux_vector=np.zeros(n),
-        )
+    n = domain.ncells
+    return propagation.BlockGenerator(
+        1, 800.0 * scipy.sparse.identity(n, format="csr"), np.ones(n), np.zeros(n), np.zeros(n)
+    )
 
 
 def test_absorbing_solve_refuses_overflow():
     # exp(800) overflows double precision within the horizon; the series
     # check refuses before any physics check reads the values
-    disc = _Growing(wiener_charge(), np.eye(1))
+    disc = propagation.Discretisation(_growing, np.eye(1), "growing")
     message = "non-finite values at grid index"
     with pytest.raises(ConvergenceError, match=message), np.errstate(all="ignore"):
         propagation.solve_absorbing(
@@ -173,3 +165,27 @@ def test_mean_charge_path_matches_stepped_rates():
     rates = [np.real(functional @ scipy.linalg.expm(t * liou) @ vectorize(rho0)) for t in times]
     path = scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
     assert np.max(np.abs(mean_charge_path(model, rho0, times) - path)) < 1e-12
+
+
+def _states_with_negative_cell(low):
+    """A window state and a grid state whose second cell has trace ``low``."""
+    traces = np.array([0.25, low, 0.5, 0.25, 0.0], dtype=complex)
+    return (
+        propagation.BlockState(ChargeWindow(-2, 2), 1, traces),
+        propagation.BlockState(ChargeGrid(-1.0, 1.0, 0.5), 1, traces),
+    )
+
+
+def test_charge_readers_clip_roundoff_negatives():
+    window_state, grid_state = _states_with_negative_cell(-1e-12)
+    assert charge_distribution(window_state) == {-2: 0.25, -1: 0.0, 0: 0.5, 1: 0.25, 2: 0.0}
+    nodes, density = conditioned_charge_distribution(grid_state)
+    assert density[1] == 0.0 and np.all(density >= 0.0)
+
+
+def test_charge_readers_refuse_negative_mass():
+    window_state, grid_state = _states_with_negative_cell(-1e-8)
+    with pytest.raises(PhysicsError, match="below the abort threshold"):
+        charge_distribution(window_state)
+    with pytest.raises(PhysicsError, match="below the abort threshold"):
+        conditioned_charge_distribution(grid_state)

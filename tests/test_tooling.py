@@ -68,3 +68,15 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_python_blocks_run_and_exports_resolve():
+    # the README's library blocks build on each other, so they share one
+    # namespace, in order
+    text = (ROOT / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert [name for name in qfpt.__all__ if not hasattr(qfpt, name)] == []
