@@ -243,13 +243,14 @@ def write_manifest(
 
 
 def conditional_moment_summary(result) -> dict:
-    """Moments conditioned on absorption, for the manifest."""
+    """Moments of the hit time conditioned on absorption before the
+    horizon, for the manifest."""
     moments = integrate_moments(result, require_tail=False)
     return {
         "absorbed_probability": moments.absorbed_probability,
-        "mean_fpt": moments.mean,
-        "var_fpt": moments.variance,
-        "snr": moments.snr,
+        "mean_fpt_given_absorbed": moments.mean,
+        "var_fpt_given_absorbed": moments.variance,
+        "snr_given_absorbed": moments.snr,
         "horizon": float(result.times[-1]),
     }
 

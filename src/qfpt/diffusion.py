@@ -243,7 +243,7 @@ def mean_charge_path(
         functional += ch.weight * vectorize((a + a.conj().T).T)
     rates = np.empty(times.size)
     for start, chunk, _ in propagate_uniform(
-        liou, vectorize(rho0), times, rows=functional[None, :], method="dense"
+        liou, vectorize(rho0), times, rows=functional[None, :]
     ):
         rates[start : start + chunk.shape[0]] = chunk[:, 0]
     bad = ~np.isfinite(rates)

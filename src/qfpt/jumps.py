@@ -202,7 +202,7 @@ def preview_window(
 
 def _discretisation(model: LindbladModel, rho0: np.ndarray) -> Discretisation:
     return Discretisation(
-        functools.partial(build_block_generator, model), rho0, "deterministic-jump", keep_traces=True
+        functools.partial(build_block_generator, model), rho0, "deterministic-jump"
     )
 
 

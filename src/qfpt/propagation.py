@@ -4,7 +4,7 @@ that both first-passage engines share.
 ``propagate_uniform`` streams the observations ``rows @ x_i`` of the
 states x_i = exp(t_i A) x0 on a uniform grid in chunks of consecutive grid
 points, each with the state at its last point, so consumers never handle
-one state per step.  Two backends, chosen by the stacked dimension:
+one state per step.  Two backends, chosen by the stacked dimension alone:
 
 * ``dense``: one dense matrix exponential E of the single-step
   propagator.  The stacked powers rows @ E^j, j = 1..B, turn the state at
@@ -22,7 +22,9 @@ one state per step.  Two backends, chosen by the stacked dimension:
 ``solve_absorbing`` turns a charge-resolved generator with absorbing edges
 into a first-passage-time series.  It owns the time grid, the observation
 rows and their checks, the widening of open domain sides and the
-horizon extension; ``absorbing_moments`` solves the same generator once
+horizon extension; every series observes the same four rows, the
+survival, the absorption rate and the traces of the lower and the upper
+edge cell.  ``absorbing_moments`` solves the same generator once
 for its phase-type moments and edge exit probabilities.  Both engines
 hand the driver the same contract: a ``Discretisation`` whose
 ``assemble(domain)`` returns a ``BlockGenerator`` (the sparse matrix, the
@@ -201,7 +203,6 @@ def propagate_uniform(
     times: np.ndarray,
     *,
     rows=None,
-    method: str = "auto",
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Stream observations of x_i = exp(t_i * matrix) @ x0 over a uniform
     time grid, in chunks of consecutive grid points.
@@ -210,9 +211,8 @@ def propagate_uniform(
     ``rows @ x_(start+k)``, one row per grid point of the chunk, and
     ``state`` is the state at its last point.  The first chunk is the
     initial point alone.  ``rows`` is a dense or sparse matrix with one
-    row per observed functional; ``None`` observes nothing.
-    ``method='auto'`` picks the dense propagator up to ``DENSE_CUTOFF``
-    unknowns and Crank-Nicolson above it.
+    row per observed functional; ``None`` observes nothing.  The dense
+    propagator runs up to ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     n = matrix.shape[0]
@@ -220,12 +220,8 @@ def propagate_uniform(
         rows = scipy.sparse.csr_matrix((0, n), dtype=complex)
     if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("matrix, state and observation dimensions disagree")
-    if method == "auto":
-        method = "dense" if n <= DENSE_CUTOFF else "cn"
-    backends = {"dense": _dense_chunks, "cn": _cn_chunks}
-    if method not in backends:
-        raise ValueError(f"unknown propagation method {method!r}")
-    return backends[method](matrix, x0, uniform_step(times), times.size - 1, rows)
+    chunks = _dense_chunks if n <= DENSE_CUTOFF else _cn_chunks
+    return chunks(matrix, x0, uniform_step(times), times.size - 1, rows)
 
 
 def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,14 +422,12 @@ class Discretisation:
     ``assemble(domain)`` returns the ``BlockGenerator`` on a domain: a
     charge window or grid, as ``BlockState`` describes, that widens itself
     through ``domain.widened(grow_lower, grow_upper)``.  ``rho0`` is the
-    initial density matrix, ``provenance`` labels the series, and
-    ``keep_traces`` stores every step's per-cell traces on it.
+    initial density matrix and ``provenance`` labels the series.
     """
 
     assemble: Callable[[object], BlockGenerator]
     rho0: np.ndarray
     provenance: str
-    keep_traces: bool = False
 
     def initial(self, domain) -> np.ndarray:
         return BlockState.initial(domain, self.rho0).data
@@ -442,14 +436,13 @@ class Discretisation:
 @dataclass
 class FptSolution:
     """First-passage series of an absorbing solve on its final domain.
-    ``final_state`` is the charge-resolved state at the horizon.
-    ``cell_traces`` holds every step's per-cell traces if the engine keeps
-    them (the jump engine: cell probabilities), else None."""
+    ``final_state`` is the charge-resolved state at the horizon; a solve
+    on an explicit domain with nothing absorbed by then reads the charge
+    distribution off it."""
 
     result: FptResult
     domain: object
     final_state: BlockState
-    cell_traces: np.ndarray | None
 
 
 def _series(
@@ -458,12 +451,8 @@ def _series(
     """The series on one domain and the peak probability mass of its lower
     and upper edge cells."""
     d = generator.dim
-    ncells = domain.ncells
-    # per-cell traces if the engine keeps them, else only the two edge cells
-    kept = slice(None) if disc.keep_traces else [0, ncells - 1]
-    cells = scipy.sparse.kron(
-        scipy.sparse.identity(ncells, format="csr")[kept], trace_functional(d)[None, :], format="csr"
-    )
+    edges = scipy.sparse.identity(domain.ncells, format="csr")[[0, -1]]
+    cells = scipy.sparse.kron(edges, trace_functional(d)[None, :], format="csr")
     rows = scipy.sparse.vstack(
         [generator.survival_vector, generator.flux_vector, cells], format="csr"
     )
@@ -476,9 +465,9 @@ def _series(
     if bad.any():
         raise _non_finite(int(np.argmax(bad)))
     _check_finite(x, times.size - 1)
-    surv, dens, traces = obs[:, 0], obs[:, 1], obs[:, 2:]
-    lo_peak = max(traces[:, 0].max(), 0.0)
-    hi_peak = max(traces[:, -1].max(), 0.0)
+    surv, dens = obs[:, 0], obs[:, 1]
+    lo_peak = max(obs[:, 2].max(), 0.0)
+    hi_peak = max(obs[:, 3].max(), 0.0)
     if dens.min() < -1e-10:
         raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
     if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
@@ -492,7 +481,6 @@ def _series(
         FptResult(times, dens, surv, disc.provenance),
         domain,
         BlockState(domain, d, x, float(times[-1])),
-        traces if disc.keep_traces else None,
     )
     return series, domain.cell_width * lo_peak, domain.cell_width * hi_peak
 

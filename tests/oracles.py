@@ -1,14 +1,21 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here is built directly on numpy/scipy primitives without
+Every reference is built directly on numpy/scipy primitives without
 importing the package under test, so agreement between the two is
-meaningful evidence rather than circular bookkeeping.
+meaningful evidence rather than circular bookkeeping.  ``cell_traces`` is
+no reference: it replays a jump solve through the package's own
+propagator to read the per-cell traces that the solve does not observe.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import expm
+
+from qfpt.jumps import build_block_generator
+from qfpt.operators import trace_functional
+from qfpt.propagation import BlockState, initial_density, propagate_uniform
 
 
 def exponential_density(gamma: float, times: np.ndarray) -> np.ndarray:
@@ -135,3 +142,22 @@ class BirthDeathChain:
         mean = float(u @ y2) / prob
         second = -2.0 * float(u @ y3) / prob
         return prob, mean, second - mean**2
+
+
+def cell_traces(model, sol, initial="steady") -> np.ndarray:
+    """Per-cell traces of a jump solve at each of its grid points, shape
+    (points, cells): the solve's generator on its final window, propagated
+    from ``initial`` over its time grid with one trace row per cell."""
+    window = sol.domain
+    gen = build_block_generator(model, window)
+    rows = scipy.sparse.kron(
+        scipy.sparse.identity(window.ncells, format="csr"),
+        trace_functional(gen.dim)[None, :],
+        format="csr",
+    )
+    x0 = BlockState.initial(window, initial_density(model, initial)).data
+    times = sol.result.times
+    out = np.empty((times.size, window.ncells))
+    for start, chunk, _ in propagate_uniform(gen.matrix, x0, times, rows=rows):
+        out[start : start + chunk.shape[0]] = chunk
+    return out

@@ -43,7 +43,7 @@ from qfpt.operators import (
 )
 from qfpt.trajectories import TrajectoryConfig, simulate
 
-from .oracles import BirthDeathChain, exponential_density, wiener_fpt_density
+from .oracles import BirthDeathChain, cell_traces, exponential_density, wiener_fpt_density
 
 
 def _trace_distance(a, b):
@@ -76,7 +76,7 @@ def test_criterion_02_incoherent_limit_matches_classical_chain():
             float(np.max(np.abs(sol.result.density - density))),
             float(np.max(np.abs(sol.result.survival - surv))),
         )
-        worst_p = max(worst_p, float(np.max(np.abs(sol.cell_traces - cells))))
+        worst_p = max(worst_p, float(np.max(np.abs(cell_traces(model, sol) - cells))))
     assert worst_f < 1e-8
     assert worst_p < 1e-8
     print(

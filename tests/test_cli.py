@@ -63,6 +63,25 @@ def test_fpt_diffusion_artifacts(tmp_path):
     assert (tmp_path / "final_distribution.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "fpt-jump --builtin thermal-qubit --gamma 1 --omega 1 --nbar 0.2 --threshold 3 --horizon 6",
+        "fpt-diffusion --builtin homodyne-qubit --gamma 1 --omega 1 --threshold 1 --delta 0.05 "
+        "--horizon 3",
+    ],
+)
+def test_manifest_moments_are_conditioned_on_absorption(argv, tmp_path):
+    assert run(argv.split(), tmp_path) == 0
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert 0.0 < results["absorbed_probability"] < 1.0
+    assert results["horizon"] == float(argv.split()[-1])
+    assert 0.0 < results["mean_fpt_given_absorbed"] < results["horizon"]
+    assert results["var_fpt_given_absorbed"] > 0.0
+    assert results["snr_given_absorbed"] > 0.0
+    assert not {"mean_fpt", "var_fpt", "snr"} & set(results)
+
+
 def test_trajectories_parallel_matches_serial(tmp_path):
     base = [
         "trajectories", "--builtin", "thermal-qubit", "--gamma", "1", "--omega", "1",

@@ -26,7 +26,7 @@ from qfpt.operators import (
 )
 from qfpt.propagation import DENSE_CUTOFF
 
-from .oracles import BirthDeathChain, exponential_density
+from .oracles import BirthDeathChain, cell_traces, exponential_density
 
 
 def test_charge_window_validation():
@@ -115,7 +115,7 @@ def test_solve_above_dense_cutoff_matches_dense_window():
     big = solve_jump_fpt(model, window=ChargeWindow(-300, 4), horizon=10.0)
     small = solve_jump_fpt(model, window=ChargeWindow(-40, 4), horizon=10.0)
     assert big.final_state.data.size > DENSE_CUTOFF
-    assert np.max(big.cell_traces[:, :260]) < 1e-12
+    assert np.max(cell_traces(model, big)[:, :260]) < 1e-12
     assert np.max(np.abs(big.result.survival - small.result.survival)) < 4.4e-7
     assert np.max(np.abs(big.result.density - small.result.density)) < 3.4e-7
 
@@ -128,7 +128,7 @@ def test_incoherent_dynamics_match_birth_death_chain():
     density, surv, cells = chain.run(sol.result.times)
     assert np.max(np.abs(sol.result.density - density)) < 1e-9
     assert np.max(np.abs(sol.result.survival - surv)) < 1e-9
-    assert np.max(np.abs(sol.cell_traces - cells)) < 1e-9
+    assert np.max(np.abs(cell_traces(model, sol) - cells)) < 1e-9
 
 
 def test_preview_window_matches_solver():

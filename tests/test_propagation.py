@@ -12,10 +12,15 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from qfpt import propagation
-from qfpt.diffusion import ChargeGrid, conditioned_charge_distribution, mean_charge_path
+from qfpt.diffusion import (
+    ChargeGrid,
+    conditioned_charge_distribution,
+    mean_charge_path,
+    solve_diffusion_fpt,
+)
 from qfpt.errors import ConvergenceError, PhysicsError
-from qfpt.jumps import ChargeWindow, charge_distribution
-from qfpt.models import homodyne_qubit
+from qfpt.jumps import ChargeWindow, charge_distribution, solve_jump_fpt
+from qfpt.models import homodyne_qubit, thermal_qubit
 from qfpt.operators import build_liouvillian, vectorize
 from qfpt.propagation import (
     MAX_GRID_POINTS,
@@ -51,9 +56,7 @@ def _collect(chunks, num, m):
     return obs, state, count
 
 
-def test_unknown_method_refused():
-    with pytest.raises(ValueError):
-        propagate_uniform(np.array([[-1.0]]), np.ones(1), np.linspace(0, 1, 3), method="krylov")
+def test_mismatched_dimensions_refused():
     with pytest.raises(ValueError):
         propagate_uniform(np.array([[-1.0]]), np.ones(1), np.linspace(0, 1, 3), rows=np.ones((1, 2)))
 
@@ -85,6 +88,24 @@ def test_absorbing_solve_refuses_overflow():
         )
 
 
+def test_both_engines_observe_four_rows(monkeypatch):
+    # survival, absorption rate and the two edge cells, however many cells
+    # the domain has
+    seen = []
+    propagate = propagation.propagate_uniform
+
+    def recording(matrix, x0, times, *, rows=None):
+        seen.append(rows.shape[0])
+        return propagate(matrix, x0, times, rows=rows)
+
+    monkeypatch.setattr(propagation, "propagate_uniform", recording)
+    solve_jump_fpt(thermal_qubit(1.0, 1.0, 0.2), threshold=5, horizon=50.0, auto_tail=True)
+    jump_rows, seen = seen, []
+    solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), threshold=1.0, delta=0.05, horizon=1.0)
+    assert jump_rows and set(jump_rows) == {4}
+    assert seen and set(seen) == {4}
+
+
 def test_resolvent_solves_give_exponential_moments():
     rate = 2.0
     y1, y2 = resolvent_solves(scipy.sparse.csr_matrix([[-rate]]), np.array([1.0]))
@@ -108,14 +129,13 @@ def test_dense_chunks_observe_exact_powers(monkeypatch):
     # so grids of 2 to 100 points cover plain steps, whole blocks, a block
     # plus one and minus one step, and several chunks
     monkeypatch.setattr(propagation, "CHUNK_BYTES", 4 * 16 * 3 * 5)
+    monkeypatch.setattr(propagation, "DENSE_CUTOFF", 10**9)
     a, rows, x0 = _stable_system()
     dt = 0.05
     seen, most = set(), 0
     for num in range(2, 101):
         times = dt * np.arange(num)
-        obs, state, chunks = _collect(
-            propagate_uniform(a, x0, times, rows=rows, method="dense"), num, 3
-        )
+        obs, state, chunks = _collect(propagate_uniform(a, x0, times, rows=rows), num, 3)
         exact = np.array([scipy.linalg.expm(t * a) @ x0 for t in times])
         assert np.max(np.abs(obs - np.real(exact @ rows.T))) < 1e-12
         assert np.max(np.abs(state - exact[-1])) < 1e-12
@@ -134,10 +154,11 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     # chunks of 7 steps of 5 unknowns: the initial point, the startup
     # steps, then 8 chunks
     monkeypatch.setattr(propagation, "CHUNK_BYTES", 7 * 16 * 5)
+    monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
     a, rows, x0 = _stable_system()
     num, dt = 60, 0.05
     times = dt * np.arange(num)
-    obs, state, chunks = _collect(propagate_uniform(a, x0, times, rows=rows, method="cn"), num, 3)
+    obs, state, chunks = _collect(propagate_uniform(a, x0, times, rows=rows), num, 3)
     assert chunks == 10
     mat = scipy.sparse.csc_matrix(a)
     ident = scipy.sparse.identity(5, format="csc", dtype=complex)

@@ -3,6 +3,7 @@ perfbench/."""
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,20 +16,20 @@ from qfpt.models import homodyne_qubit, thermal_qubit
 from qfpt.propagation import DENSE_CUTOFF
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACING = ROOT / "perfbench" / "tracing.py"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_functions_exist():
     # Tracer.install looks up every TRACED name with getattr, so renaming
     # one of these functions breaks the benchmark's --trace run
-    tracing = _tracing()
+    tracing = _load("tracing")
     missing = [
         f"qfpt.{layer}.{name}"
         for layer, names in tracing.TRACED.items()
@@ -41,7 +42,7 @@ def test_traced_functions_exist():
 def test_tracer_sees_propagation_chunks():
     # the --trace run wraps propagate_uniform as an iterator; both
     # backends must still yield through the wrapper
-    tracer = _tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     tracer.install(qfpt)
     try:
         qfpt.jumps.solve_jump_fpt(thermal_qubit(1.0, 1.0, 0.2), threshold=2, horizon=1.0)
@@ -55,6 +56,26 @@ def test_tracer_sees_propagation_chunks():
     assert any(s["yields"] >= 1 and s["unknowns"] > DENSE_CUTOFF for s in spans)
     assert qfpt.jumps.solve_jump_fpt is solve_jump_fpt
     assert qfpt.diffusion.solve_diffusion_fpt is solve_diffusion_fpt
+
+
+def test_benchmark_workloads_build_and_parse(monkeypatch, tmp_path):
+    # the workloads pass TrajectoryConfig fields and command-line flags
+    # that the package must keep; building the Monte Carlo configs and
+    # parsing every command line, without running them, catches a removal
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load("workloads")
+    oracle = workloads.McOracle(qfpt, tmp_path, seed=0)
+    assert set(oracle.configs) == {"jump", "diffusion"}
+    parser = cli.build_parser()
+    commands = []
+    for workload in (workloads.JumpEngine, workloads.DiffusionEngine):
+        engine = workload(qfpt, tmp_path, seed=0)
+        for _, op, _ in engine.ops:
+            if isinstance(op, functools.partial) and op.func == engine.cli:
+                argv = op.args[1]
+                assert parser.parse_args(argv).command == argv[0]
+                commands.append(argv[0])
+    assert set(commands) == {"fpt-jump", "kur-scan", "fpt-diffusion"}
 
 
 def test_readme_commands_parse():
