@@ -639,7 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--lower-threshold", type=float)
     traj.add_argument("--start", default="steady", help="initial state")
     traj.add_argument("--horizon", type=float, default=10.0)
-    traj.add_argument("--dt", type=float, help="integration step")
+    traj.add_argument(
+        "--dt", type=float,
+        help="diffusion: integration step; jump: path sampling only, not the time error",
+    )
     traj.add_argument("--bins", type=_count, default=50, help="histogram bins")
     traj.add_argument("--workers", type=_count, default=1)
     traj.set_defaults(func=run_trajectories)

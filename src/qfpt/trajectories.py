@@ -2,31 +2,44 @@
 
 Ensembles of conditional evolutions with accumulated charge and first-hit
 detection, used as statistical ground truth for the deterministic
-engines.  One ensemble loop, ``simulate``, drives both unravellings
-through a small stepper each.  Jump monitoring samples at most one jump
-per step against the instantaneous channel rates; diffusive monitoring
-advances the state by the measurement-operator factorization of the
-first-order update, with one Wiener increment per monitored channel and
-the charge fed by the quadrature expectations plus the same increments.
-The factorized form agrees with the plain explicit step to first order in
-dt but keeps the state positive by construction, so the eigenvalue clamp
-stays a safety net instead of firing on ordinary near-pure excursions.
+engines.  ``simulate`` runs either unravelling over chunks of at most
+``MC_CHUNK`` trajectories, so its memory does not grow with the ensemble.
+
+Jump monitoring is event driven and exact in time.  Between jumps the
+unnormalised state is U(t) rho U(t)^dag with U(t) = exp(-i H_eff t) and
+H_eff = H - (i/2) sum_k L_k^dag L_k, so a waiting time is the instant at
+which the no-jump norm tr U(t) rho U(t)^dag falls to a uniform draw u; a
+second uniform picks the channel against the rates tr(L_k^dag L_k rho).
+The instant is found by a greedy descent over the exact propagators
+U(horizon 2^-m), m = 0..52, which places it to roundoff for any state,
+and a trajectory whose norm is still above u at the horizon ends in its
+exact no-jump state there.  For jumps ``dt`` therefore sets only the
+sampling times of the charge paths, never the time error.
+
+Diffusive monitoring advances the state by the measurement-operator
+factorization of the first-order update, with one Wiener increment per
+monitored channel per step and the charge fed by the quadrature
+expectations plus the same increments.  The factorized form agrees with
+the plain explicit step to first order in dt but keeps the state positive
+by construction, so the eigenvalue clamp stays a safety net instead of
+firing on ordinary near-pure excursions.
 
 Trajectory k of an ensemble draws from the k-th child stream spawned from
 the ensemble seed (``numpy.random.SeedSequence`` with spawn key ``(k,)``),
-in fixed-size blocks, so results are bit-identical no matter how the
-ensemble is executed or ordered, and different seeds give independent
-trajectories.
+and no floating-point operation mixes trajectories, so results are
+bit-identical no matter how the ensemble is chunked, partitioned or
+ordered, and different seeds give independent trajectories.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import expm
 
 from .analysis import FptResult
 from .diffusion import real_threshold
@@ -37,10 +50,16 @@ from .propagation import block_traces, initial_density, positive_finite
 
 logger = logging.getLogger(__name__)
 
-JUMP_STEP_WARN = 0.05
-JUMP_STEP_ABORT = 0.2
 DEFAULT_STEP_BUDGET = 0.01
-RNG_BLOCK = 1024
+MC_CHUNK = 4096
+# diffusive steps of noise drawn per refill: the streams do not depend on
+# it, the chunk's noise buffer (MC_CHUNK x RNG_BLOCK x channels) does
+RNG_BLOCK = 256
+# uniforms per refill of a jump trajectory's buffer, two per event
+JUMP_DRAW_BLOCK = 32
+# no-jump propagators over horizon 2^-m, m = 0..52: a descent through
+# them places a waiting time on a grid of horizon 2^-52, its roundoff
+LADDER_LEVELS = 53
 SEED_MAX = 2**64 - 1
 REPAIR_FRACTION_ABORT = 1e-3
 PSD_CLAMP_TOL = 1e-10
@@ -49,7 +68,11 @@ PATH_SAMPLES = 256
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Ensemble description shared by both unravellings."""
+    """Ensemble description shared by both unravellings.
+
+    ``dt`` is the integration step of diffusive trajectories; jump
+    trajectories are exact in time and use it only to space the sampling
+    times of their charge paths."""
 
     model: LindbladModel
     unravelling: str
@@ -91,12 +114,8 @@ class TrajectoryConfig:
     def resolve_step(self) -> tuple[float, int]:
         """Effective step and step count; the step divides the horizon."""
         model = self.model
-        jump_bound = max(
-            (float(np.linalg.norm(ch.operator.conj().T @ ch.operator, 2)) for ch in model.channels),
-            default=0.0,
-        )
         if self.dt is None:
-            scale = max(model.rate_scale(), jump_bound)
+            scale = model.rate_scale()
             if self.unravelling == "diffusion":
                 scale = max(scale, sum(ch.weight**2 for ch in model.monitored))
             if scale <= 0:
@@ -105,22 +124,7 @@ class TrajectoryConfig:
         else:
             dt = self.dt
         nsteps = max(1, int(math.ceil(self.horizon / dt - 1e-12)))
-        dt = self.horizon / nsteps
-        if self.unravelling == "jump" and jump_bound > 0:
-            budget = dt * jump_bound
-            if budget >= JUMP_STEP_ABORT:
-                raise ConfigError(
-                    f"dt*max jump rate = {budget:.3f} breaks the one-jump-per-step "
-                    f"approximation (limit {JUMP_STEP_ABORT})"
-                )
-            if budget >= JUMP_STEP_WARN:
-                warnings.warn(
-                    f"dt*max jump rate = {budget:.3f}; jump statistics may be "
-                    "biased, reduce the step",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return dt, nsteps
+        return self.horizon / nsteps, nsteps
 
 
 @dataclass
@@ -137,7 +141,8 @@ class TrajectoryEnsemble:
     paths: np.ndarray
     jump_counts: np.ndarray | None = None
     positivity_repairs: int = 0
-    # per-trajectory update slots actually executed, so merging parts sums it
+    # diffusion: per-trajectory steps executed; jumps: sampled events, one
+    # per waiting time drawn.  Merging parts sums it.
     steps_total: int = 0
 
     @property
@@ -154,6 +159,21 @@ class TrajectoryEnsemble:
         return self.final_states.mean(axis=0)
 
 
+def _streams(config: TrajectoryConfig) -> list[np.random.Generator]:
+    # trajectory k draws from the k-th child stream spawned from the seed
+    return [
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+        for k in range(config.index_offset, config.index_offset + config.ntraj)
+    ]
+
+
+def _path_times(nsteps: int, dt: float) -> np.ndarray:
+    """At most ``PATH_SAMPLES`` + 1 equally spaced sampling times of the
+    charge paths, from 0 to the horizon."""
+    stride = max(1, nsteps // PATH_SAMPLES)
+    return np.arange(nsteps // stride + 1) * stride * dt
+
+
 def _renormalize(rho: np.ndarray, what: str) -> np.ndarray:
     tr = block_traces(rho)
     if tr.size and tr.min() < 1e-12:
@@ -161,56 +181,130 @@ def _renormalize(rho: np.ndarray, what: str) -> np.ndarray:
     return rho / tr[:, None, None]
 
 
-class _JumpStepper:
-    """Jump unravelling: at most one jump per step, drawn against the
-    instantaneous channel rates; the charge counts integer jump weights."""
+# The jump sampler keeps its states as (d, d, n) stacks, trajectory last.
+# Products are written out as elementwise operations summed in a fixed
+# order: no trajectory's result depends on which others share its batch,
+# which a BLAS call over the trajectory axis would not guarantee.
 
-    charge_dtype = np.int64
-    draw_shape: tuple[int, ...] = ()
 
-    def __init__(self, config: TrajectoryConfig, dt: float):
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products of (d, d, n) stacks; either may be (d, d, 1)."""
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out = out + a[:, k, None] * b[None, k]
+    return out
+
+
+def _sandwich(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """u rho u^dag for (d, d, n) stacks."""
+    return _mul(_mul(u, rho), u.conj().transpose(1, 0, 2))
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    tr = a[0, 0].real
+    for i in range(1, a.shape[0]):
+        tr = tr + a[i, i].real
+    return tr
+
+
+class _JumpSampler:
+    """Event-driven jump unravelling, exact in time (see the module
+    docstring).  The propagators depend on the model and the horizon
+    only, so one sampler serves every chunk of an ensemble."""
+
+    def __init__(self, config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.ndarray):
         model = config.model
+        ops = [ch.operator for ch in model.channels]
+        grams = [op.conj().T @ op for op in ops]
+        gen = -1j * model.hamiltonian - 0.5 * sum(grams)
         self.dt = dt
-        self.ops = np.stack([ch.operator for ch in model.channels])
-        self.grams = np.stack([ch.operator.conj().T @ ch.operator for ch in model.channels])
-        self.nu = np.array([
-            integer_weight(ch) if ch.monitored else 0 for ch in model.channels
-        ])
-        self.h_eff = model.hamiltonian - 0.5j * np.sum(self.grams, axis=0)
-        self.counts = np.zeros((config.ntraj, len(model.channels)), dtype=np.int64)
+        self.horizon = config.horizon
+        self.rho0 = rho0[..., None]
+        self.ops = [op[..., None] for op in ops]
+        self.grams = [g[..., None] for g in grams]
+        self.nu = np.array([integer_weight(ch) if ch.monitored else 0 for ch in model.channels])
+        # exact propagators over horizon 2^-m, longest first
+        spans = [config.horizon * 0.5**m for m in range(LADDER_LEVELS)]
+        self.ladder = [(h, expm(gen * h)[..., None]) for h in spans]
+        self.path_times = _path_times(nsteps, dt)
 
-    def draw(self, rng: np.random.Generator, block: int) -> np.ndarray:
-        return rng.random(block)
+    def descend(self, rho: np.ndarray, u: np.ndarray, clock: np.ndarray):
+        """Greedy descent over the ladder from the given clocks: each step
+        is taken if it ends by the horizon with the no-jump norm still
+        above u.  Returns the clocks and unnormalised states it reaches,
+        and whether the norm fell to u before the horizon (a jump) or
+        not (a censored trajectory, now at the horizon)."""
+        fell = np.zeros(u.size, dtype=bool)
+        for h, step in self.ladder:
+            later = clock + h
+            fits = later <= self.horizon
+            cand = _sandwich(step, rho)
+            ahead = fits & (_trace(cand) > u)
+            rho = np.where(ahead, cand, rho)
+            clock = np.where(ahead, later, clock)
+            fell |= fits & ~ahead
+        return clock, rho, fell
 
-    def update(self, idx: np.ndarray, rho: np.ndarray, u: np.ndarray):
-        """New states (overwriting ``rho``) and charge increments of the
-        alive trajectories ``idx``."""
-        dt = self.dt
-        rates = np.einsum("kab,nba->nk", self.grams, rho).real
-        cum = np.cumsum(np.clip(dt * rates, 0.0, None), axis=1)
-        jumped = u < cum[:, -1]
-        flavor = np.argmax(u[:, None] < cum, axis=1)
-        dq = np.zeros(idx.size, dtype=np.int64)
-        stay = ~jumped
-        if stay.any():
-            r = rho[stay]
-            r = r - 1j * dt * (self.h_eff @ r - r @ self.h_eff.conj().T)
-            rho[stay] = _renormalize(r, "no-jump update")
-        for k, op in enumerate(self.ops):
-            sel = jumped & (flavor == k)
-            if not sel.any():
-                continue
-            rho[sel] = _renormalize(op @ rho[sel] @ op.conj().T, "jump update")
-            dq[sel] = self.nu[k]
-            self.counts[idx[sel], k] += 1
-        return rho, dq
+    def run(self, config: TrajectoryConfig) -> TrajectoryEnsemble:
+        n = config.ntraj
+        nchan = len(self.ops)
+        upper = np.inf if config.threshold is None else config.threshold
+        lower = -np.inf if config.lower_threshold is None else config.lower_threshold
+        streams = _streams(config)
+        draws = np.empty((n, JUMP_DRAW_BLOCK))
+        used = np.full(n, JUMP_DRAW_BLOCK)
 
-    def hit_time(self, step: int, old, new, target) -> float:
-        # the jump lands somewhere inside the step; the end is its time stamp
-        return (step + 1) * self.dt
+        state = np.repeat(self.rho0, n, axis=-1)
+        clock = np.zeros(n)
+        charge = np.zeros(n, dtype=np.int64)
+        hit = np.full(n, np.nan)
+        alive = np.ones(n, dtype=bool)
+        counts = np.zeros((n, nchan), dtype=np.int64)
+        times = self.path_times if config.keep_paths else np.zeros(0)
+        increments = np.zeros((n, times.size), dtype=np.int64)
+        events = 0
 
-    def record(self, step_slots: int) -> dict:
-        return {"jump_counts": self.counts}
+        while alive.any():
+            idx = np.flatnonzero(alive)
+            events += idx.size
+            for i in idx[used[idx] == JUMP_DRAW_BLOCK]:
+                draws[i] = streams[i].random(JUMP_DRAW_BLOCK)
+                used[i] = 0
+            u = 1.0 - draws[idx, used[idx]]
+            v = draws[idx, used[idx] + 1]
+            used[idx] += 2
+
+            clock[idx], rho_t, fell = self.descend(state[..., idx], u, clock[idx])
+            out = idx[~fell]
+            state[..., out] = rho_t[..., ~fell] / _trace(rho_t[..., ~fell])
+            alive[out] = False
+
+            jid, rho_t = idx[fell], rho_t[..., fell]
+            t_jump = clock[jid]
+            rates = np.cumsum([_trace(_mul(g, rho_t)) for g in self.grams], axis=0)
+            k = np.minimum((rates <= v[fell] * rates[-1]).sum(axis=0), nchan - 1)
+            for c in np.unique(k):
+                post = _sandwich(self.ops[c], rho_t[..., k == c])
+                tr = _trace(post)
+                if not (tr > 0.0).all():
+                    raise PhysicsError("jump update: conditional state norm collapsed")
+                state[..., jid[k == c]] = post / tr
+            counts[jid, k] += 1
+            dq = self.nu[k]
+            charge[jid] += dq
+            if times.size:
+                col = np.searchsorted(times, t_jump)
+                inside = col < times.size
+                increments[jid[inside], col[inside]] += dq[inside]
+            crossed = (charge[jid] >= upper) | (charge[jid] <= lower)
+            hit[jid[crossed]] = t_jump[crossed]
+            alive[jid[crossed]] = False
+
+        return TrajectoryEnsemble(
+            config, self.dt, hit, np.isnan(hit), charge.astype(float),
+            np.ascontiguousarray(state.transpose(2, 0, 1)), times,
+            np.cumsum(increments, axis=1), counts, steps_total=events,
+        )
 
 
 def _psd_repair(rho: np.ndarray, where: np.ndarray) -> int:
@@ -244,8 +338,6 @@ def _min_eig_floor(rho: np.ndarray) -> np.ndarray:
 class _DiffusionStepper:
     """Diffusive unravelling: one Wiener increment per monitored channel
     per step, and the charge integrated from the weighted signals."""
-
-    charge_dtype = np.float64
 
     def __init__(self, config: TrajectoryConfig, dt: float):
         model = config.model
@@ -285,50 +377,30 @@ class _DiffusionStepper:
         frac = (target - old) / (new - old)
         return step * self.dt + np.clip(frac, 0.0, 1.0) * self.dt
 
-    def record(self, step_slots: int) -> dict:
-        if step_slots and self.repairs / step_slots > REPAIR_FRACTION_ABORT:
-            raise PhysicsError(
-                f"positivity repairs on {self.repairs} of {step_slots} updates "
-                f"(> {REPAIR_FRACTION_ABORT:.1%}); reduce the step size"
-            )
-        return {"positivity_repairs": self.repairs}
 
-
-_STEPPERS = {"jump": _JumpStepper, "diffusion": _DiffusionStepper}
-
-
-def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
-    """Run an ensemble of either unravelling with charge accumulation and
-    first-hit detection.
+def _run_diffusion(config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.ndarray):
+    """One chunk of diffusive trajectories.
 
     Every trajectory draws its noise from its own generator, one block of
     ``RNG_BLOCK`` steps at a time and only while it is alive, and the
-    unravelling's stepper advances all alive states together.  A
-    trajectory is absorbed when its charge reaches ``threshold`` or falls
-    to ``lower_threshold``.
-    """
-    dt, nsteps = config.resolve_step()
+    stepper advances all alive states together."""
     n = config.ntraj
-    rho0 = config.initial_matrix()
-    stepper = _STEPPERS[config.unravelling](config, dt)
+    stepper = _DiffusionStepper(config, dt)
     # a missing threshold is one the charge never reaches
     upper = np.inf if config.threshold is None else config.threshold
     lower = -np.inf if config.lower_threshold is None else config.lower_threshold
 
     rho = np.broadcast_to(rho0, (n, *rho0.shape)).copy()
-    charge = np.zeros(n, dtype=stepper.charge_dtype)
+    charge = np.zeros(n)
     hit = np.full(n, np.nan)
     alive = np.ones(n, dtype=bool)
     step_slots = 0
-    # trajectory k draws from the k-th child stream spawned from the seed
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
-        for k in range(config.index_offset, config.index_offset + n)
-    ]
+    rngs = _streams(config)
 
+    times = _path_times(nsteps, dt) if config.keep_paths else np.zeros(0)
     stride = max(1, nsteps // PATH_SAMPLES)
-    path_times = [0.0]
-    paths = [charge.copy()] if config.keep_paths else None
+    paths = np.zeros((n, times.size))
+    filled = min(1, times.size)
 
     noise = np.empty((n, min(RNG_BLOCK, nsteps), *stepper.draw_shape))
     for block_start in range(0, nsteps, RNG_BLOCK):
@@ -354,22 +426,46 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
                 target = np.where(after >= upper, upper, lower)
                 hit[done] = stepper.hit_time(step, before, after, target)
                 alive[done] = False
-            if config.keep_paths and (step + 1) % stride == 0:
-                path_times.append((step + 1) * dt)
-                paths.append(charge.copy())
+            if times.size and (step + 1) % stride == 0:
+                filled = (step + 1) // stride + 1
+                paths[:, filled - 1] = charge
         if not alive.any():
             break
-
-    if config.keep_paths:
-        path_arr = np.stack(paths, axis=1)
-        time_arr = np.array(path_times)
-    else:
-        path_arr = np.zeros((n, 0), dtype=charge.dtype)
-        time_arr = np.zeros(0)
+    # every trajectory is frozen once the loop ends early
+    paths[:, filled:] = charge[:, None]
     return TrajectoryEnsemble(
-        config, dt, hit, np.isnan(hit), charge.astype(float), rho,
-        time_arr, path_arr, steps_total=step_slots, **stepper.record(step_slots),
+        config, dt, hit, np.isnan(hit), charge, rho, times, paths,
+        positivity_repairs=stepper.repairs, steps_total=step_slots,
     )
+
+
+def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
+    """Run an ensemble of either unravelling with charge accumulation and
+    first-hit detection.
+
+    The trajectories run in chunks of at most ``MC_CHUNK``, each with its
+    own generators, and the chunks are concatenated by
+    ``merge_ensembles``.  A trajectory is absorbed when its charge reaches
+    ``threshold`` or falls to ``lower_threshold``.
+    """
+    dt, nsteps = config.resolve_step()
+    rho0 = config.initial_matrix()
+    if config.unravelling == "jump":
+        run = _JumpSampler(config, dt, nsteps, rho0).run
+    else:
+        run = functools.partial(_run_diffusion, dt=dt, nsteps=nsteps, rho0=rho0)
+    ensemble = merge_ensembles([
+        run(replace(config, ntraj=min(MC_CHUNK, config.ntraj - start),
+                    index_offset=config.index_offset + start))
+        for start in range(0, config.ntraj, MC_CHUNK)
+    ])
+    repairs, slots = ensemble.positivity_repairs, ensemble.steps_total
+    if repairs > REPAIR_FRACTION_ABORT * slots:
+        raise PhysicsError(
+            f"positivity repairs on {repairs} of {slots} updates "
+            f"(> {REPAIR_FRACTION_ABORT:.1%}); reduce the step size"
+        )
+    return ensemble
 
 
 def partition_config(config: TrajectoryConfig, batches: int) -> list[TrajectoryConfig]:
@@ -377,7 +473,7 @@ def partition_config(config: TrajectoryConfig, batches: int) -> list[TrajectoryC
 
     Each block keeps the per-trajectory generator streams of the full run,
     so simulating the blocks separately and merging reproduces the single
-    run bit for bit.  Paths are dropped; merging them is not supported.
+    run bit for bit, paths included.
     """
     if batches < 1:
         raise ConfigError("need at least one batch")
@@ -387,9 +483,7 @@ def partition_config(config: TrajectoryConfig, batches: int) -> list[TrajectoryC
     offset = config.index_offset
     for i in range(batches):
         size = base + (1 if i < extra else 0)
-        parts.append(
-            replace(config, ntraj=size, index_offset=offset, keep_paths=False)
-        )
+        parts.append(replace(config, ntraj=size, index_offset=offset))
         offset += size
     return parts
 
@@ -404,12 +498,12 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
     first = parts[0]
     expected = first.config.index_offset
     for part in parts:
-        if part.config.keep_paths:
-            raise ConfigError("merging kept paths is not supported")
         if part.config.index_offset != expected:
             raise ConfigError("batches are not contiguous in trajectory index")
         if part.dt != first.dt:
             raise ConfigError("batches disagree on the resolved time step")
+        if not np.array_equal(part.path_times, first.path_times):
+            raise ConfigError("batches disagree on the path sampling times")
         expected += part.config.ntraj
     total = sum(p.config.ntraj for p in parts)
     config = replace(first.config, ntraj=total)
@@ -424,7 +518,7 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
         np.concatenate([p.final_charges for p in parts]),
         np.concatenate([p.final_states for p in parts]),
         first.path_times,
-        first.paths,
+        np.concatenate([p.paths for p in parts]),
         counts,
         sum(p.positivity_repairs for p in parts),
         sum(p.steps_total for p in parts),

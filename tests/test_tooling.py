@@ -58,6 +58,27 @@ def test_tracer_sees_propagation_chunks():
     assert qfpt.diffusion.solve_diffusion_fpt is solve_diffusion_fpt
 
 
+def test_tracer_annotates_simulate_spans():
+    # the --trace run reads these ensemble fields into the trajectories
+    # layer, so renaming one must fail here rather than in the benchmark
+    tracer = _load("tracing").Tracer()
+    tracer.install(qfpt)
+    try:
+        qfpt.trajectories.simulate(qfpt.trajectories.TrajectoryConfig(
+            thermal_qubit(1.0, 1.0, 0.2), "jump", 4, 1.0, seed=1, threshold=2,
+        ))
+        qfpt.trajectories.simulate(qfpt.trajectories.TrajectoryConfig(
+            homodyne_qubit(1.0, 1.0), "diffusion", 4, 0.1, dt=0.01, seed=1, threshold=0.5,
+        ))
+    finally:
+        tracer.uninstall()
+    spans = [s for s in tracer.spans if s["name"] == "trajectories.simulate"]
+    assert len(spans) == 2
+    for span in spans:
+        assert span["ntraj"] == 4 and span["steps"] > 0 and "jumps" in span
+    assert spans[0]["jumps"] > 0 and spans[1]["jumps"] == 0
+
+
 def test_benchmark_workloads_build_and_parse(monkeypatch, tmp_path):
     # the workloads pass TrajectoryConfig fields and command-line flags
     # that the package must keep; building the Monte Carlo configs and

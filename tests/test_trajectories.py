@@ -12,8 +12,9 @@ from qfpt.diffusion import solve_diffusion_fpt
 from qfpt.errors import ConfigError, PhysicsError
 from qfpt.jumps import solve_jump_fpt
 from qfpt.kur import dynamical_activity
-from qfpt.models import decay_qubit, homodyne_qubit, thermal_qubit
-from qfpt.operators import build_liouvillian, steady_state, vectorize
+from qfpt import trajectories
+from qfpt.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, decay_qubit, homodyne_qubit, thermal_qubit
+from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, steady_state, vectorize
 from qfpt.trajectories import (
     TrajectoryConfig,
     fpt_histogram,
@@ -175,12 +176,34 @@ def test_decay_hits_match_exponential():
     assert stat.pvalue > 0.01
 
 
-def test_coarse_jump_step_warns_then_aborts():
-    model = thermal_qubit(20.0, 0.0, 0.0)
-    with pytest.warns(RuntimeWarning, match="step"):
-        simulate(TrajectoryConfig(model, "jump", 4, 0.5, dt=0.005, keep_paths=False))
-    with pytest.raises(ConfigError):
-        simulate(TrajectoryConfig(model, "jump", 4, 0.5, dt=0.02, keep_paths=False))
+def test_jump_step_does_not_set_the_time_error():
+    # at dt 0.5 a step spans about ten decay times; the waiting times are
+    # exact, so the ensemble must not notice the step
+    model = thermal_qubit(20.0, 1.0, 0.5)
+    for threshold in (3, 1):
+        fine, coarse = (
+            simulate(TrajectoryConfig(
+                model, "jump", 64, 2.0, dt=dt, seed=4, threshold=threshold,
+                lower_threshold=-threshold, keep_paths=False,
+            ))
+            for dt in (0.001, 0.5)
+        )
+        assert fine.jump_counts.sum() >= 64
+        assert np.array_equal(fine.censored, coarse.censored)
+        assert np.array_equal(fine.jump_counts, coarse.jump_counts)
+        assert np.allclose(fine.hit_times, coarse.hit_times, rtol=0.0, atol=1e-9, equal_nan=True)
+        assert np.allclose(fine.final_charges, coarse.final_charges, rtol=0.0, atol=1e-9)
+        assert np.allclose(fine.final_states, coarse.final_states, rtol=0.0, atol=1e-9)
+    # at thresholds +-1 every hit is the first jump, so each hit time is
+    # where the no-jump norm from the steady state falls to the first
+    # uniform u = 1 - random() of the trajectory's stream
+    rho0 = steady_state(build_liouvillian(model))
+    h_eff = model.hamiltonian - 0.5j * sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
+    assert not fine.censored.any()
+    for k, t in enumerate(fine.hit_times):
+        u = 1.0 - np.random.default_rng(np.random.SeedSequence(4, spawn_key=(k,))).random()
+        prop = expm(-1j * h_eff * t)
+        assert abs(np.trace(prop @ rho0 @ prop.conj().T).real - u) < 1e-9
 
 
 def test_all_censored_when_threshold_unreachable():
@@ -270,3 +293,43 @@ def test_two_sided_diffusion_ensemble_matches_engine():
     hit_charges = ens.final_charges[~ens.censored]
     assert (hit_charges <= -0.7).any() and (hit_charges >= 1.0).any()
     _assert_matches_engine(ens, det.result)
+
+
+def test_general_channel_jump_ensemble_matches_engine():
+    # sigma_minus + 0.3 sigma_z has rank two, so its jumps do not reset the
+    # state to a fixed one
+    sigma_z = np.diag([-1.0, 1.0]).astype(complex)
+    model = LindbladModel(SIGMA_X, (
+        JumpChannel(SIGMA_MINUS + 0.3 * sigma_z, weight=1),
+        JumpChannel(np.sqrt(0.5) * SIGMA_PLUS, weight=-1),
+    ))
+    det = solve_jump_fpt(model, threshold=3, horizon=20.0)
+    cfg = TrajectoryConfig(
+        model, "jump", 2000, 20.0, seed=8, threshold=3, keep_paths=False,
+    )
+    ens = simulate(cfg)
+    assert ens.jump_counts[:, 0].sum() > cfg.ntraj
+    # every hit is a jump through the rank-two channel, whose post-jump
+    # state depends on the state before it; a fixed reset would not
+    hit_states = ens.final_states[~ens.censored]
+    assert np.abs(hit_states - hit_states[0]).max() > 0.1
+    _assert_matches_engine(ens, det.result)
+
+
+def test_chunked_run_matches_single_chunk(monkeypatch):
+    cases = (
+        ("jump", thermal_qubit(1.0, 1.0, 0.2), 1),
+        ("diffusion", homodyne_qubit(1.0, 1.0), 0.5),
+    )
+    for unravelling, model, threshold in cases:
+        cfg = TrajectoryConfig(model, unravelling, 20, 2.0, dt=0.005, seed=3, threshold=threshold)
+        whole = simulate(cfg)
+        monkeypatch.setattr(trajectories, "MC_CHUNK", 7)
+        chunked = simulate(cfg)
+        monkeypatch.undo()
+        for name in ("hit_times", "censored", "final_charges", "final_states", "path_times", "paths"):
+            assert np.array_equal(getattr(whole, name), getattr(chunked, name), equal_nan=True), name
+        assert whole.paths.shape == (20, whole.path_times.size)
+        assert np.array_equal(whole.jump_counts, chunked.jump_counts)
+        assert whole.steps_total == chunked.steps_total
+        assert whole.positivity_repairs == chunked.positivity_repairs
