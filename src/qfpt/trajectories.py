@@ -24,17 +24,19 @@ the plain explicit step to first order in dt but keeps the state positive
 by construction, so the eigenvalue clamp stays a safety net instead of
 firing on ordinary near-pure excursions.
 
-Trajectory k of an ensemble draws from the k-th child stream spawned from
-the ensemble seed (``numpy.random.SeedSequence`` with spawn key ``(k,)``),
-and no floating-point operation mixes trajectories, so results are
-bit-identical no matter how the ensemble is chunked, partitioned or
-ordered, and different seeds give independent trajectories.
+Both unravellings keep the states of their alive trajectories as one
+(d, d, n) stack, trajectory index last, and drop a trajectory from it
+once it is absorbed or censored.  Trajectory k of an ensemble draws from
+the k-th child stream spawned from the ensemble seed
+(``numpy.random.SeedSequence`` with spawn key ``(k,)``), and no
+floating-point operation mixes trajectories, so results are bit-identical
+no matter how the ensemble is chunked, partitioned or ordered, and
+different seeds give independent trajectories.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -46,9 +48,7 @@ from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
 from .models import LindbladModel
-from .propagation import block_traces, initial_density, positive_finite
-
-logger = logging.getLogger(__name__)
+from .propagation import initial_density, positive_finite
 
 DEFAULT_STEP_BUDGET = 0.01
 MC_CHUNK = 4096
@@ -167,24 +167,25 @@ def _streams(config: TrajectoryConfig) -> list[np.random.Generator]:
     ]
 
 
+def _path_stride(nsteps: int) -> int:
+    """Steps between path samples: the fewest that keep at most
+    ``PATH_SAMPLES`` + 1 samples."""
+    return -(-nsteps // PATH_SAMPLES)
+
+
 def _path_times(nsteps: int, dt: float) -> np.ndarray:
-    """At most ``PATH_SAMPLES`` + 1 equally spaced sampling times of the
-    charge paths, from 0 to the horizon."""
-    stride = max(1, nsteps // PATH_SAMPLES)
+    """At most ``PATH_SAMPLES`` + 1 sampling times of the charge paths, one
+    every ``_path_stride(nsteps)`` steps from 0.  The last falls on the
+    horizon when the stride divides ``nsteps`` and less than one stride
+    before it otherwise."""
+    stride = _path_stride(nsteps)
     return np.arange(nsteps // stride + 1) * stride * dt
 
 
-def _renormalize(rho: np.ndarray, what: str) -> np.ndarray:
-    tr = block_traces(rho)
-    if tr.size and tr.min() < 1e-12:
-        raise PhysicsError(f"{what}: conditional state norm collapsed")
-    return rho / tr[:, None, None]
-
-
-# The jump sampler keeps its states as (d, d, n) stacks, trajectory last.
-# Products are written out as elementwise operations summed in a fixed
-# order: no trajectory's result depends on which others share its batch,
-# which a BLAS call over the trajectory axis would not guarantee.
+# Products of (d, d, n) stacks are written out as elementwise operations
+# summed in a fixed order: no trajectory's result depends on which others
+# share its batch, which a BLAS call over the trajectory axis would not
+# guarantee.
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,6 +206,13 @@ def _trace(a: np.ndarray) -> np.ndarray:
     for i in range(1, a.shape[0]):
         tr = tr + a[i, i].real
     return tr
+
+
+def _renormalize(rho: np.ndarray) -> np.ndarray:
+    tr = _trace(rho)
+    if tr.min() < 1e-12:
+        raise PhysicsError("diffusive update: conditional state norm collapsed")
+    return rho / tr
 
 
 class _JumpSampler:
@@ -308,134 +316,122 @@ class _JumpSampler:
 
 
 def _psd_repair(rho: np.ndarray, where: np.ndarray) -> int:
-    """Clamp negative eigenvalues on the flagged states, in place."""
+    """Clamp negative eigenvalues of the flagged states of a (d, d, n)
+    stack and restore their unit trace, in place; returns how many."""
     bad = np.flatnonzero(where)
     for i in bad:
-        vals, vecs = np.linalg.eigh(rho[i])
+        vals, vecs = np.linalg.eigh(rho[..., i])
         vals = np.clip(vals, 0.0, None)
         total = vals.sum()
         if total < 1e-12:
             raise PhysicsError("positivity repair removed all state weight")
-        rho[i] = (vecs * vals) @ vecs.conj().T / total
+        rho[..., i] = (vecs * vals) @ vecs.conj().T / total
     return bad.size
 
 
 def _min_eig_floor(rho: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue per state; closed form for qubits."""
-    d = rho.shape[-1]
+    """Smallest eigenvalue of each state of a (d, d, n) stack; closed form
+    for qubits."""
+    d = rho.shape[0]
     if d == 1:
-        return rho[:, 0, 0].real
+        return rho[0, 0].real
     if d == 2:
-        half = 0.5 * (rho[:, 0, 0] + rho[:, 1, 1]).real
-        det = (
-            rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]
-        ).real
-        gap = np.sqrt(np.clip(half**2 - det, 0.0, None))
+        half = 0.5 * (rho[0, 0] + rho[1, 1]).real
+        det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
+        gap = np.sqrt(np.maximum(half * half - det, 0.0))
         return half - gap
-    return np.linalg.eigvalsh(rho)[:, 0]
-
-
-class _DiffusionStepper:
-    """Diffusive unravelling: one Wiener increment per monitored channel
-    per step, and the charge integrated from the weighted signals."""
-
-    def __init__(self, config: TrajectoryConfig, dt: float):
-        model = config.model
-        if not model.monitored:
-            raise ModelError("diffusive monitoring needs at least one monitored channel")
-        self.dt = dt
-        self.sq = math.sqrt(dt)
-        self.a_ops = np.stack([ch.rotated_operator() for ch in model.monitored])
-        self.nu = np.array([ch.weight for ch in model.monitored])
-        gram_total = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
-        self.silent_ops = [ch.operator for ch in model.silent]
-        self.stem = np.eye(model.dim) - dt * (1j * model.hamiltonian + 0.5 * gram_total)
-        self.draw_shape = (len(model.monitored),)
-        self.repairs = 0
-
-    def draw(self, rng: np.random.Generator, block: int) -> np.ndarray:
-        return rng.standard_normal((block, *self.draw_shape))
-
-    def update(self, idx: np.ndarray, rho: np.ndarray, w: np.ndarray):
-        """New states and charge increments of the alive trajectories."""
-        dt = self.dt
-        xs = 2.0 * np.einsum("kab,nba->nk", self.a_ops, rho).real
-        dy = xs * dt + self.sq * w
-        kraus = self.stem + np.einsum("nk,kab->nab", dy, self.a_ops)
-        new = kraus @ rho @ np.conj(np.transpose(kraus, (0, 2, 1)))
-        for op in self.silent_ops:
-            new = new + dt * (op @ rho @ op.conj().T)
-        new = 0.5 * (new + np.conj(np.transpose(new, (0, 2, 1))))
-        new = _renormalize(new, "diffusive update")
-        need = _min_eig_floor(new) < -PSD_CLAMP_TOL
-        if need.any():
-            self.repairs += _psd_repair(new, need)
-        return new, dy @ self.nu
-
-    def hit_time(self, step: int, old, new, target) -> np.ndarray:
-        """Linear interpolation of the crossing inside the step."""
-        frac = (target - old) / (new - old)
-        return step * self.dt + np.clip(frac, 0.0, 1.0) * self.dt
+    return np.linalg.eigvalsh(rho.transpose(2, 0, 1))[:, 0]
 
 
 def _run_diffusion(config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.ndarray):
     """One chunk of diffusive trajectories.
 
+    A step applies the measurement operator K = 1 - dt (i H + G/2)
+    + sum_k dy_k A_k, where A_k are the phase-rotated monitored operators,
+    G sums L^dag L over all channels, dy_k = 2 Re tr(A_k rho) dt
+    + sqrt(dt) w_k and w_k is a standard normal.  The new state is the
+    Hermitian part of K rho K^dag + dt sum_silent L rho L^dag over its
+    trace, and the charge grows by sum_k weight_k dy_k.
+
     Every trajectory draws its noise from its own generator, one block of
-    ``RNG_BLOCK`` steps at a time and only while it is alive, and the
-    stepper advances all alive states together."""
+    ``RNG_BLOCK`` steps at a time and only while it is alive.  The alive
+    states form one (d, d, m) stack that is compacted when some cross; a
+    crossed trajectory's final state, charge and hit time are written out
+    at the step where it crosses."""
+    model = config.model
+    if not model.monitored:
+        raise ModelError("diffusive monitoring needs at least one monitored channel")
     n = config.ntraj
-    stepper = _DiffusionStepper(config, dt)
+    sq = math.sqrt(dt)
+    a_ops = [ch.rotated_operator()[..., None] for ch in model.monitored]
+    silent = [ch.operator[..., None] for ch in model.silent]
+    weights = [ch.weight for ch in model.monitored]
+    gram_total = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
+    stem = (np.eye(model.dim) - dt * (1j * model.hamiltonian + 0.5 * gram_total))[..., None]
     # a missing threshold is one the charge never reaches
     upper = np.inf if config.threshold is None else config.threshold
     lower = -np.inf if config.lower_threshold is None else config.lower_threshold
-
-    rho = np.broadcast_to(rho0, (n, *rho0.shape)).copy()
-    charge = np.zeros(n)
-    hit = np.full(n, np.nan)
-    alive = np.ones(n, dtype=bool)
-    step_slots = 0
     rngs = _streams(config)
 
     times = _path_times(nsteps, dt) if config.keep_paths else np.zeros(0)
-    stride = max(1, nsteps // PATH_SAMPLES)
+    stride = _path_stride(nsteps)
     paths = np.zeros((n, times.size))
     filled = min(1, times.size)
 
-    noise = np.empty((n, min(RNG_BLOCK, nsteps), *stepper.draw_shape))
-    for block_start in range(0, nsteps, RNG_BLOCK):
-        block = min(RNG_BLOCK, nsteps - block_start)
-        for i in np.flatnonzero(alive):
-            noise[i, :block] = stepper.draw(rngs[i], block)
-        for s in range(block):
-            step = block_start + s
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            step_slots += idx.size
-            states, dq = stepper.update(idx, rho[idx], noise[idx, s])
-            rho[idx] = states
-            old = charge[idx]
-            new = old + dq
-            charge[idx] = new
+    final = np.empty((*rho0.shape, n), dtype=complex)
+    charge = np.zeros(n)
+    hit = np.full(n, np.nan)
+    # the alive trajectories: their indices, states and charges
+    alive = np.arange(n)
+    rho = np.repeat(rho0[..., None], n, axis=-1)
+    q = np.zeros(n)
+    repairs = step_slots = 0
 
-            crossed = (new >= upper) | (new <= lower)
-            if crossed.any():
-                done = idx[crossed]
-                before, after = old[crossed], new[crossed]
-                target = np.where(after >= upper, upper, lower)
-                hit[done] = stepper.hit_time(step, before, after, target)
-                alive[done] = False
-            if times.size and (step + 1) % stride == 0:
-                filled = (step + 1) // stride + 1
-                paths[:, filled - 1] = charge
-        if not alive.any():
+    noise = np.empty((min(RNG_BLOCK, nsteps), len(a_ops), n))
+    for step in range(nsteps):
+        if step % RNG_BLOCK == 0:
+            block = min(RNG_BLOCK, nsteps - step)
+            for i in alive:
+                noise[:block, :, i] = rngs[i].standard_normal((block, len(a_ops)))
+        w = noise[step % RNG_BLOCK][:, alive]
+        step_slots += alive.size
+
+        dy = [_trace(_mul(a, rho)) * (2.0 * dt) + sq * wk for a, wk in zip(a_ops, w)]
+        new = _sandwich(stem + sum(y * a for y, a in zip(dy, a_ops)), rho)
+        for op in silent:
+            new = new + dt * _sandwich(op, rho)
+        rho = _renormalize(0.5 * (new + new.conj().transpose(1, 0, 2)))
+        need = _min_eig_floor(rho) < -PSD_CLAMP_TOL
+        if need.any():
+            repairs += _psd_repair(rho, need)
+        old, q = q, q + sum(y * nu for y, nu in zip(dy, weights))
+
+        crossed = (q >= upper) | (q <= lower)
+        if crossed.any():
+            done = alive[crossed]
+            before, after = old[crossed], q[crossed]
+            target = np.where(after >= upper, upper, lower)
+            # linear interpolation of the crossing inside the step
+            frac = (target - before) / (after - before)
+            hit[done] = step * dt + np.clip(frac, 0.0, 1.0) * dt
+            final[..., done] = rho[..., crossed]
+            charge[done] = after
+            keep = ~crossed
+            alive, rho, q = alive[keep], rho[..., keep], q[keep]
+        if times.size and (step + 1) % stride == 0:
+            charge[alive] = q
+            filled = (step + 1) // stride + 1
+            paths[:, filled - 1] = charge
+        if alive.size == 0:
             break
+    final[..., alive] = rho
+    charge[alive] = q
     # every trajectory is frozen once the loop ends early
     paths[:, filled:] = charge[:, None]
     return TrajectoryEnsemble(
-        config, dt, hit, np.isnan(hit), charge, rho, times, paths,
-        positivity_repairs=stepper.repairs, steps_total=step_slots,
+        config, dt, hit, np.isnan(hit), charge,
+        np.ascontiguousarray(final.transpose(2, 0, 1)), times, paths,
+        positivity_repairs=repairs, steps_total=step_slots,
     )
 
 

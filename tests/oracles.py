@@ -144,6 +144,56 @@ class BirthDeathChain:
         return prob, mean, second - mean**2
 
 
+def diffusive_trajectories(model, rho0, ntraj, nsteps, dt, seed, upper, lower, block=256):
+    """Diffusive trajectories stepped one at a time with plain matrix
+    products: hit times (nan when censored), final charges, final states
+    and the charge after every step, frozen from the crossing on.
+
+    A step applies K = 1 - dt (i H + G/2) + sum_k dy_k A_k, with A_k the
+    monitored operators times exp(-i phase_k), G the sum of L^dag L over
+    all channels and dy_k = 2 Re tr(A_k rho) dt + sqrt(dt) w_k; the state
+    becomes the Hermitian part of K rho K^dag + dt sum_silent L rho L^dag
+    over its trace, and the charge grows by sum_k weight_k dy_k.  A
+    crossing is stamped by linear interpolation inside its step.
+    Trajectory k draws its normals w from ``SeedSequence(seed,
+    spawn_key=(k,))``, ``block`` steps at a time while it runs.
+    """
+    monitored = [ch for ch in model.channels if ch.monitored]
+    a_ops = [ch.operator * np.exp(-1j * ch.phase) for ch in monitored]
+    weights = np.array([ch.weight for ch in monitored])
+    silent = [ch.operator for ch in model.channels if not ch.monitored]
+    gram = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
+    stem = np.eye(rho0.shape[0]) - dt * (1j * model.hamiltonian + 0.5 * gram)
+    hit = np.full(ntraj, np.nan)
+    states = np.empty((ntraj, *rho0.shape), dtype=complex)
+    series = np.zeros((ntraj, nsteps + 1))
+    for k in range(ntraj):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        rho, charge = np.array(rho0, dtype=complex), 0.0
+        for step in range(nsteps):
+            if step % block == 0:
+                noise = rng.standard_normal((min(block, nsteps - step), len(a_ops)))
+            x = np.array([2.0 * np.trace(a @ rho).real for a in a_ops])
+            dy = x * dt + np.sqrt(dt) * noise[step % block]
+            kraus = stem + sum(y * a for y, a in zip(dy, a_ops))
+            new = kraus @ rho @ kraus.conj().T
+            for op in silent:
+                new = new + dt * (op @ rho @ op.conj().T)
+            new = 0.5 * (new + new.conj().T)
+            rho = new / np.trace(new).real
+            if np.linalg.eigvalsh(rho)[0] < -1e-10:
+                raise ValueError("reference state lost positivity")
+            old, charge = charge, charge + float(dy @ weights)
+            series[k, step + 1:] = charge
+            if charge >= upper or charge <= lower:
+                target = upper if charge >= upper else lower
+                frac = min(max((target - old) / (charge - old), 0.0), 1.0)
+                hit[k] = (step + frac) * dt
+                break
+        states[k] = rho
+    return hit, series[:, -1].copy(), states, series
+
+
 def cell_traces(model, sol, initial="steady") -> np.ndarray:
     """Per-cell traces of a jump solve at each of its grid points, shape
     (points, cells): the solve's generator on its final window, propagated

@@ -16,12 +16,16 @@ from qfpt import trajectories
 from qfpt.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, decay_qubit, homodyne_qubit, thermal_qubit
 from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, steady_state, vectorize
 from qfpt.trajectories import (
+    PATH_SAMPLES,
+    PSD_CLAMP_TOL,
     TrajectoryConfig,
     fpt_histogram,
     merge_ensembles,
     partition_config,
     simulate,
 )
+
+from .oracles import diffusive_trajectories
 
 
 def _trace_distance(a, b):
@@ -333,3 +337,69 @@ def test_chunked_run_matches_single_chunk(monkeypatch):
         assert np.array_equal(whole.jump_counts, chunked.jump_counts)
         assert whole.steps_total == chunked.steps_total
         assert whole.positivity_repairs == chunked.positivity_repairs
+
+
+def test_diffusion_matches_one_at_a_time_reference():
+    # three levels, two monitored channels of opposite charge, one with a
+    # detection phase, and a silent pump; 300 steps cross a noise block
+    ham = np.array([[0.0, 0.6, 0.0], [0.6, 0.3, 0.4j], [0.0, -0.4j, -0.2]])
+
+    def jump(src, dst, amp):
+        op = np.zeros((3, 3), dtype=complex)
+        op[dst, src] = amp
+        return op
+
+    model = LindbladModel(ham, (
+        JumpChannel(jump(1, 0, 1.0), weight=1.0),
+        JumpChannel(jump(2, 1, np.sqrt(0.5)), weight=-0.5, phase=0.8),
+        JumpChannel(jump(0, 2, np.sqrt(0.4)), monitored=False),
+    ))
+    rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
+    cfg = TrajectoryConfig(
+        model, "diffusion", 24, 1.5, dt=0.005, seed=11, initial=rho0,
+        threshold=2.0, lower_threshold=-1.2, keep_paths=True,
+    )
+    ens = simulate(cfg)
+    nsteps = round(cfg.horizon / ens.dt)
+    hit, charges, states, series = diffusive_trajectories(
+        model, rho0, cfg.ntraj, nsteps, ens.dt, cfg.seed, 2.0, -1.2,
+        block=trajectories.RNG_BLOCK,
+    )
+    assert nsteps > trajectories.RNG_BLOCK
+    hits = ens.final_charges[~ens.censored]
+    assert ens.censored.any() and (hits >= 2.0).any() and (hits <= -1.2).any()
+    assert np.array_equal(ens.censored, np.isnan(hit))
+    assert np.allclose(ens.hit_times, hit, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(ens.final_charges, charges, rtol=0.0, atol=1e-12)
+    assert np.allclose(ens.final_states, states, rtol=0.0, atol=1e-12)
+    columns = np.rint(ens.path_times / ens.dt).astype(int)
+    assert np.allclose(ens.paths, series[:, columns], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nsteps", [1, 255, 256, 257, 511, 3000])
+def test_path_times_keep_the_sample_cap(nsteps):
+    horizon = 6.0
+    dt = horizon / nsteps
+    times = trajectories._path_times(nsteps, dt)
+    spacing = times[1] - times[0]
+    assert times.size <= PATH_SAMPLES + 1
+    assert times[0] == 0.0
+    assert np.allclose(np.diff(times), spacing, rtol=1e-12, atol=0.0)
+    # the last sample lies less than one spacing before the horizon
+    assert -1e-12 <= horizon - times[-1] < spacing
+
+
+def test_psd_repair_fixes_only_the_flagged_state():
+    rng = np.random.default_rng(3)
+    unitary, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    bad = (unitary * [-1e-6, 0.4, 0.6 + 1e-6]) @ unitary.conj().T
+    good = [np.diag([0.5, 0.3, 0.2]), (unitary * [0.1, 0.2, 0.7]) @ unitary.conj().T]
+    stack = np.stack([good[0], bad, good[1]], axis=-1).astype(complex)
+    before = stack.copy()
+    floor = trajectories._min_eig_floor(stack)
+    assert np.allclose(floor, [0.2, -1e-6, 0.1], rtol=0.0, atol=1e-12)
+    assert trajectories._psd_repair(stack, floor < -PSD_CLAMP_TOL) == 1
+    fixed = stack[..., 1]
+    assert np.linalg.eigvalsh(fixed)[0] >= -1e-15
+    assert abs(np.trace(fixed) - 1.0) < 1e-12
+    assert np.array_equal(stack[..., [0, 2]], before[..., [0, 2]])
