@@ -14,6 +14,7 @@ import scipy.sparse.linalg
 from qfpt import propagation
 from qfpt.diffusion import (
     ChargeGrid,
+    build_fokker_planck_generator,
     conditioned_charge_distribution,
     mean_charge_path,
     solve_diffusion_fpt,
@@ -172,6 +173,38 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     bound = num * 16 * np.finfo(float).eps * np.abs(x0).max() * np.abs(rows).sum(axis=1).max()
     assert np.max(np.abs(obs - np.real(ref @ rows.T))) < bound
     assert np.max(np.abs(state - x)) < num * 16 * np.finfo(float).eps * np.abs(x0).max()
+
+
+def test_factor_keeps_natural_column_order():
+    # the grid and step of the README fpt-diffusion command; its unknowns
+    # are numbered node by node, so the Crank-Nicolson matrix is banded as
+    # given
+    model = homodyne_qubit(1.0, 1.0)
+    grid, dt = ChargeGrid(-20.6, 0.99, 0.01), 0.002 / np.sqrt(2.0)
+    mat = scipy.sparse.csc_matrix(build_fokker_planck_generator(model, grid).matrix)
+    n = mat.shape[0]
+    assert n == 8640
+    ident = scipy.sparse.identity(n, format="csc", dtype=complex)
+    lu = propagation._factor(ident - 0.5 * dt * mat)
+    assert np.array_equal(lu.perm_c, np.arange(n))
+
+
+def test_auto_tail_diffusion_solve_factors_in_natural_order(monkeypatch):
+    # the horizon guess, the backward-Euler startup and the Crank-Nicolson
+    # step each factor the grid generator once, all in natural order
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(matrix, **kwargs):
+        calls.append((matrix.shape[0], kwargs))
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
+    grid = ChargeGrid(-0.45, 0.45, 0.05)
+    sol = solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), grid=grid, horizon=1.0, auto_tail=True)
+    assert sol.result.survival[-1] < 1e-6
+    assert calls == [(4 * grid.ncells, {"permc_spec": "NATURAL"})] * 3
 
 
 def test_mean_charge_path_matches_stepped_rates():

@@ -3,6 +3,7 @@ perfbench/."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -17,6 +18,7 @@ from qfpt.propagation import DENSE_CUTOFF
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "qfpt"
 
 
 def _load(name: str):
@@ -37,6 +39,46 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"qfpt.{layer}"), name, None))
     ]
     assert tracing.TRACED and not missing
+
+
+def _splu_mentions(tree: ast.AST, module: str, scope: str = "") -> list[tuple[str, str]]:
+    """(module.function, source) of every name, attribute or import alias
+    called ``splu`` under ``tree``, outermost first."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "splu":
+            found.append((f"{module}.{scope}", ast.unparse(node)))
+            continue
+        if (isinstance(node, ast.Name) and node.id == "splu") or (
+            isinstance(node, ast.alias) and "splu" in (node.name, node.asname)
+        ):
+            found.append((f"{module}.{scope}", ast.unparse(node)))
+        found += _splu_mentions(node, module, inner)
+    return found
+
+
+def test_sparse_lu_has_one_call_site():
+    # the tracer counts factorisations by wrapping the module attribute
+    # scipy.sparse.linalg.splu, and _factor fixes the column order; a second
+    # call site, or splu bound to another name, escapes both
+    mentions = [
+        hit
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in _splu_mentions(ast.parse(path.read_text()), path.stem)
+    ]
+    assert mentions == [("propagation._factor", "scipy.sparse.linalg.splu")]
+    tree = ast.parse((PACKAGE / "propagation.py").read_text())
+    factor = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_factor"
+    )
+    calls = [
+        node for node in ast.walk(factor)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.sparse.linalg.splu"
+    ]
+    assert len(calls) == 1
 
 
 def test_tracer_sees_propagation_chunks():
