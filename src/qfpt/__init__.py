@@ -70,7 +70,6 @@ from .operators import (
 )
 from .propagation import BlockGenerator, FptSolution
 from .trajectories import (
-    EmpiricalFpt,
     TrajectoryConfig,
     TrajectoryEnsemble,
     fpt_histogram,
@@ -86,7 +85,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DegenerateKernelError",
-    "EmpiricalFpt",
     "FptMoments",
     "FptResult",
     "FptSolution",

@@ -357,7 +357,6 @@ def run_trajectories(args) -> int:
         initial=start,
         threshold=args.threshold,
         lower_threshold=args.lower_threshold,
-        keep_paths=False,
     )
     t0 = time.perf_counter()
     if args.workers > 1:
@@ -382,10 +381,10 @@ def run_trajectories(args) -> int:
         chash,
     )
     artifacts = ["trajectories.csv"]
-    empirical = fpt_histogram(ensemble, bins=args.bins)
-    if empirical.nabsorbed > 0:
+    hits = ensemble.absorbed_times()
+    if hits.size > 0:
         write_series_csv(
-            outdir / "fpt_mc.csv", empirical.to_result(), config_hash=chash
+            outdir / "fpt_mc.csv", fpt_histogram(ensemble, args.bins), config_hash=chash
         )
         artifacts.append("fpt_mc.csv")
     results = {
@@ -395,8 +394,7 @@ def run_trajectories(args) -> int:
         "dt": ensemble.dt,
         "positivity_repairs": ensemble.positivity_repairs,
     }
-    if empirical.nabsorbed > 0:
-        hits = ensemble.absorbed_times()
+    if hits.size > 0:
         results["mean_hit_time"] = float(hits.mean())
     write_manifest(
         outdir, payload, chash, artifacts, time.perf_counter() - t0, results
@@ -641,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--horizon", type=float, default=10.0)
     traj.add_argument(
         "--dt", type=float,
-        help="diffusion: integration step; jump: path sampling only, not the time error",
+        help="diffusion: integration step; jump trajectories are exact in time and take none",
     )
     traj.add_argument("--bins", type=_count, default=50, help="histogram bins")
     traj.add_argument("--workers", type=_count, default=1)

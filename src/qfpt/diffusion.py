@@ -341,6 +341,8 @@ def solve_diffusion_fpt(
     rho0 = initial_density(model, initial)
     if grid is not None and (threshold is not None or lower_threshold is not None):
         raise ConfigError("pass either an explicit grid or thresholds, not both")
+    if grid is not None and delta is not None:
+        raise ConfigError("pass either an explicit grid or delta, not both")
     real_threshold(threshold, +1)
     real_threshold(lower_threshold, -1)
 

@@ -13,8 +13,8 @@ second uniform picks the channel against the rates tr(L_k^dag L_k rho).
 The instant is found by a greedy descent over the exact propagators
 U(horizon 2^-m), m = 0..52, which places it to roundoff for any state,
 and a trajectory whose norm is still above u at the horizon ends in its
-exact no-jump state there.  For jumps ``dt`` therefore sets only the
-sampling times of the charge paths, never the time error.
+exact no-jump state there.  Jump trajectories therefore take no time
+step.
 
 Diffusive monitoring advances the state by the measurement-operator
 factorization of the first-order update, with one Wiener increment per
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -63,7 +63,6 @@ LADDER_LEVELS = 53
 SEED_MAX = 2**64 - 1
 REPAIR_FRACTION_ABORT = 1e-3
 PSD_CLAMP_TOL = 1e-10
-PATH_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,9 @@ class TrajectoryConfig:
     """Ensemble description shared by both unravellings.
 
     ``dt`` is the integration step of diffusive trajectories; jump
-    trajectories are exact in time and use it only to space the sampling
-    times of their charge paths."""
+    trajectories are exact in time and take no step, though ``dt`` is
+    validated for both.  ``keep_paths`` is retired: charge paths are not
+    recorded, and only its default ``False`` is accepted."""
 
     model: LindbladModel
     unravelling: str
@@ -83,12 +83,15 @@ class TrajectoryConfig:
     initial: np.ndarray | str = "steady"
     threshold: float | None = None
     lower_threshold: float | None = None
-    keep_paths: bool = True
+    keep_paths: bool = False
     index_offset: int = 0
 
     def __post_init__(self):
         if self.unravelling not in ("jump", "diffusion"):
             raise ConfigError(f"unknown unravelling {self.unravelling!r}")
+        for name in ("ntraj", "index_offset"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         if self.ntraj < 1:
             raise ConfigError("need at least one trajectory")
         if self.index_offset < 0:
@@ -98,6 +101,8 @@ class TrajectoryConfig:
             positive_finite(self.dt, "dt")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= SEED_MAX):
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        if self.keep_paths:
+            raise ConfigError("charge paths are no longer recorded; keep_paths must be False")
         self.model.require_channels()
         if self.unravelling == "jump":
             for ch in self.model.monitored:
@@ -112,12 +117,10 @@ class TrajectoryConfig:
         return initial_density(self.model, self.initial)
 
     def resolve_step(self) -> tuple[float, int]:
-        """Effective step and step count; the step divides the horizon."""
+        """Diffusive step and step count; the step divides the horizon."""
         model = self.model
         if self.dt is None:
-            scale = model.rate_scale()
-            if self.unravelling == "diffusion":
-                scale = max(scale, sum(ch.weight**2 for ch in model.monitored))
+            scale = max(model.rate_scale(), sum(ch.weight**2 for ch in model.monitored))
             if scale <= 0:
                 raise ModelError("model has no dynamics to set a time step from")
             dt = DEFAULT_STEP_BUDGET / scale
@@ -132,13 +135,12 @@ class TrajectoryEnsemble:
     """Batched per-trajectory outcomes of one simulation run."""
 
     config: TrajectoryConfig
-    dt: float
+    # the diffusive step; None for jump trajectories, which take none
+    dt: float | None
     hit_times: np.ndarray
     censored: np.ndarray
     final_charges: np.ndarray
     final_states: np.ndarray
-    path_times: np.ndarray
-    paths: np.ndarray
     jump_counts: np.ndarray | None = None
     positivity_repairs: int = 0
     # diffusion: per-trajectory steps executed; jumps: sampled events, one
@@ -165,21 +167,6 @@ def _streams(config: TrajectoryConfig) -> list[np.random.Generator]:
         np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
         for k in range(config.index_offset, config.index_offset + config.ntraj)
     ]
-
-
-def _path_stride(nsteps: int) -> int:
-    """Steps between path samples: the fewest that keep at most
-    ``PATH_SAMPLES`` + 1 samples."""
-    return -(-nsteps // PATH_SAMPLES)
-
-
-def _path_times(nsteps: int, dt: float) -> np.ndarray:
-    """At most ``PATH_SAMPLES`` + 1 sampling times of the charge paths, one
-    every ``_path_stride(nsteps)`` steps from 0.  The last falls on the
-    horizon when the stride divides ``nsteps`` and less than one stride
-    before it otherwise."""
-    stride = _path_stride(nsteps)
-    return np.arange(nsteps // stride + 1) * stride * dt
 
 
 # Products of (d, d, n) stacks are written out as elementwise operations
@@ -220,12 +207,11 @@ class _JumpSampler:
     docstring).  The propagators depend on the model and the horizon
     only, so one sampler serves every chunk of an ensemble."""
 
-    def __init__(self, config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.ndarray):
+    def __init__(self, config: TrajectoryConfig, rho0: np.ndarray):
         model = config.model
         ops = [ch.operator for ch in model.channels]
         grams = [op.conj().T @ op for op in ops]
         gen = -1j * model.hamiltonian - 0.5 * sum(grams)
-        self.dt = dt
         self.horizon = config.horizon
         self.rho0 = rho0[..., None]
         self.ops = [op[..., None] for op in ops]
@@ -234,7 +220,6 @@ class _JumpSampler:
         # exact propagators over horizon 2^-m, longest first
         spans = [config.horizon * 0.5**m for m in range(LADDER_LEVELS)]
         self.ladder = [(h, expm(gen * h)[..., None]) for h in spans]
-        self.path_times = _path_times(nsteps, dt)
 
     def descend(self, rho: np.ndarray, u: np.ndarray, clock: np.ndarray):
         """Greedy descent over the ladder from the given clocks: each step
@@ -268,8 +253,6 @@ class _JumpSampler:
         hit = np.full(n, np.nan)
         alive = np.ones(n, dtype=bool)
         counts = np.zeros((n, nchan), dtype=np.int64)
-        times = self.path_times if config.keep_paths else np.zeros(0)
-        increments = np.zeros((n, times.size), dtype=np.int64)
         events = 0
 
         while alive.any():
@@ -298,20 +281,14 @@ class _JumpSampler:
                     raise PhysicsError("jump update: conditional state norm collapsed")
                 state[..., jid[k == c]] = post / tr
             counts[jid, k] += 1
-            dq = self.nu[k]
-            charge[jid] += dq
-            if times.size:
-                col = np.searchsorted(times, t_jump)
-                inside = col < times.size
-                increments[jid[inside], col[inside]] += dq[inside]
+            charge[jid] += self.nu[k]
             crossed = (charge[jid] >= upper) | (charge[jid] <= lower)
             hit[jid[crossed]] = t_jump[crossed]
             alive[jid[crossed]] = False
 
         return TrajectoryEnsemble(
-            config, self.dt, hit, np.isnan(hit), charge.astype(float),
-            np.ascontiguousarray(state.transpose(2, 0, 1)), times,
-            np.cumsum(increments, axis=1), counts, steps_total=events,
+            config, None, hit, np.isnan(hit), charge.astype(float),
+            np.ascontiguousarray(state.transpose(2, 0, 1)), counts, steps_total=events,
         )
 
 
@@ -373,11 +350,6 @@ def _run_diffusion(config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.nd
     lower = -np.inf if config.lower_threshold is None else config.lower_threshold
     rngs = _streams(config)
 
-    times = _path_times(nsteps, dt) if config.keep_paths else np.zeros(0)
-    stride = _path_stride(nsteps)
-    paths = np.zeros((n, times.size))
-    filled = min(1, times.size)
-
     final = np.empty((*rho0.shape, n), dtype=complex)
     charge = np.zeros(n)
     hit = np.full(n, np.nan)
@@ -418,19 +390,13 @@ def _run_diffusion(config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.nd
             charge[done] = after
             keep = ~crossed
             alive, rho, q = alive[keep], rho[..., keep], q[keep]
-        if times.size and (step + 1) % stride == 0:
-            charge[alive] = q
-            filled = (step + 1) // stride + 1
-            paths[:, filled - 1] = charge
         if alive.size == 0:
             break
     final[..., alive] = rho
     charge[alive] = q
-    # every trajectory is frozen once the loop ends early
-    paths[:, filled:] = charge[:, None]
     return TrajectoryEnsemble(
         config, dt, hit, np.isnan(hit), charge,
-        np.ascontiguousarray(final.transpose(2, 0, 1)), times, paths,
+        np.ascontiguousarray(final.transpose(2, 0, 1)),
         positivity_repairs=repairs, steps_total=step_slots,
     )
 
@@ -439,22 +405,19 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
     """Run an ensemble of either unravelling with charge accumulation and
     first-hit detection.
 
-    The trajectories run in chunks of at most ``MC_CHUNK``, each with its
-    own generators, and the chunks are concatenated by
-    ``merge_ensembles``.  A trajectory is absorbed when its charge reaches
-    ``threshold`` or falls to ``lower_threshold``.
+    The trajectories run in the fewest ``partition_config`` chunks of at
+    most ``MC_CHUNK``, each with its own generators, and the chunks are
+    concatenated by ``merge_ensembles``.  A trajectory is absorbed when
+    its charge reaches ``threshold`` or falls to ``lower_threshold``.
     """
-    dt, nsteps = config.resolve_step()
     rho0 = config.initial_matrix()
     if config.unravelling == "jump":
-        run = _JumpSampler(config, dt, nsteps, rho0).run
+        run = _JumpSampler(config, rho0).run
     else:
+        dt, nsteps = config.resolve_step()
         run = functools.partial(_run_diffusion, dt=dt, nsteps=nsteps, rho0=rho0)
-    ensemble = merge_ensembles([
-        run(replace(config, ntraj=min(MC_CHUNK, config.ntraj - start),
-                    index_offset=config.index_offset + start))
-        for start in range(0, config.ntraj, MC_CHUNK)
-    ])
+    chunks = partition_config(config, -(-config.ntraj // MC_CHUNK))
+    ensemble = merge_ensembles([run(chunk) for chunk in chunks])
     repairs, slots = ensemble.positivity_repairs, ensemble.steps_total
     if repairs > REPAIR_FRACTION_ABORT * slots:
         raise PhysicsError(
@@ -469,7 +432,7 @@ def partition_config(config: TrajectoryConfig, batches: int) -> list[TrajectoryC
 
     Each block keeps the per-trajectory generator streams of the full run,
     so simulating the blocks separately and merging reproduces the single
-    run bit for bit, paths included.
+    run bit for bit.
     """
     if batches < 1:
         raise ConfigError("need at least one batch")
@@ -498,8 +461,6 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
             raise ConfigError("batches are not contiguous in trajectory index")
         if part.dt != first.dt:
             raise ConfigError("batches disagree on the resolved time step")
-        if not np.array_equal(part.path_times, first.path_times):
-            raise ConfigError("batches disagree on the path sampling times")
         expected += part.config.ntraj
     total = sum(p.config.ntraj for p in parts)
     config = replace(first.config, ntraj=total)
@@ -513,39 +474,20 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
         np.concatenate([p.censored for p in parts]),
         np.concatenate([p.final_charges for p in parts]),
         np.concatenate([p.final_states for p in parts]),
-        first.path_times,
-        np.concatenate([p.paths for p in parts]),
         counts,
         sum(p.positivity_repairs for p in parts),
         sum(p.steps_total for p in parts),
     )
 
 
-@dataclass(frozen=True)
-class EmpiricalFpt:
-    """Histogram bins of an ensemble's hit times plus the censored mass."""
-
-    bin_edges: np.ndarray
-    censored_mass: float
-    nabsorbed: int
-    hit_times: np.ndarray = field(repr=False)
-
-    def to_result(self) -> FptResult:
-        """Unconditional density sampled on left bin edges, with survival."""
-        edges = self.bin_edges
-        ntraj = self.hit_times.size
-        counts, _ = np.histogram(self.hit_times[np.isfinite(self.hit_times)], bins=edges)
-        dens = counts / (ntraj * np.diff(edges))
-        surv = 1.0 - np.concatenate([[0], np.cumsum(counts)]) / ntraj
-        return FptResult(edges, np.concatenate([dens, [0.0]]), surv, "monte-carlo")
-
-
-def fpt_histogram(ensemble: TrajectoryEnsemble, bins: int | np.ndarray = 50) -> EmpiricalFpt:
-    """Histogram bins over the horizon (or the given edges) for an ensemble."""
-    if isinstance(bins, (int, np.integer)):
-        edges = np.linspace(0.0, ensemble.config.horizon, int(bins) + 1)
-    else:
-        edges = np.asarray(bins, dtype=float)
-    return EmpiricalFpt(
-        edges, ensemble.censored_fraction(), ensemble.absorbed_times().size, ensemble.hit_times,
-    )
+def fpt_histogram(ensemble: TrajectoryEnsemble, bins: int) -> FptResult:
+    """Unconditional FPT density of an ensemble's hit times, sampled on the
+    left edges of ``bins`` equal bins over [0, horizon], with survival."""
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ConfigError("need at least one histogram bin")
+    edges = np.linspace(0.0, ensemble.config.horizon, bins + 1)
+    ntraj = ensemble.ntraj
+    counts, _ = np.histogram(ensemble.absorbed_times(), bins=edges)
+    dens = counts / (ntraj * np.diff(edges))
+    surv = 1.0 - np.concatenate([[0], np.cumsum(counts)]) / ntraj
+    return FptResult(edges, np.concatenate([dens, [0.0]]), surv, "monte-carlo")

@@ -146,8 +146,8 @@ class BirthDeathChain:
 
 def diffusive_trajectories(model, rho0, ntraj, nsteps, dt, seed, upper, lower, block=256):
     """Diffusive trajectories stepped one at a time with plain matrix
-    products: hit times (nan when censored), final charges, final states
-    and the charge after every step, frozen from the crossing on.
+    products: hit times (nan when censored), final charges and final
+    states.
 
     A step applies K = 1 - dt (i H + G/2) + sum_k dy_k A_k, with A_k the
     monitored operators times exp(-i phase_k), G the sum of L^dag L over
@@ -166,7 +166,7 @@ def diffusive_trajectories(model, rho0, ntraj, nsteps, dt, seed, upper, lower, b
     stem = np.eye(rho0.shape[0]) - dt * (1j * model.hamiltonian + 0.5 * gram)
     hit = np.full(ntraj, np.nan)
     states = np.empty((ntraj, *rho0.shape), dtype=complex)
-    series = np.zeros((ntraj, nsteps + 1))
+    charges = np.zeros(ntraj)
     for k in range(ntraj):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         rho, charge = np.array(rho0, dtype=complex), 0.0
@@ -184,14 +184,14 @@ def diffusive_trajectories(model, rho0, ntraj, nsteps, dt, seed, upper, lower, b
             if np.linalg.eigvalsh(rho)[0] < -1e-10:
                 raise ValueError("reference state lost positivity")
             old, charge = charge, charge + float(dy @ weights)
-            series[k, step + 1:] = charge
             if charge >= upper or charge <= lower:
                 target = upper if charge >= upper else lower
                 frac = min(max((target - old) / (charge - old), 0.0), 1.0)
                 hit[k] = (step + frac) * dt
                 break
         states[k] = rho
-    return hit, series[:, -1].copy(), states, series
+        charges[k] = charge
+    return hit, charges, states
 
 
 def cell_traces(model, sol, initial="steady") -> np.ndarray:

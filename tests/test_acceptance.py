@@ -107,7 +107,7 @@ def test_criterion_04_jump_monte_carlo_agrees():
     t0 = time.time()
     det = solve_jump_fpt(model, threshold=5, horizon=20.0)
     cfg = TrajectoryConfig(
-        model, "jump", 10_000, 20.0, seed=1, threshold=5, keep_paths=False
+        model, "jump", 10_000, 20.0, seed=1, threshold=5
     )
     ens = simulate(cfg)
     elapsed = time.time() - t0
@@ -223,7 +223,7 @@ def test_criterion_09_homodyne_multimodal_and_conditioned():
 
     cfg = TrajectoryConfig(
         model, "diffusion", 10_000, 6.0, dt=0.002, seed=42,
-        threshold=1.0, keep_paths=False,
+        threshold=1.0,
     )
     ens = simulate(cfg)
     ks = ks_distance(det, ens)
@@ -260,7 +260,7 @@ def test_criterion_10_threshold_sweep_against_monte_carlo():
         mom = integrate_moments(sol.result, require_tail=False)
         cfg = TrajectoryConfig(
             model, "diffusion", 1000, horizon, dt=0.001, seed=11,
-            threshold=nth, keep_paths=False,
+            threshold=nth,
         )
         hits = simulate(cfg).absorbed_times()
         se = float(hits.std(ddof=1)) / np.sqrt(hits.size)
@@ -330,7 +330,7 @@ def test_criterion_11_property_suite():
         ("diffusion", homodyne_qubit(1.0, 1.0)),
     ):
         cfg = TrajectoryConfig(
-            m, unravelling, 64, 2.0, dt=0.005, seed=7, threshold=1, keep_paths=False
+            m, unravelling, 64, 2.0, dt=0.005, seed=7, threshold=1
         )
         a, b = simulate(cfg), simulate(cfg)
         assert np.array_equal(a.hit_times, b.hit_times, equal_nan=True)

@@ -95,6 +95,8 @@ def test_trajectories_parallel_matches_serial(tmp_path):
     assert run([*base, "--workers", "3"], b_dir) == 0
     assert (a_dir / "trajectories.csv").read_bytes() == (b_dir / "trajectories.csv").read_bytes()
     assert (a_dir / "fpt_mc.csv").read_bytes() == (b_dir / "fpt_mc.csv").read_bytes()
+    # jump trajectories are exact in time and take no step
+    assert json.loads((a_dir / "manifest.json").read_text())["results"]["dt"] is None
 
 
 def test_outdir_env_fallback(tmp_path, monkeypatch):

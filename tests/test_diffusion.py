@@ -66,6 +66,16 @@ def test_grid_and_thresholds_are_mutually_exclusive():
         )
 
 
+def test_grid_and_delta_are_mutually_exclusive():
+    with pytest.raises(ConfigError, match="grid or delta"):
+        solve_diffusion_fpt(
+            wiener_charge(),
+            grid=ChargeGrid(-1.0, 1.0, 0.05),
+            delta=0.01,
+            initial=np.eye(1, dtype=complex),
+        )
+
+
 def test_wiener_barrier_matches_level_crossing_density():
     sol = solve_diffusion_fpt(
         wiener_charge(),

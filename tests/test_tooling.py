@@ -4,6 +4,7 @@ perfbench/."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -119,6 +120,23 @@ def test_tracer_annotates_simulate_spans():
     for span in spans:
         assert span["ntraj"] == 4 and span["steps"] > 0 and "jumps" in span
     assert spans[0]["jumps"] > 0 and spans[1]["jumps"] == 0
+
+
+def test_benchmark_ensemble_check_reads_live_fields(monkeypatch):
+    # mc-oracle compares reruns and partitions field by field, so renaming
+    # a field it reads must fail here rather than in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    same = _load("workloads")._same_ensemble
+    traj = qfpt.trajectories
+    for unravelling, model, threshold in (
+        ("jump", thermal_qubit(1.0, 1.0, 0.2), 2),
+        ("diffusion", homodyne_qubit(1.0, 1.0), 0.5),
+    ):
+        config = traj.TrajectoryConfig(model, unravelling, 4, 0.5, dt=0.01, seed=1, threshold=threshold)
+        ensemble = traj.simulate(config)
+        merged = traj.merge_ensembles([traj.simulate(p) for p in traj.partition_config(config, 2)])
+        assert same(ensemble, merged)
+        assert not same(ensemble, traj.simulate(dataclasses.replace(config, seed=2)))
 
 
 def test_benchmark_workloads_build_and_parse(monkeypatch, tmp_path):

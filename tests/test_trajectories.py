@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import kstest
 
-from qfpt.analysis import ks_distance
+from qfpt.analysis import FptResult, ks_distance
 from qfpt.diffusion import solve_diffusion_fpt
 from qfpt.errors import ConfigError, PhysicsError
 from qfpt.jumps import solve_jump_fpt
@@ -16,7 +16,6 @@ from qfpt import trajectories
 from qfpt.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, decay_qubit, homodyne_qubit, thermal_qubit
 from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, steady_state, vectorize
 from qfpt.trajectories import (
-    PATH_SAMPLES,
     PSD_CLAMP_TOL,
     TrajectoryConfig,
     fpt_histogram,
@@ -46,6 +45,12 @@ def test_config_validation():
         TrajectoryConfig(model, "jump", 10, 1.0, seed=-5)
     with pytest.raises(ConfigError):
         TrajectoryConfig(model, "jump", 10, 1.0, threshold=0)
+    with pytest.raises(ConfigError, match="ntraj must be an integer"):
+        TrajectoryConfig(model, "jump", 10.5, 1.0)
+    with pytest.raises(ConfigError, match="index_offset must be an integer"):
+        TrajectoryConfig(model, "jump", 10, 1.0, index_offset=1.0)
+    with pytest.raises(ConfigError, match="keep_paths"):
+        TrajectoryConfig(model, "jump", 10, 1.0, keep_paths=True)
 
 
 def test_same_seed_is_bit_identical():
@@ -61,7 +66,6 @@ def test_same_seed_is_bit_identical():
         assert np.array_equal(a.hit_times, b.hit_times, equal_nan=True)
         assert np.array_equal(a.final_charges, b.final_charges)
         assert np.array_equal(a.final_states, b.final_states)
-        assert np.array_equal(a.paths, b.paths)
 
 
 def test_different_seed_differs():
@@ -77,7 +81,7 @@ def test_seeds_give_independent_ensembles():
     def charges(seed, ntraj):
         cfg = TrajectoryConfig(
             homodyne_qubit(1.0, 1.0), "diffusion", ntraj, 0.2, dt=0.01,
-            seed=seed, keep_paths=False,
+            seed=seed,
         )
         return simulate(cfg).final_charges
 
@@ -92,7 +96,7 @@ def test_partition_merge_matches_single_run():
     ):
         cfg = TrajectoryConfig(
             model, unravelling, 50, 2.0, dt=0.005, seed=3,
-            threshold=1, keep_paths=False,
+            threshold=1,
         )
         whole = simulate(cfg)
         parts = [simulate(p) for p in partition_config(cfg, 3)]
@@ -106,10 +110,7 @@ def test_partition_merge_matches_single_run():
 
 def test_partition_sizes_and_offsets():
     model = decay_qubit(1.0)
-    cfg = TrajectoryConfig(
-        model, "jump", 10, 1.0, initial=np.diag([0.0, 1.0]),
-        keep_paths=False,
-    )
+    cfg = TrajectoryConfig(model, "jump", 10, 1.0, initial=np.diag([0.0, 1.0]))
     parts = partition_config(cfg, 3)
     assert [p.ntraj for p in parts] == [4, 3, 3]
     assert [p.index_offset for p in parts] == [0, 4, 7]
@@ -118,7 +119,7 @@ def test_partition_sizes_and_offsets():
 def test_merge_rejects_gaps():
     model = decay_qubit(1.0)
     cfg = TrajectoryConfig(
-        model, "jump", 10, 1.0, initial=np.diag([0.0, 1.0]), keep_paths=False,
+        model, "jump", 10, 1.0, initial=np.diag([0.0, 1.0]),
     )
     parts = partition_config(cfg, 2)
     with pytest.raises(ConfigError):
@@ -130,7 +131,7 @@ def test_jump_ensemble_mean_tracks_lindblad():
     rho0 = np.diag([0.7, 0.3]).astype(complex)
     t = 1.0
     cfg = TrajectoryConfig(
-        model, "jump", 2000, t, dt=0.002, seed=5, initial=rho0, keep_paths=False,
+        model, "jump", 2000, t, dt=0.002, seed=5, initial=rho0,
     )
     ens = simulate(cfg)
     assert ens.censored_fraction() == 1.0
@@ -144,7 +145,7 @@ def test_diffusion_ensemble_mean_tracks_lindblad():
     rho0 = np.diag([0.7, 0.3]).astype(complex)
     t = 1.0
     cfg = TrajectoryConfig(
-        model, "diffusion", 2000, t, dt=0.002, seed=5, initial=rho0, keep_paths=False,
+        model, "diffusion", 2000, t, dt=0.002, seed=5, initial=rho0,
     )
     ens = simulate(cfg)
     assert ens.positivity_repairs == 0
@@ -157,7 +158,7 @@ def test_jump_count_rate_matches_activity():
     model = thermal_qubit(1.0, 0.8, 0.3)
     horizon = 5.0
     cfg = TrajectoryConfig(
-        model, "jump", 2000, horizon, dt=0.002, seed=9, keep_paths=False,
+        model, "jump", 2000, horizon, dt=0.002, seed=9,
     )
     ens = simulate(cfg)
     totals = ens.jump_counts.sum(axis=1)
@@ -172,7 +173,7 @@ def test_decay_hits_match_exponential():
     model = decay_qubit(gamma)
     cfg = TrajectoryConfig(
         model, "jump", 4000, 12.0, dt=0.001, seed=13,
-        initial=np.diag([0.0, 1.0]), threshold=1, keep_paths=False,
+        initial=np.diag([0.0, 1.0]), threshold=1,
     )
     ens = simulate(cfg)
     assert ens.censored_fraction() < 0.01
@@ -188,10 +189,11 @@ def test_jump_step_does_not_set_the_time_error():
         fine, coarse = (
             simulate(TrajectoryConfig(
                 model, "jump", 64, 2.0, dt=dt, seed=4, threshold=threshold,
-                lower_threshold=-threshold, keep_paths=False,
+                lower_threshold=-threshold,
             ))
             for dt in (0.001, 0.5)
         )
+        assert fine.dt is None and coarse.dt is None
         assert fine.jump_counts.sum() >= 64
         assert np.array_equal(fine.censored, coarse.censored)
         assert np.array_equal(fine.jump_counts, coarse.jump_counts)
@@ -214,24 +216,24 @@ def test_all_censored_when_threshold_unreachable():
     model = decay_qubit(1.0)
     cfg = TrajectoryConfig(
         model, "jump", 32, 6.0, initial=np.diag([0.0, 1.0]),
-        threshold=2, keep_paths=False,
+        threshold=2,
     )
     ens = simulate(cfg)
     assert ens.censored_fraction() == 1.0
     assert ens.absorbed_times().size == 0
-    hist = fpt_histogram(ens, bins=10)
-    assert hist.nabsorbed == 0
-    assert hist.censored_mass == 1.0
+    res = fpt_histogram(ens, bins=10)
+    assert np.all(res.survival == 1.0) and not res.density.any()
 
 
 def test_histogram_to_result_is_valid():
     model = thermal_qubit(1.0, 1.0, 0.2)
     cfg = TrajectoryConfig(
-        model, "jump", 500, 20.0, seed=21, threshold=3, keep_paths=False,
+        model, "jump", 500, 20.0, seed=21, threshold=3,
     )
     ens = simulate(cfg)
-    res = fpt_histogram(ens, bins=40).to_result()
-    assert res.provenance == "monte-carlo"
+    res = fpt_histogram(ens, bins=40)
+    assert isinstance(res, FptResult) and res.provenance == "monte-carlo"
+    assert res.times[0] == 0.0 and res.times[-1] == cfg.horizon and res.times.size == 41
     assert res.survival[0] == 1.0
     assert np.all(np.diff(res.survival) <= 1e-12)
     assert res.survival[-1] == pytest.approx(ens.censored_fraction(), abs=1e-12)
@@ -241,7 +243,7 @@ def test_diffusion_charge_increments_track_quadrature():
     # a pure-noise monitored channel accumulates Brownian charge
     model = homodyne_qubit(1.0, 1.0)
     cfg = TrajectoryConfig(
-        model, "diffusion", 400, 1.0, dt=0.002, seed=17, keep_paths=False,
+        model, "diffusion", 400, 1.0, dt=0.002, seed=17,
     )
     ens = simulate(cfg)
     # censored runs keep their running charge; spread grows like sqrt(K t)
@@ -276,7 +278,6 @@ def test_two_sided_jump_ensemble_matches_engine():
     det = solve_jump_fpt(model, threshold=3, lower_threshold=-2, horizon=20.0)
     cfg = TrajectoryConfig(
         model, "jump", 2000, 20.0, seed=1, threshold=3, lower_threshold=-2,
-        keep_paths=False,
     )
     ens = simulate(cfg)
     # both sides absorb: the final charges sit on the thresholds
@@ -291,7 +292,7 @@ def test_two_sided_diffusion_ensemble_matches_engine():
     det = solve_diffusion_fpt(model, threshold=1.0, lower_threshold=-0.7, horizon=4.0)
     cfg = TrajectoryConfig(
         model, "diffusion", 1000, 4.0, dt=0.002, seed=2, threshold=1.0,
-        lower_threshold=-0.7, keep_paths=False,
+        lower_threshold=-0.7,
     )
     ens = simulate(cfg)
     hit_charges = ens.final_charges[~ens.censored]
@@ -309,7 +310,7 @@ def test_general_channel_jump_ensemble_matches_engine():
     ))
     det = solve_jump_fpt(model, threshold=3, horizon=20.0)
     cfg = TrajectoryConfig(
-        model, "jump", 2000, 20.0, seed=8, threshold=3, keep_paths=False,
+        model, "jump", 2000, 20.0, seed=8, threshold=3,
     )
     ens = simulate(cfg)
     assert ens.jump_counts[:, 0].sum() > cfg.ntraj
@@ -331,12 +332,33 @@ def test_chunked_run_matches_single_chunk(monkeypatch):
         monkeypatch.setattr(trajectories, "MC_CHUNK", 7)
         chunked = simulate(cfg)
         monkeypatch.undo()
-        for name in ("hit_times", "censored", "final_charges", "final_states", "path_times", "paths"):
+        for name in ("hit_times", "censored", "final_charges", "final_states"):
             assert np.array_equal(getattr(whole, name), getattr(chunked, name), equal_nan=True), name
-        assert whole.paths.shape == (20, whole.path_times.size)
         assert np.array_equal(whole.jump_counts, chunked.jump_counts)
         assert whole.steps_total == chunked.steps_total
         assert whole.positivity_repairs == chunked.positivity_repairs
+
+
+def test_chunks_follow_partition_config(monkeypatch):
+    # simulate splits an ensemble by the same rule as partition_config,
+    # into the fewest balanced chunks of at most MC_CHUNK trajectories
+    cfg = TrajectoryConfig(thermal_qubit(1.0, 1.0, 0.2), "jump", 22, 1.0, seed=3, threshold=1)
+    sizes = []
+    merge = trajectories.merge_ensembles
+
+    def spy(parts):
+        parts = list(parts)
+        sizes.append([p.ntraj for p in parts])
+        return merge(parts)
+
+    monkeypatch.setattr(trajectories, "MC_CHUNK", 7)
+    monkeypatch.setattr(trajectories, "merge_ensembles", spy)
+    chunked = simulate(cfg)
+    assert sizes == [[6, 6, 5, 5]]
+    monkeypatch.undo()
+    whole = simulate(cfg)
+    assert np.array_equal(whole.hit_times, chunked.hit_times, equal_nan=True)
+    assert np.array_equal(whole.final_states, chunked.final_states)
 
 
 def test_diffusion_matches_one_at_a_time_reference():
@@ -357,11 +379,11 @@ def test_diffusion_matches_one_at_a_time_reference():
     rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
     cfg = TrajectoryConfig(
         model, "diffusion", 24, 1.5, dt=0.005, seed=11, initial=rho0,
-        threshold=2.0, lower_threshold=-1.2, keep_paths=True,
+        threshold=2.0, lower_threshold=-1.2,
     )
     ens = simulate(cfg)
     nsteps = round(cfg.horizon / ens.dt)
-    hit, charges, states, series = diffusive_trajectories(
+    hit, charges, states = diffusive_trajectories(
         model, rho0, cfg.ntraj, nsteps, ens.dt, cfg.seed, 2.0, -1.2,
         block=trajectories.RNG_BLOCK,
     )
@@ -372,21 +394,6 @@ def test_diffusion_matches_one_at_a_time_reference():
     assert np.allclose(ens.hit_times, hit, rtol=0.0, atol=1e-12, equal_nan=True)
     assert np.allclose(ens.final_charges, charges, rtol=0.0, atol=1e-12)
     assert np.allclose(ens.final_states, states, rtol=0.0, atol=1e-12)
-    columns = np.rint(ens.path_times / ens.dt).astype(int)
-    assert np.allclose(ens.paths, series[:, columns], rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("nsteps", [1, 255, 256, 257, 511, 3000])
-def test_path_times_keep_the_sample_cap(nsteps):
-    horizon = 6.0
-    dt = horizon / nsteps
-    times = trajectories._path_times(nsteps, dt)
-    spacing = times[1] - times[0]
-    assert times.size <= PATH_SAMPLES + 1
-    assert times[0] == 0.0
-    assert np.allclose(np.diff(times), spacing, rtol=1e-12, atol=0.0)
-    # the last sample lies less than one spacing before the horizon
-    assert -1e-12 <= horizon - times[-1] < spacing
 
 
 def test_psd_repair_fixes_only_the_flagged_state():
