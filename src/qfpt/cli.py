@@ -87,16 +87,23 @@ EXIT_CONVERGENCE = 3
 EXIT_PHYSICS = 4
 
 
+def _split_spec(spec: str, kind: str, types: tuple, bad: str) -> list:
+    """Split a ``lo:hi[:count]`` spec into one field per converter in
+    ``types``; a wrong field count or a field its converter refuses is a
+    ``ConfigError`` naming the spec's ``kind``."""
+    parts = spec.split(":")
+    if len(parts) != len(types):
+        form = ":".join(("lo", "hi", "count")[: len(types)])
+        raise ConfigError(f"{kind} {spec!r} is not of the form {form}")
+    try:
+        return [convert(part) for convert, part in zip(types, parts)]
+    except ValueError as exc:
+        raise ConfigError(f"{kind} {spec!r} has {bad}") from exc
+
+
 def parse_range(spec: str) -> np.ndarray:
     """Parse ``lo:hi:count`` into a linearly spaced grid."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"range {spec!r} is not of the form lo:hi:count")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"range {spec!r} has a non-numeric part") from exc
+    lo, hi, count = _split_spec(spec, "range", (float, float, int), "a non-numeric part")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"range {spec!r} has a non-finite bound")
     if count < 1:
@@ -108,27 +115,14 @@ def parse_range(spec: str) -> np.ndarray:
 
 def parse_window(spec: str) -> ChargeWindow:
     """Parse ``lo:hi`` into an explicit integer charge window."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"window {spec!r} is not of the form lo:hi")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"window {spec!r} has a non-integer bound") from exc
-    return ChargeWindow(lo, hi)
+    return ChargeWindow(*_split_spec(spec, "window", (int, int), "a non-integer bound"))
 
 
 def parse_grid(spec: str, delta: float | None) -> ChargeGrid:
     """Parse ``lo:hi`` plus a node spacing into an explicit charge grid."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"grid {spec!r} is not of the form lo:hi")
+    lo, hi = _split_spec(spec, "grid", (float, float), "a non-numeric bound")
     if delta is None:
         raise ConfigError("an explicit --grid needs --delta as well")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"grid {spec!r} has a non-numeric bound") from exc
     return ChargeGrid(lo, hi, delta)
 
 
@@ -179,13 +173,6 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def resolve_outdir(args) -> Path:
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(outdir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def run_payload(command: str, args, model) -> dict:
     """Configuration echo used for hashing and the manifest."""
     skip = {"model", "builtin", "gamma", "omega", "nbar", "outdir", "workers", "func"}
@@ -208,21 +195,33 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-def write_rows_csv(path: Path, header: list[str], rows, chash: str) -> None:
-    """Generic deterministic CSV with the configuration hash embedded."""
-    with open(path, "w") as fh:
-        fh.write(f"# config_hash={chash}\n{','.join(header)}\n")
-        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+def _rows_writer(header: list[str], rows):
+    """Artifact writer of a deterministic CSV with the configuration hash
+    embedded, for ``publish``."""
+    def write(path: Path, chash: str) -> None:
+        with open(path, "w") as fh:
+            fh.write(f"# config_hash={chash}\n{','.join(header)}\n")
+            fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    return write
 
 
-def write_manifest(
-    outdir: Path,
-    payload: dict,
-    chash: str,
-    artifacts: list[str],
-    wall_time: float,
-    results: dict | None = None,
-) -> None:
+def _series_writer(result):
+    """Artifact writer of an FPT series, for ``publish``."""
+    return lambda path, chash: write_series_csv(path, result, config_hash=chash)
+
+
+def publish(args, payload: dict, writers: dict, results: dict, t0: float) -> list[Path]:
+    """Write a run's artifacts and its ``manifest.json`` into the outdir.
+
+    ``writers`` maps each artifact name to ``writer(path, config_hash)``;
+    the payload's hash goes into every artifact and the manifest.  Returns
+    the artifact paths in ``writers`` order.
+    """
+    chash = config_hash(payload)
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, writer in writers.items():
+        writer(outdir / name, chash)
     manifest = {
         "config": payload,
         "config_hash": chash,
@@ -232,14 +231,14 @@ def write_manifest(
             "scipy": scipy.__version__,
             "qfpt": PACKAGE_VERSION,
         },
-        "artifacts": artifacts,
-        "wall_time_s": wall_time,
+        "artifacts": list(writers),
+        "wall_time_s": time.perf_counter() - t0,
+        "results": results,
     }
-    if results:
-        manifest["results"] = results
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n"
     )
+    return [outdir / name for name in writers]
 
 
 def conditional_moment_summary(result) -> dict:
@@ -255,38 +254,36 @@ def conditional_moment_summary(result) -> dict:
     }
 
 
+def _fpt_options(args, domain, domain_flag: str) -> dict:
+    """The solve options both FPT engines take from their shared flags.
+
+    A run needs an absorbing side: a threshold, or the explicit ``domain``
+    that ``domain_flag`` gave.
+    """
+    if domain is None and args.threshold is None and args.lower_threshold is None:
+        raise ConfigError(
+            f"a first-passage run needs --threshold, --lower-threshold or {domain_flag}"
+        )
+    keys = ("threshold", "lower_threshold", "horizon", "dt", "auto_tail", "tail_epsilon")
+    return {key: getattr(args, key) for key in keys}
+
+
 def run_fpt_jump(args) -> int:
     model = resolve_model(args)
     start = parse_start(args.start, model.dim)
     window = parse_window(args.window) if args.window else None
-    if window is None and args.threshold is None and args.lower_threshold is None:
-        raise ConfigError(
-            "a first-passage run needs --threshold, --lower-threshold or --window"
-        )
+    options = _fpt_options(args, window, "--window")
     t0 = time.perf_counter()
-    solution = solve_jump_fpt(
-        model,
-        threshold=args.threshold,
-        lower_threshold=args.lower_threshold,
-        window=window,
-        initial=start,
-        horizon=args.horizon,
-        dt=args.dt,
-        auto_tail=args.auto_tail,
-        tail_epsilon=args.tail_epsilon,
-    )
+    solution = solve_jump_fpt(model, window=window, initial=start, **options)
     # a run that cannot summarise its series writes nothing
     results = conditional_moment_summary(solution.result)
     results["window"] = [solution.domain.lower, solution.domain.upper]
-    payload = run_payload("fpt-jump", args, model)
-    chash = config_hash(payload)
-    outdir = resolve_outdir(args)
-    write_series_csv(outdir / "fpt_jump.csv", solution.result, config_hash=chash)
-    write_manifest(
-        outdir, payload, chash, ["fpt_jump.csv"], time.perf_counter() - t0, results
+    paths = publish(
+        args, run_payload("fpt-jump", args, model),
+        {"fpt_jump.csv": _series_writer(solution.result)}, results, t0,
     )
     print(
-        f"fpt-jump: wrote {outdir / 'fpt_jump.csv'} "
+        f"fpt-jump: wrote {paths[0]} "
         f"(absorbed {results['absorbed_probability']:.6f}, {solution.domain})"
     )
     return EXIT_OK
@@ -296,49 +293,24 @@ def run_fpt_diffusion(args) -> int:
     model = resolve_model(args)
     start = parse_start(args.start, model.dim)
     grid = parse_grid(args.grid, args.delta) if args.grid else None
-    if grid is None and args.threshold is None and args.lower_threshold is None:
-        raise ConfigError(
-            "a first-passage run needs --threshold, --lower-threshold or --grid"
-        )
+    options = _fpt_options(args, grid, "--grid")
     t0 = time.perf_counter()
     solution = solve_diffusion_fpt(
-        model,
-        threshold=args.threshold,
-        lower_threshold=args.lower_threshold,
-        grid=grid,
-        delta=args.delta if grid is None else None,
-        initial=start,
-        horizon=args.horizon,
-        dt=args.dt,
-        auto_tail=args.auto_tail,
-        tail_epsilon=args.tail_epsilon,
+        model, grid=grid, delta=args.delta if grid is None else None, initial=start,
+        **options,
     )
     # a run that cannot summarise its series writes nothing
     results = conditional_moment_summary(solution.result)
     results["grid"] = [solution.domain.lower, solution.domain.upper]
     results["delta"] = solution.domain.delta
-    survivors = None
+    writers = {"fpt_diffusion.csv": _series_writer(solution.result)}
     if float(solution.result.survival[-1]) > 1e-9:
-        survivors = conditioned_charge_distribution(solution.final_state)
-    payload = run_payload("fpt-diffusion", args, model)
-    chash = config_hash(payload)
-    outdir = resolve_outdir(args)
-    artifacts = ["fpt_diffusion.csv"]
-    write_series_csv(outdir / "fpt_diffusion.csv", solution.result, config_hash=chash)
-    if survivors is not None:
-        nodes, dens = survivors
-        write_rows_csv(
-            outdir / "final_distribution.csv",
-            ["N", "density"],
-            zip(nodes.tolist(), dens.tolist()),
-            chash,
-        )
-        artifacts.append("final_distribution.csv")
-    write_manifest(
-        outdir, payload, chash, artifacts, time.perf_counter() - t0, results
-    )
+        nodes, dens = conditioned_charge_distribution(solution.final_state)
+        rows = zip(nodes.tolist(), dens.tolist())
+        writers["final_distribution.csv"] = _rows_writer(["N", "density"], rows)
+    paths = publish(args, run_payload("fpt-diffusion", args, model), writers, results, t0)
     print(
-        f"fpt-diffusion: wrote {', '.join(str(outdir / a) for a in artifacts)} "
+        f"fpt-diffusion: wrote {', '.join(map(str, paths))} "
         f"(absorbed {results['absorbed_probability']:.6f})"
     )
     return EXIT_OK
@@ -365,28 +337,14 @@ def run_trajectories(args) -> int:
             ensemble = merge_ensembles(list(pool.map(simulate, parts)))
     else:
         ensemble = simulate(config)
-    payload = run_payload("trajectories", args, model)
-    chash = config_hash(payload)
-    outdir = resolve_outdir(args)
     rows = (
         (i, float(t), bool(c), float(q))
         for i, (t, c, q) in enumerate(
             zip(ensemble.hit_times, ensemble.censored, ensemble.final_charges)
         )
     )
-    write_rows_csv(
-        outdir / "trajectories.csv",
-        ["trajectory", "hit_time", "censored", "final_charge"],
-        rows,
-        chash,
-    )
-    artifacts = ["trajectories.csv"]
-    hits = ensemble.absorbed_times()
-    if hits.size > 0:
-        write_series_csv(
-            outdir / "fpt_mc.csv", fpt_histogram(ensemble, args.bins), config_hash=chash
-        )
-        artifacts.append("fpt_mc.csv")
+    header = ["trajectory", "hit_time", "censored", "final_charge"]
+    writers = {"trajectories.csv": _rows_writer(header, rows)}
     results = {
         "ntraj": ensemble.ntraj,
         "absorbed": int(ensemble.ntraj - ensemble.censored.sum()),
@@ -394,13 +352,13 @@ def run_trajectories(args) -> int:
         "dt": ensemble.dt,
         "positivity_repairs": ensemble.positivity_repairs,
     }
+    hits = ensemble.absorbed_times()
     if hits.size > 0:
+        writers["fpt_mc.csv"] = _series_writer(fpt_histogram(ensemble, args.bins))
         results["mean_hit_time"] = float(hits.mean())
-    write_manifest(
-        outdir, payload, chash, artifacts, time.perf_counter() - t0, results
-    )
+    paths = publish(args, run_payload("trajectories", args, model), writers, results, t0)
     print(
-        f"trajectories: wrote {', '.join(str(outdir / a) for a in artifacts)} "
+        f"trajectories: wrote {', '.join(map(str, paths))} "
         f"(absorbed {results['absorbed']}/{ensemble.ntraj})"
     )
     return EXIT_OK
@@ -438,13 +396,10 @@ def run_kur_scan(args) -> int:
         "nbar": nbar,
         "threshold": args.threshold,
     }
-    chash = config_hash(payload)
-    outdir = resolve_outdir(args)
     rows = [
         [getattr(r, col) for col in KUR_COLUMNS]
         for r in reports
     ]
-    write_rows_csv(outdir / "kur_scan.csv", KUR_COLUMNS, rows, chash)
     failed = [r for r in reports if r.status != "ok"]
     classical = [r for r in reports if r.status == "ok" and r.classical_violated]
     quantum = [r for r in reports if r.status == "ok" and r.quantum_violated]
@@ -454,11 +409,9 @@ def run_kur_scan(args) -> int:
         "classical_violations": len(classical),
         "quantum_violations": len(quantum),
     }
-    write_manifest(
-        outdir, payload, chash, ["kur_scan.csv"], time.perf_counter() - t0, results
-    )
+    paths = publish(args, payload, {"kur_scan.csv": _rows_writer(KUR_COLUMNS, rows)}, results, t0)
     print(
-        f"kur-scan: wrote {outdir / 'kur_scan.csv'} "
+        f"kur-scan: wrote {paths[0]} "
         f"({len(reports)} points, {len(classical)} classical violations, "
         f"{len(failed)} failed)"
     )
@@ -574,11 +527,38 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--nbar", type=float, help="builtin thermal occupation")
 
 
-def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_run_parser(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A subcommand that solves a model and publishes into --outdir."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func)
+    _add_model_arguments(parser)
     parser.add_argument(
         "--outdir",
         help=f"artifact directory (default: ${OUTDIR_ENV} or the current directory)",
     )
+    return parser
+
+
+START_HELP = "initial state: steady, maximally-mixed or basis:K (default: steady)"
+
+
+def _add_fpt_arguments(parser: argparse.ArgumentParser, number_type, noun: str) -> None:
+    """The flags both FPT engines take; thresholds are parsed as
+    ``number_type`` and described as a ``noun``."""
+    parser.add_argument(
+        "--threshold", type=number_type, help=f"absorbing {noun} (positive)"
+    )
+    parser.add_argument(
+        "--lower-threshold", type=number_type, help=f"absorbing {noun} (negative)"
+    )
+    parser.add_argument("--start", default="steady", help=START_HELP)
+    parser.add_argument("--horizon", type=float, default=10.0)
+    parser.add_argument("--dt", type=float, help="output time step")
+    parser.add_argument(
+        "--auto-tail", action="store_true",
+        help="extend the horizon until the tail converges",
+    )
+    parser.add_argument("--tail-epsilon", type=float, default=1e-6)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,46 +568,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jump = sub.add_parser("fpt-jump", help="deterministic counting-monitor FPT")
-    _add_model_arguments(jump)
-    _add_output_arguments(jump)
-    jump.add_argument("--threshold", type=int, help="absorbing count (positive)")
+    jump = _add_run_parser(sub, "fpt-jump", "deterministic counting-monitor FPT", run_fpt_jump)
+    _add_fpt_arguments(jump, int, "count")
     jump.add_argument(
-        "--lower-threshold", type=int, help="absorbing count (negative)"
+        "--window",
+        help="explicit charge window lo:hi, containing 0; write a negative lo as "
+        "--window=-20:20",
     )
-    jump.add_argument("--window", help="explicit charge window lo:hi")
-    jump.add_argument("--start", default="steady", help="initial state")
-    jump.add_argument("--horizon", type=float, default=10.0)
-    jump.add_argument("--dt", type=float, help="output time step")
-    jump.add_argument(
-        "--auto-tail", action="store_true",
-        help="extend the horizon until the tail converges",
-    )
-    jump.add_argument("--tail-epsilon", type=float, default=1e-6)
-    jump.set_defaults(func=run_fpt_jump)
 
-    diff = sub.add_parser("fpt-diffusion", help="deterministic diffusive-monitor FPT")
-    _add_model_arguments(diff)
-    _add_output_arguments(diff)
-    diff.add_argument("--threshold", type=float, help="absorbing charge (positive)")
-    diff.add_argument(
-        "--lower-threshold", type=float, help="absorbing charge (negative)"
+    diff = _add_run_parser(
+        sub, "fpt-diffusion", "deterministic diffusive-monitor FPT", run_fpt_diffusion
     )
-    diff.add_argument("--grid", help="explicit charge grid lo:hi (needs --delta)")
+    _add_fpt_arguments(diff, float, "charge")
+    diff.add_argument(
+        "--grid",
+        help="explicit charge grid lo:hi, straddling 0 (needs --delta); write a "
+        "negative lo as --grid=-1:1",
+    )
     diff.add_argument("--delta", type=float, help="charge node spacing")
-    diff.add_argument("--start", default="steady", help="initial state")
-    diff.add_argument("--horizon", type=float, default=10.0)
-    diff.add_argument("--dt", type=float, help="output time step")
-    diff.add_argument(
-        "--auto-tail", action="store_true",
-        help="extend the horizon until the tail converges",
-    )
-    diff.add_argument("--tail-epsilon", type=float, default=1e-6)
-    diff.set_defaults(func=run_fpt_diffusion)
 
-    traj = sub.add_parser("trajectories", help="Monte Carlo trajectory ensemble")
-    _add_model_arguments(traj)
-    _add_output_arguments(traj)
+    traj = _add_run_parser(
+        sub, "trajectories", "Monte Carlo trajectory ensemble", run_trajectories
+    )
     traj.add_argument(
         "--unravelling", choices=("jump", "diffusion"), required=True
     )
@@ -635,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--seed", type=int, default=0)
     traj.add_argument("--threshold", type=float)
     traj.add_argument("--lower-threshold", type=float)
-    traj.add_argument("--start", default="steady", help="initial state")
+    traj.add_argument("--start", default="steady", help=START_HELP)
     traj.add_argument("--horizon", type=float, default=10.0)
     traj.add_argument(
         "--dt", type=float,
@@ -643,11 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traj.add_argument("--bins", type=_count, default=50, help="histogram bins")
     traj.add_argument("--workers", type=_count, default=1)
-    traj.set_defaults(func=run_trajectories)
 
-    scan = sub.add_parser("kur-scan", help="precision bounds over a drive range")
-    _add_model_arguments(scan)
-    _add_output_arguments(scan)
+    scan = _add_run_parser(sub, "kur-scan", "precision bounds over a drive range", run_kur_scan)
     scan.add_argument(
         "--omega-range", required=True, help="drive grid lo:hi:count (linear)"
     )
@@ -656,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_count, default=1,
         help="accepted for compatibility; has no effect, the scan runs serially",
     )
-    scan.set_defaults(func=run_kur_scan)
 
     val = sub.add_parser("validate", help="dry-run configuration checks")
     _add_model_arguments(val)

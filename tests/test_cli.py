@@ -347,6 +347,9 @@ OUT_OF_RANGE = [
     ("validate", "--threshold nan", "upper threshold must be finite"),
     ("validate", "--threshold inf", "upper threshold must be finite"),
     ("validate", "--threshold 0", "upper threshold must be positive"),
+    ("fpt-jump", "--window 3", "not of the form lo:hi"),
+    ("fpt-jump", "--window=a:3", "non-integer bound"),
+    ("kur-scan", "--omega-range 0:1", "not of the form lo:hi:count"),
 ]
 
 
@@ -363,3 +366,67 @@ def test_out_of_range_numbers_exit_config(command, options, message, tmp_path, m
     assert code == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (f"fpt-jump {QUBIT}", "needs --threshold, --lower-threshold or --window"),
+        ("fpt-diffusion --builtin homodyne-qubit --grid=-1:1", "needs --delta"),
+    ],
+)
+def test_fpt_run_without_a_domain_exits_config(argv, message, tmp_path, capsys):
+    assert run(argv.split(), tmp_path) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, csv, key, domain",
+    [
+        # a bound that starts with "-" reads as a flag unless joined by "="
+        ("fpt-jump --builtin thermal-qubit --nbar 0.2 --window=-6:3 --horizon 2",
+         "fpt_jump.csv", "window", [-6, 3]),
+        ("fpt-diffusion --builtin homodyne-qubit --grid=-1:1 --delta 0.05 --horizon 1",
+         "fpt_diffusion.csv", "grid", [-1.0, 1.0]),
+    ],
+)
+def test_explicit_domain_with_negative_bound(argv, csv, key, domain, tmp_path):
+    assert run(argv.split(), tmp_path) == 0
+    assert (tmp_path / csv).exists()
+    assert json.loads((tmp_path / "manifest.json").read_text())["results"][key] == domain
+
+
+# The configuration hash is written into every CSV header, so renaming a
+# flag or changing its type changes CSV bytes; these pin the README commands.
+# A deliberate change updates the literal.
+README_HASHES = [
+    ("fpt-jump --builtin thermal-qubit --gamma 1 --omega 1 --nbar 0.2 --threshold 5 "
+     "--horizon 50 --auto-tail",
+     "0fcc0b8b2facfd1da213645270041fdf8f6625176bccff8380b722a5ed7f8684"),
+    ("fpt-diffusion --builtin homodyne-qubit --gamma 1 --omega 1 --threshold 1 --horizon 6",
+     "53ac646a974a2e8a154734b79ba74b08eff977dc036bc7accf6d3f01578d9fb1"),
+    *(
+        (f"trajectories --builtin homodyne-qubit --gamma 1 --omega 1 --unravelling diffusion "
+         f"--ntraj 10000 --threshold 1 --horizon 6 --seed 42 --workers {workers}",
+         "d462fea11c58cdebb619a3ca384ee59e26297ccd93d21f2963ebaac8138b299e")
+        for workers in (1, 4)
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", README_HASHES)
+def test_config_hash_of_readme_commands(argv, expected):
+    args = cli.build_parser().parse_args(argv.split())
+    payload = cli.run_payload(args.command, args, cli.resolve_model(args))
+    assert cli.config_hash(payload) == expected
+
+
+def test_config_hash_of_readme_kur_scan(tmp_path):
+    # kur-scan hashes the resolved gamma and nbar, so it is read from a run
+    argv = "kur-scan --omega-range 0.1:5:10 --nbar 0.1 --threshold 5".split()
+    assert run(argv, tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config_hash"] == (
+        "1e7d4946912b4ef1d09e1b280887c32bd3c5547982ff37975ebae45a4eba1ed6"
+    )
