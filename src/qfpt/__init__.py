@@ -64,6 +64,7 @@ from .operators import (
     LindbladModel,
     build_liouvillian,
     build_split_generators,
+    current_cumulants,
     drazin_inverse,
     steady_state,
     validate_density_matrix,
@@ -104,6 +105,7 @@ __all__ = [
     "build_split_generators",
     "builtin_model",
     "conditioned_charge_distribution",
+    "current_cumulants",
     "decay_qubit",
     "drazin_inverse",
     "drifted_charge",

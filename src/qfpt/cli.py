@@ -58,6 +58,7 @@ from .errors import (
     DegenerateKernelError,
     ModelError,
     PhysicsError,
+    TailNotConvergedError,
 )
 from .jumps import ChargeWindow, integer_weight, preview_window, solve_jump_fpt
 from .kur import KurReport, kur_scan
@@ -241,16 +242,30 @@ def publish(args, payload: dict, writers: dict, results: dict, t0: float) -> lis
     return [outdir / name for name in writers]
 
 
-def conditional_moment_summary(result) -> dict:
+def conditional_moment_summary(result, explicit_domain: bool) -> dict:
     """Moments of the hit time conditioned on absorption before the
-    horizon, for the manifest."""
-    moments = integrate_moments(result, require_tail=False)
+    horizon, for the manifest.
+
+    A run on an explicit domain may absorb nothing, as when it reads the
+    charge distribution before any weight reaches an edge; its moments
+    are then null.  A threshold that absorbs nothing is refused.
+    """
+    try:
+        moments = integrate_moments(result, require_tail=False)
+    except TailNotConvergedError:
+        if not explicit_domain:
+            raise
+        absorbed, mean, variance, snr = result.absorbed_probability, None, None, None
+    else:
+        absorbed, mean, variance, snr = (
+            moments.absorbed_probability, moments.mean, moments.variance, moments.snr
+        )
     return {
-        "absorbed_probability": moments.absorbed_probability,
-        "mean_fpt_given_absorbed": moments.mean,
-        "var_fpt_given_absorbed": moments.variance,
-        "snr_given_absorbed": moments.snr,
-        "horizon": float(result.times[-1]),
+        "absorbed_probability": absorbed,
+        "mean_fpt_given_absorbed": mean,
+        "var_fpt_given_absorbed": variance,
+        "snr_given_absorbed": snr,
+        "horizon": result.horizon,
     }
 
 
@@ -275,8 +290,8 @@ def run_fpt_jump(args) -> int:
     options = _fpt_options(args, window, "--window")
     t0 = time.perf_counter()
     solution = solve_jump_fpt(model, window=window, initial=start, **options)
-    # a run that cannot summarise its series writes nothing
-    results = conditional_moment_summary(solution.result)
+    # a threshold run that cannot summarise its series writes nothing
+    results = conditional_moment_summary(solution.result, window is not None)
     results["window"] = [solution.domain.lower, solution.domain.upper]
     paths = publish(
         args, run_payload("fpt-jump", args, model),
@@ -299,8 +314,8 @@ def run_fpt_diffusion(args) -> int:
         model, grid=grid, delta=args.delta if grid is None else None, initial=start,
         **options,
     )
-    # a run that cannot summarise its series writes nothing
-    results = conditional_moment_summary(solution.result)
+    # a threshold run that cannot summarise its series writes nothing
+    results = conditional_moment_summary(solution.result, grid is not None)
     results["grid"] = [solution.domain.lower, solution.domain.upper]
     results["delta"] = solution.domain.delta
     writers = {"fpt_diffusion.csv": _series_writer(solution.result)}
@@ -572,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fpt_arguments(jump, int, "count")
     jump.add_argument(
         "--window",
-        help="explicit charge window lo:hi, containing 0; write a negative lo as "
-        "--window=-20:20",
+        help="explicit charge window lo:hi, containing 0",
     )
 
     diff = _add_run_parser(
@@ -582,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fpt_arguments(diff, float, "charge")
     diff.add_argument(
         "--grid",
-        help="explicit charge grid lo:hi, straddling 0 (needs --delta); write a "
-        "negative lo as --grid=-1:1",
+        help="explicit charge grid lo:hi, straddling 0 (needs --delta)",
     )
     diff.add_argument("--delta", type=float, help="charge node spacing")
 
@@ -626,9 +639,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_domain_values(argv: list[str]) -> list[str]:
+    """Join ``--window -20:20`` into ``--window=-20:20``, and ``--grid``
+    alike: argparse reads a separate value that starts with "-" as a flag."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in ("--window", "--grid")
+                and token.startswith("-") and ":" in token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_domain_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ConfigError as exc:

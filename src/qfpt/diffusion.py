@@ -24,16 +24,18 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .errors import ConfigError, ModelError, PhysicsError
+from .errors import ConfigError, DegenerateKernelError, PhysicsError
 from .operators import (
+    DriftSuperoperator,
     LindbladModel,
+    build_drift_superoperator,
     build_liouvillian,
-    left_multiplier,
-    right_multiplier,
+    current_cumulants,
     trace_functional,
     vectorize,
 )
 from .propagation import (
+    EDGE_TOLERANCE,
     STEP_FACTOR,
     BlockGenerator,
     BlockState,
@@ -118,31 +120,6 @@ class ChargeGrid:
         if grow_upper:
             upper = _round_to(2.0 * upper + 1.0, self.delta, +1)
         return ChargeGrid(lower, upper, self.delta)
-
-
-@dataclass(frozen=True)
-class DriftSuperoperator:
-    """Operator-valued drift and scalar diffusion of the charge equation."""
-
-    matrix: np.ndarray
-    diffusion: float
-
-
-def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
-    """Weighted sum of (A rho + rho A') over monitored channels, with the
-    squared weights accumulating into the scalar diffusion constant."""
-    model.require_channels()
-    if not model.monitored:
-        raise ModelError("diffusive monitoring needs at least one monitored channel")
-    d = model.dim
-    kmat = np.zeros((d * d, d * d), dtype=complex)
-    kdiff = 0.0
-    for ch in model.monitored:
-        a = ch.rotated_operator()
-        kmat += ch.weight * (left_multiplier(a) + right_multiplier(a.conj().T))
-        kdiff += ch.weight**2
-    kmat.setflags(write=False)
-    return DriftSuperoperator(kmat, float(kdiff))
 
 
 def peclet_number(drift: DriftSuperoperator, delta: float) -> float:
@@ -271,6 +248,30 @@ def _round_to(value: float, delta: float, direction: int) -> float:
     return steps * delta
 
 
+def _open_margins(
+    model: LindbladModel, drift: DriftSuperoperator, horizon: float
+) -> tuple[float, float]:
+    """Charge margins of the lower and upper open sides beyond the mean path.
+
+    Each side gets 8 sqrt(D T) + 1 for the grid's diffusion constant D.
+    The side that the steady current J drifts away from is ever reached at
+    depth a with probability about exp(-2 |J| a / D_J), D_J the current
+    noise, so it needs only the depth where that falls to
+    ``EDGE_TOLERANCE``, when this is shallower.  A degenerate steady state
+    has no single current and keeps the diffusive margin.
+    """
+    spread = 8.0 * math.sqrt(drift.diffusion * horizon)
+    try:
+        current, noise = current_cumulants(model, "diffusion")
+    except DegenerateKernelError:
+        current, noise = 0.0, 0.0
+    depth = spread
+    if current != 0.0 and math.isfinite(current) and 0.0 < noise < math.inf:
+        depth = min(spread, math.log(1.0 / EDGE_TOLERANCE) * noise / (2.0 * abs(current)))
+    lower, upper = (depth, spread) if current > 0.0 else (spread, depth)
+    return lower + 1.0, upper + 1.0
+
+
 def _auto_grid(
     model: LindbladModel,
     drift: DriftSuperoperator,
@@ -281,12 +282,13 @@ def _auto_grid(
     horizon: float,
 ) -> ChargeGrid:
     """Grid guess: thresholds place hard edges one node inside the ghost;
-    open sides follow the unconditional mean path plus a diffusive margin."""
+    open sides follow the unconditional mean path plus the margins of
+    ``_open_margins``."""
     probe = np.linspace(0.0, horizon, 200)
     mean = mean_charge_path(model, rho0, probe)
-    margin = 8.0 * math.sqrt(drift.diffusion * horizon) + 1.0
-    hi_guess = float(mean.max()) + margin
-    lo_guess = float(mean.min()) - margin
+    lower_margin, upper_margin = _open_margins(model, drift, horizon)
+    hi_guess = float(mean.max()) + upper_margin
+    lo_guess = float(mean.min()) - lower_margin
     if delta is None:
         span_hi = threshold if threshold is not None else hi_guess
         span_lo = lower_threshold if lower_threshold is not None else lo_guess
@@ -327,8 +329,9 @@ def solve_diffusion_fpt(
 
     Thresholds are real charges; each one pins its side of the grid with
     the zeroed ghost node exactly on the threshold.  Open sides start from
-    the unconditional mean path plus a diffusive margin and are widened
-    until the edge mass stays negligible over the horizon.  ``auto_tail``
+    the unconditional mean path plus a diffusive margin, shallower on the
+    side the steady current drifts away from (``_open_margins``), and are
+    widened until the edge mass stays negligible over the horizon.  ``auto_tail``
     doubles the horizon until survival drops under ``tail_epsilon``;
     distributions that never fully absorb will hit the horizon cap
     instead, so leave it off for conditioned studies.

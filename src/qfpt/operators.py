@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateKernelError, ModelError
+from .errors import ConfigError, DegenerateKernelError, ModelError
 
 logger = logging.getLogger(__name__)
 
@@ -218,6 +218,31 @@ def build_jump_super(channel: JumpChannel) -> np.ndarray:
     return sandwich(channel.operator)
 
 
+@dataclass(frozen=True)
+class DriftSuperoperator:
+    """Operator-valued drift and scalar diffusion of the charge equation."""
+
+    matrix: np.ndarray
+    diffusion: float
+
+
+def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
+    """Weighted sum of (A rho + rho A') over monitored channels, with the
+    squared weights accumulating into the scalar diffusion constant."""
+    model.require_channels()
+    if not model.monitored:
+        raise ModelError("diffusive monitoring needs at least one monitored channel")
+    d = model.dim
+    kmat = np.zeros((d * d, d * d), dtype=complex)
+    kdiff = 0.0
+    for ch in model.monitored:
+        a = ch.rotated_operator()
+        kmat += ch.weight * (left_multiplier(a) + right_multiplier(a.conj().T))
+        kdiff += ch.weight**2
+    kmat.setflags(write=False)
+    return DriftSuperoperator(kmat, float(kdiff))
+
+
 def build_split_generators(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """Split the Liouvillian into its left-acting and right-acting halves.
 
@@ -320,3 +345,34 @@ def drazin_inverse(
             f"condition number of shifted generator {cond:.3e}"
         )
     return inv
+
+
+def current_cumulants(model: LindbladModel, unravelling: str) -> tuple[float, float]:
+    """Mean current J and noise D of the monitored charge in the steady
+    state, so that E[N_t] ~ J t and Var[N_t] ~ D t at long times.
+
+    They are the first two cumulants of the tilted generator:
+    J = tr(J1 rho) and D = tr(J2 rho) - 2 tr(J1 L^D J1 rho), with rho the
+    steady state and L^D the Drazin inverse of the Liouvillian.  For the
+    ``"jump"`` unravelling J1 and J2 sum the monitored channels' jump
+    superoperators weighted by their charge and its square; for
+    ``"diffusion"`` J1 is the drift superoperator and tr(J2 rho) its
+    scalar diffusion.  A steady state that is not unique raises
+    :class:`DegenerateKernelError`.
+    """
+    liou = build_liouvillian(model)
+    rho_ss = steady_state(liou)
+    rho = vectorize(rho_ss)
+    tr = trace_functional(model.dim)
+    if unravelling == "jump":
+        jumps = [(ch.weight, build_jump_super(ch)) for ch in model.monitored]
+        first = sum((w * s for w, s in jumps), np.zeros_like(liou))
+        second = sum(w * w * (tr @ s @ rho) for w, s in jumps)
+    elif unravelling == "diffusion":
+        drift = build_drift_superoperator(model)
+        first, second = drift.matrix, drift.diffusion
+    else:
+        raise ConfigError(f"unknown unravelling {unravelling!r}")
+    current = first @ rho
+    noise = second - 2.0 * tr @ first @ drazin_inverse(liou, rho_ss) @ current
+    return float((tr @ current).real), float(noise.real)

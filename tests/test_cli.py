@@ -397,6 +397,43 @@ def test_explicit_domain_with_negative_bound(argv, csv, key, domain, tmp_path):
     assert json.loads((tmp_path / "manifest.json").read_text())["results"][key] == domain
 
 
+@pytest.mark.parametrize(
+    "argv, flag, csv",
+    [
+        ("fpt-jump --builtin thermal-qubit --nbar 0.2 --horizon 2", "--window", "fpt_jump.csv"),
+        ("fpt-diffusion --builtin homodyne-qubit --delta 0.05 --horizon 1", "--grid",
+         "fpt_diffusion.csv"),
+    ],
+)
+def test_domain_written_apart_parses_like_joined(argv, flag, csv, tmp_path):
+    joined, apart = tmp_path / "joined", tmp_path / "apart"
+    assert run([*argv.split(), f"{flag}=-1:3"], joined) == 0
+    assert run([*argv.split(), flag, "-1:3"], apart) == 0
+    assert (apart / csv).read_bytes() == (joined / csv).read_bytes()
+    config = [json.loads((out / "manifest.json").read_text())["config"] for out in (joined, apart)]
+    assert config[0] == config[1]
+
+
+@pytest.mark.parametrize(
+    "argv, artifacts",
+    [
+        # the README's way to read P(N, t): nothing reaches the edges by t = 2
+        ("fpt-jump --builtin thermal-qubit --window -20:20 --horizon 2", ["fpt_jump.csv"]),
+        ("fpt-diffusion --builtin homodyne-qubit --grid -8:8 --delta 0.05 --horizon 0.3",
+         ["fpt_diffusion.csv", "final_distribution.csv"]),
+    ],
+)
+def test_explicit_domain_that_absorbs_nothing_is_published(argv, artifacts, tmp_path):
+    assert run(argv.split(), tmp_path) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["artifacts"] == artifacts
+    assert all((tmp_path / name).exists() for name in artifacts)
+    results = manifest["results"]
+    assert abs(results["absorbed_probability"]) < 1e-12
+    for key in ("mean_fpt_given_absorbed", "var_fpt_given_absorbed", "snr_given_absorbed"):
+        assert results[key] is None
+
+
 # The configuration hash is written into every CSV header, so renaming a
 # flag or changing its type changes CSV bytes; these pin the README commands.
 # A deliberate change updates the literal.

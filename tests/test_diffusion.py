@@ -20,9 +20,15 @@ from qfpt.diffusion import (
     peclet_number,
     solve_diffusion_fpt,
 )
-from qfpt.errors import ConfigError, ConvergenceError
+from qfpt.errors import ConfigError, ConvergenceError, DegenerateKernelError
 from qfpt.models import drifted_charge, homodyne_qubit, wiener_charge
-from qfpt.operators import build_liouvillian, vectorize
+from qfpt.operators import (
+    JumpChannel,
+    LindbladModel,
+    build_liouvillian,
+    current_cumulants,
+    vectorize,
+)
 from qfpt.trajectories import TrajectoryConfig
 
 from .oracles import inverse_gaussian_density, wiener_fpt_density
@@ -270,6 +276,64 @@ def test_auto_tail_assembles_the_grid_once(monkeypatch):
     sol = solve_diffusion_fpt(drifted_charge(0.5), threshold=1.0, horizon=30.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
     assert calls == [sol.domain]
+
+
+def _recording_assembly(monkeypatch) -> list:
+    calls = []
+
+    def counting(model, grid, **kwargs):
+        calls.append(grid)
+        return build_fokker_planck_generator(model, grid, **kwargs)
+
+    monkeypatch.setattr(diffusion, "build_fokker_planck_generator", counting)
+    return calls
+
+
+def test_drift_shortens_the_trailing_open_side(monkeypatch):
+    # J = D = 1: the lower side needs depth ln(1e12)/2 = 13.8, not 8 sqrt(30)
+    calls = _recording_assembly(monkeypatch)
+    sol = solve_diffusion_fpt(drifted_charge(0.5), threshold=1.0, horizon=30.0, auto_tail=True)
+    assert calls == [ChargeGrid(-14.82, 0.99, 0.01)]
+    assert sol.domain == calls[0]
+
+
+def test_readme_homodyne_keeps_the_diffusive_margin(monkeypatch):
+    # J = 4/9 and D_J = 403/243 give a depth of 51.6, deeper than the
+    # diffusive 8 sqrt(6), so the trailing side keeps its margin
+    calls = _recording_assembly(monkeypatch)
+    sol = solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), threshold=1.0, horizon=6.0)
+    assert calls == [ChargeGrid(-20.6, 0.99, 0.01)]
+    assert sol.domain == calls[0]
+
+
+@pytest.mark.parametrize(
+    "model, margins",
+    [
+        # no current: both sides keep 8 sqrt(D T) + 1 at T = 4
+        (wiener_charge(), (17.0, 17.0)),
+        # a current of -1 drifts away from the upper side, which needs
+        # depth ln(1e12)/2 < 16
+        (drifted_charge(0.5, weight=-1.0), (17.0, 0.5 * math.log(1e12) + 1.0)),
+    ],
+)
+def test_open_margins_follow_the_current(model, margins):
+    drift = build_drift_superoperator(model)
+    assert diffusion._open_margins(model, drift, 4.0) == pytest.approx(margins, rel=1e-12)
+
+
+def test_degenerate_steady_state_keeps_the_diffusive_margin():
+    # sigma_z dephasing leaves every diagonal state stationary, so there is
+    # no steady current to set a depth; started in the +1 eigenstate the
+    # charge drifts up at rate 2 and the lower side keeps 8 sqrt(2) + 1
+    model = LindbladModel(np.zeros((2, 2)), (JumpChannel(np.diag([1.0, -1.0])),))
+    with pytest.raises(DegenerateKernelError):
+        current_cumulants(model, "diffusion")
+    start = np.diag([1.0, 0.0]).astype(complex)
+    sol = solve_diffusion_fpt(model, threshold=1.0, horizon=2.0, initial=start)
+    assert sol.domain == ChargeGrid(-12.32, 0.99, 0.01)
+    fixed = solve_diffusion_fpt(model, grid=sol.domain, horizon=2.0, initial=start)
+    assert np.array_equal(sol.result.survival, fixed.result.survival)
+    assert np.array_equal(sol.result.density, fixed.result.density)
 
 
 def test_auto_tail_stops_at_the_horizon_cap(monkeypatch):

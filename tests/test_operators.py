@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from qfpt.errors import DegenerateKernelError, ModelError
-from qfpt.models import decay_qubit, thermal_qubit
+from qfpt.errors import ConfigError, DegenerateKernelError, ModelError
+from qfpt.jumps import passage_moments
+from qfpt.models import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    decay_qubit,
+    drifted_charge,
+    homodyne_qubit,
+    thermal_qubit,
+)
 from qfpt.operators import (
     JumpChannel,
     LindbladModel,
     build_liouvillian,
     build_split_generators,
+    current_cumulants,
     drazin_inverse,
     left_multiplier,
     right_multiplier,
@@ -149,6 +161,66 @@ def test_drazin_rejects_degenerate_generator():
     model = LindbladModel(np.zeros((4, 4), dtype=complex), (JumpChannel(op),))
     with pytest.raises(DegenerateKernelError):
         drazin_inverse(build_liouvillian(model))
+
+
+def _doubled_charges(model: LindbladModel) -> LindbladModel:
+    channels = tuple(JumpChannel(ch.operator, weight=2 * ch.weight) for ch in model.channels)
+    return LindbladModel(model.hamiltonian, channels)
+
+
+FCS_MODELS = [
+    thermal_qubit(1.0, 1.0, 0.2),
+    thermal_qubit(1.0, 0.3, 0.5),
+    thermal_qubit(2.0, 1.5, 0.0),
+    # weights +2 and -2: the charge stays on even levels, so an even
+    # threshold is hit exactly and the squared weight enters the noise
+    _doubled_charges(thermal_qubit(1.0, 1.0, 0.2)),
+    # a silent dephasing channel shapes the dynamics but counts nothing
+    LindbladModel(
+        0.7 * SIGMA_X,
+        (
+            JumpChannel(math.sqrt(1.2) * SIGMA_MINUS, weight=1.0),
+            JumpChannel(math.sqrt(0.2) * SIGMA_PLUS, weight=-1.0),
+            JumpChannel(math.sqrt(0.5) * np.diag([1.0, -1.0]), weight=0.0, monitored=False),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("model", FCS_MODELS)
+def test_jump_cumulants_give_the_passage_moment_slopes(model):
+    # E[T_n] = n/J + c1 and Var[T_n] = n D/J^3 + c2 up to corrections that
+    # vanish with n, so the exact moments grow by 1/J and D/J^3 per unit
+    current, noise = current_cumulants(model, "jump")
+    moments = {n: passage_moments(model, n) for n in (20, 40, 80)}
+    for lo, hi in ((20, 40), (40, 80)):
+        mean_slope = (moments[hi].mean - moments[lo].mean) / (hi - lo)
+        var_slope = (moments[hi].variance - moments[lo].variance) / (hi - lo)
+        assert mean_slope == pytest.approx(1.0 / current, rel=1e-9)
+        assert var_slope == pytest.approx(noise / current**3, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "model, current, noise",
+    [
+        (homodyne_qubit(1.0, 1.0), 4.0 / 9.0, 403.0 / 243.0),
+        # drifted_charge(alpha, w) is a Brownian charge of drift 2 alpha w
+        # and variance rate w^2
+        (drifted_charge(0.5), 1.0, 1.0),
+        (drifted_charge(0.3, weight=-2.0), -1.2, 4.0),
+    ],
+)
+def test_diffusion_cumulants_closed_forms(model, current, noise):
+    assert current_cumulants(model, "diffusion") == pytest.approx((current, noise), rel=1e-12)
+
+
+def test_cumulants_refuse_degenerate_model_and_unknown_unravelling():
+    op = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)).astype(complex)
+    model = LindbladModel(np.zeros((4, 4), dtype=complex), (JumpChannel(op),))
+    with pytest.raises(DegenerateKernelError):
+        current_cumulants(model, "jump")
+    with pytest.raises(ConfigError, match="unravelling"):
+        current_cumulants(thermal_qubit(1.0, 1.0, 0.2), "counting")
 
 
 def test_validate_density_matrix_rejections():
