@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import PhysicsError, TailNotConvergedError
-
-logger = logging.getLogger(__name__)
 
 TAIL_EPSILON = 1e-6
 LEDGER_TOL = 1e-6
 
 PROVENANCES = ("deterministic-jump", "deterministic-diffusion", "monte-carlo")
+
+
+def trapezoid_steps(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-interval trapezoid integrals of ``y`` over ``x``, in the operation
+    order of scipy's ``trapezoid`` and ``cumulative_trapezoid``: their sum and
+    cumulative sum equal those bit for bit."""
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
 
 
 def uniform_step(times: np.ndarray) -> float:
@@ -71,7 +74,7 @@ class FptResult:
             raise PhysicsError(
                 f"survival increases by {np.max(increases):.3e} along the grid"
             )
-        absorbed = trapezoid(f, t)
+        absorbed = trapezoid_steps(f, t).sum()
         residue = abs(g[-1] + absorbed - 1.0)
         tol = LEDGER_TOL
         if self.provenance == "monte-carlo":
@@ -99,10 +102,7 @@ class FptResult:
         absorbed = self.absorbed_probability
         if absorbed <= 0.0:
             raise PhysicsError("no absorbed probability mass within the horizon")
-        dt = self.times[1] - self.times[0]
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (self.density[1:] + self.density[:-1]) * dt))
-        )
+        cum = np.concatenate(([0.0], np.cumsum(trapezoid_steps(self.density, self.times))))
         return np.clip(cum / absorbed, 0.0, 1.0)
 
 
@@ -139,15 +139,13 @@ def integrate_moments(
             f"tail not converged: G(T) = {g[-1]:.3e} at T = {t[-1]:g}; "
             f"increase the horizon beyond {t[-1]:g} until G(T) < {TAIL_EPSILON:g}"
         )
-    absorbed = float(trapezoid(f, t))
+    absorbed, first, second = (float(trapezoid_steps(y, t).sum()) for y in (f, t * f, t * t * f))
     if absorbed <= 1e-12:
         raise TailNotConvergedError(
             "no probability was absorbed within the horizon; the threshold "
             "may be unreachable or the horizon far too short"
         )
-    mean = float(trapezoid(t * f, t)) / absorbed
-    second = float(trapezoid(t * t * f, t)) / absorbed
-    return FptMoments.from_raw(mean, second, absorbed)
+    return FptMoments.from_raw(first / absorbed, second / absorbed, absorbed)
 
 
 def _extract_hit_times(empirical) -> np.ndarray:

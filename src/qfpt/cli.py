@@ -27,6 +27,7 @@ failure, 4 physics assertion (for example a quantum bound violation).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .analysis import format_float, integrate_moments, write_series_csv
+from .analysis import TAIL_EPSILON, format_float, integrate_moments, write_series_csv
 from .diffusion import (
     DEFAULT_RESOLUTION,
     PECLET_LIMIT,
@@ -198,11 +199,12 @@ def _csv_cell(cell) -> str:
 
 def _rows_writer(header: list[str], rows):
     """Artifact writer of a deterministic CSV with the configuration hash
-    embedded, for ``publish``."""
+    embedded, for ``publish``; a cell holding a comma or a quote is quoted."""
     def write(path: Path, chash: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# config_hash={chash}\n{','.join(header)}\n")
-            fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# config_hash={chash}\n")
+            table = csv.writer(fh, lineterminator="\n")
+            table.writerows(map(_csv_cell, row) for row in [header, *rows])
     return write
 
 
@@ -255,13 +257,11 @@ def conditional_moment_summary(result, explicit_domain: bool) -> dict:
     except TailNotConvergedError:
         if not explicit_domain:
             raise
-        absorbed, mean, variance, snr = result.absorbed_probability, None, None, None
+        mean = variance = snr = None
     else:
-        absorbed, mean, variance, snr = (
-            moments.absorbed_probability, moments.mean, moments.variance, moments.snr
-        )
+        mean, variance, snr = moments.mean, moments.variance, moments.snr
     return {
-        "absorbed_probability": absorbed,
+        "absorbed_probability": result.absorbed_probability,
         "mean_fpt_given_absorbed": mean,
         "var_fpt_given_absorbed": variance,
         "snr_given_absorbed": snr,
@@ -573,7 +573,7 @@ def _add_fpt_arguments(parser: argparse.ArgumentParser, number_type, noun: str) 
         "--auto-tail", action="store_true",
         help="extend the horizon until the tail converges",
     )
-    parser.add_argument("--tail-epsilon", type=float, default=1e-6)
+    parser.add_argument("--tail-epsilon", type=float, default=TAIL_EPSILON)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,9 +21,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
+from .analysis import TAIL_EPSILON, trapezoid_steps
 from .errors import ConfigError, DegenerateKernelError, PhysicsError
 from .operators import (
     DriftSuperoperator,
@@ -226,7 +226,7 @@ def mean_charge_path(
     bad = ~np.isfinite(rates)
     if bad.any():
         raise _non_finite(int(np.argmax(bad)))
-    return scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
+    return np.concatenate(([0.0], np.cumsum(trapezoid_steps(rates, times))))
 
 
 def real_threshold(value, sign: int):
@@ -323,7 +323,7 @@ def solve_diffusion_fpt(
     horizon: float = 10.0,
     dt: float | None = None,
     auto_tail: bool = False,
-    tail_epsilon: float = 1e-6,
+    tail_epsilon: float = TAIL_EPSILON,
 ) -> FptSolution:
     """Solve the absorbing charge drift-diffusion problem.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .analysis import FptMoments
+from .analysis import TAIL_EPSILON, FptMoments
 from .errors import ConfigError, ConvergenceError, ModelError
 from .operators import (
     LindbladModel,
@@ -216,7 +216,7 @@ def solve_jump_fpt(
     horizon: float = 10.0,
     dt: float | None = None,
     auto_tail: bool = False,
-    tail_epsilon: float = 1e-6,
+    tail_epsilon: float = TAIL_EPSILON,
 ) -> FptSolution:
     """Solve the windowed charge-resolved dynamics and return its chronology.
 

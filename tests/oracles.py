@@ -5,16 +5,21 @@ importing the package under test, so agreement between the two is
 meaningful evidence rather than circular bookkeeping.  ``cell_traces`` is
 no reference: it replays a jump solve through the package's own
 propagator to read the per-cell traces that the solve does not observe.
+``rotate`` and ``mirror`` are no references either: they transform a
+model into one whose first-passage statistics are known to be the same,
+so a solve of each checks the engines against themselves.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import scipy.sparse
 from scipy.linalg import expm
 
 from qfpt.jumps import build_block_generator
-from qfpt.operators import trace_functional
+from qfpt.operators import LindbladModel, trace_functional
 from qfpt.propagation import BlockState, initial_density, propagate_uniform
 
 
@@ -211,3 +216,25 @@ def cell_traces(model, sol, initial="steady") -> np.ndarray:
     for start, chunk, _ in propagate_uniform(gen.matrix, x0, times, rows=rows):
         out[start : start + chunk.shape[0]] = chunk
     return out
+
+
+def rotate(model, u):
+    """The model in another basis: H -> U H U^dag and L -> U L U^dag for
+    every channel, keeping weights, phases and monitoring.  Every charge
+    statistic is unchanged when the initial state is rotated alike (the
+    steady state rotates by itself)."""
+    ud = u.conj().T
+    return LindbladModel(
+        u @ model.hamiltonian @ ud,
+        tuple(dataclasses.replace(ch, operator=u @ ch.operator @ ud) for ch in model.channels),
+    )
+
+
+def mirror(model):
+    """The model with every channel weight negated: its charge is the
+    negative of the original's, so an upper threshold c becomes a lower
+    threshold -c and the other way round."""
+    return LindbladModel(
+        model.hamiltonian,
+        tuple(dataclasses.replace(ch, weight=-ch.weight) for ch in model.channels),
+    )

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.stats import gamma as gamma_dist
 
 from qfpt.analysis import (
@@ -14,9 +14,12 @@ from qfpt.analysis import (
     format_float,
     integrate_moments,
     ks_distance,
+    trapezoid_steps,
     write_series_csv,
 )
 from qfpt.errors import PhysicsError, TailNotConvergedError
+from qfpt.jumps import solve_jump_fpt
+from qfpt.models import thermal_qubit
 
 
 def _erlang_result(k=3, rate=2.0, horizon=25.0, n=20001):
@@ -150,3 +153,25 @@ def test_absorbed_probability_matches_density_integral():
     assert res.absorbed_probability == pytest.approx(
         float(trapezoid(res.density, res.times)), abs=1e-6
     )
+
+
+def _assert_scipy_trapezoid_bits(y, x):
+    steps = trapezoid_steps(y, x)
+    assert steps.sum() == trapezoid(y, x)
+    assert np.array_equal(
+        np.concatenate(([0.0], np.cumsum(steps))), cumulative_trapezoid(y, x, initial=0.0)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 4096])
+def test_trapezoid_steps_match_scipy_on_nonuniform_grids(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+    _assert_scipy_trapezoid_bits(rng.standard_normal(n), x)
+
+
+def test_trapezoid_steps_match_scipy_on_an_engine_series():
+    res = solve_jump_fpt(thermal_qubit(1.0, 1.0, 0.2), threshold=3, horizon=10.0).result
+    t, f = res.times, res.density
+    for y in (f, t * f, t * t * f, res.survival):
+        _assert_scipy_trapezoid_bits(y, t)

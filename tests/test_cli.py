@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -171,6 +172,22 @@ def test_kur_scan_unreachable_point_exits_convergence(tmp_path, capsys):
     )
     assert code == cli.EXIT_CONVERGENCE
     assert "unreachable" in (tmp_path / "kur_scan.csv").read_text()
+
+
+def test_kur_scan_failed_point_keeps_the_columns(tmp_path):
+    # the omega = 0 point fails with a reason that holds a comma
+    code = run(
+        ["kur-scan", "--omega-range", "0:1:2", "--nbar", "0", "--threshold", "5"],
+        tmp_path,
+    )
+    assert code == 0
+    with open(tmp_path / "kur_scan.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [len(row) for row in rows] == [14, 14, 14]
+    failed, ok = rows[1], rows[2]
+    assert failed[-1].startswith("failed: threshold 5 is unreachable")
+    assert "singular (Factor is exactly singular) on window [-9, 4]" in failed[-1]
+    assert ok[-1] == "ok"
 
 
 def test_fpt_jump_auto_tail_unreachable_exits_convergence(tmp_path, capsys):

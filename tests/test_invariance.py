@@ -1,0 +1,123 @@
+"""Metamorphic oracles: exact relations between solves of transformed models.
+
+Each relation needs no reference solution.  A rotated basis leaves every
+charge statistic unchanged, and negating every weight mirrors the charge,
+so the two solves must agree to roundoff.  The built-in models' operators
+are real, which hides a slip between an operator and its transpose or
+conjugate; a complex rotation exposes it.
+
+Each bound is a stated multiple of the worst difference measured for the
+seeded rotation below, so that roundoff passes and a wrong assembly does
+not.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from qfpt.diffusion import solve_diffusion_fpt
+from qfpt.jumps import passage_moments, solve_jump_fpt
+from qfpt.models import homodyne_qubit, thermal_qubit
+
+from .oracles import mirror, rotate
+
+
+def _unitary(dim: int, seed: int) -> np.ndarray:
+    """U = expm(iK) for a seeded complex Hermitian K."""
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return expm(0.5j * (k + k.conj().T))
+
+
+U = _unitary(2, 2024)
+# a pure initial state off the steady state, so its rotation matters
+EXCITED = np.diag([0.0, 1.0]).astype(complex)
+
+
+def _series_gap(a, b) -> tuple[float, float]:
+    """Largest difference in G, and in f relative to the peak of f, of two
+    solves on one time grid."""
+    ra, rb = a.result, b.result
+    assert np.array_equal(ra.times, rb.times)
+    gap_g = float(np.max(np.abs(ra.survival - rb.survival)))
+    gap_f = float(np.max(np.abs(ra.density - rb.density)) / np.max(np.abs(ra.density)))
+    return gap_g, gap_f
+
+
+def test_rotation_keeps_passage_moments():
+    # measured: 2.2e-16 in the mean and 4.4e-16 in the variance, relative;
+    # bound about 200x
+    model = thermal_qubit(1.0, 1.0, 1.0)
+    plain = passage_moments(model, 5)
+    turned = passage_moments(rotate(model, U), 5)
+    assert turned.mean == pytest.approx(plain.mean, rel=1e-13, abs=0)
+    assert turned.variance == pytest.approx(plain.variance, rel=1e-13, abs=0)
+    assert turned.absorbed_probability == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "solve, plain, turned, bound",
+    [
+        # measured: 4.2e-14 in G and 3.1e-14 in f; bound about 25x
+        pytest.param(
+            solve_jump_fpt,
+            dict(model=thermal_qubit(1.0, 1.0, 0.2), threshold=3, horizon=10.0),
+            dict(model=rotate(thermal_qubit(1.0, 1.0, 0.2), U), threshold=3, horizon=10.0),
+            1e-12,
+            id="jump",
+        ),
+        # measured: 5.3e-13 in G and 4.8e-13 in f; bound about 20x
+        pytest.param(
+            solve_diffusion_fpt,
+            dict(model=homodyne_qubit(1.0, 1.0), threshold=1.0, lower_threshold=-0.7,
+                 horizon=3.0, initial=EXCITED),
+            dict(model=rotate(homodyne_qubit(1.0, 1.0), U), threshold=1.0,
+                 lower_threshold=-0.7, horizon=3.0, initial=U @ EXCITED @ U.conj().T),
+            1e-11,
+            id="diffusion",
+        ),
+    ],
+)
+def test_rotation_keeps_the_series(solve, plain, turned, bound):
+    a, b = solve(**plain), solve(**turned)
+    assert a.domain == b.domain
+    gap_g, gap_f = _series_gap(a, b)
+    assert gap_g < bound
+    assert gap_f < bound
+
+
+@pytest.mark.parametrize(
+    "solve, plain, mirrored, bound",
+    [
+        # measured: 2.0e-14 in G and 2.3e-14 in f; bound about 40x
+        pytest.param(
+            solve_jump_fpt,
+            dict(model=thermal_qubit(1.0, 1.0, 0.2), threshold=3, horizon=10.0),
+            dict(model=mirror(thermal_qubit(1.0, 1.0, 0.2)), lower_threshold=-3,
+                 horizon=10.0),
+            1e-12,
+            id="jump",
+        ),
+        # measured: 5.3e-13 in G and 7.6e-13 in f; bound about 13x
+        pytest.param(
+            solve_diffusion_fpt,
+            dict(model=homodyne_qubit(1.0, 1.0), threshold=1.0, lower_threshold=-0.7,
+                 horizon=3.0),
+            dict(model=mirror(homodyne_qubit(1.0, 1.0)), threshold=0.7,
+                 lower_threshold=-1.0, horizon=3.0),
+            1e-11,
+            id="diffusion",
+        ),
+    ],
+)
+def test_mirror_keeps_the_series(solve, plain, mirrored, bound):
+    a, b = solve(**plain), solve(**mirrored)
+    # the mirrored domain is the original's reflected through 0
+    assert (b.domain.lower, b.domain.upper) == pytest.approx(
+        (-a.domain.upper, -a.domain.lower), abs=1e-12
+    )
+    gap_g, gap_f = _series_gap(a, b)
+    assert gap_g < bound
+    assert gap_f < bound

@@ -8,6 +8,9 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qfpt
@@ -80,6 +83,19 @@ def test_sparse_lu_has_one_call_site():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.sparse.linalg.splu"
     ]
     assert len(calls) == 1
+
+
+def test_cli_import_loads_no_quadrature_or_special_functions():
+    # the package integrates its series with numpy alone; scipy.integrate
+    # would pull scipy.special and scipy.optimize into every process
+    src = str(Path(qfpt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qfpt.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    assert "qfpt.cli" in out
+    assert not {"scipy.integrate", "scipy.special", "scipy.optimize"} & set(out)
 
 
 def test_tracer_sees_propagation_chunks():
