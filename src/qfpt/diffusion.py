@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .analysis import TAIL_EPSILON, trapezoid_steps
 from .errors import ConfigError, DegenerateKernelError, PhysicsError
@@ -31,7 +30,6 @@ from .operators import (
     build_drift_superoperator,
     build_liouvillian,
     current_cumulants,
-    trace_functional,
     vectorize,
 )
 from .propagation import (
@@ -42,6 +40,7 @@ from .propagation import (
     Discretisation,
     FptSolution,
     _non_finite,
+    absorbing_generator,
     default_step,
     initial_density,
     positive_finite,
@@ -132,11 +131,9 @@ def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> Blo
     Per node: the full dissipative generator, minus drift toward larger
     charge at first-difference order, plus scalar diffusion at second
     order.  Ghost nodes outside the grid are zero, so edge stencils lose
-    weight; that loss is the first-passage flux.  The stencil blocks sum
-    to the trace-preserving generator, so the flux of node j is
-    (delta - w_j) tr o diag + (delta - w_(j-1)) tr o up + (delta - w_(j+1))
-    tr o down for the trapezoidal weights w, zero outside the grid: the
-    half-weight edge node and the ghost beyond it give each side's flux.
+    weight; ``absorbing_generator`` turns that loss, read off the
+    trapezoidal weights of the half-weight edge node and the ghost beyond
+    it, into each side's first-passage flux.
     """
     drift = build_drift_superoperator(model)
     pe = peclet_number(drift, grid.delta)
@@ -148,33 +145,17 @@ def build_fokker_planck_generator(model: LindbladModel, grid: ChargeGrid) -> Blo
             RuntimeWarning,
             stacklevel=2,
         )
-    d = model.dim
-    m = grid.ncells
-    dn = grid.delta
-    eye = np.eye(d * d, dtype=complex)
-    liou = build_liouvillian(model)
-    diag = liou - (drift.diffusion / dn**2) * eye
-    up = -drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
-    down = drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
-    shift_up = scipy.sparse.eye(m, k=1, format="csr")
-    shift_down = scipy.sparse.eye(m, k=-1, format="csr")
-    matrix = (
-        scipy.sparse.kron(scipy.sparse.identity(m), diag, format="csr")
-        + scipy.sparse.kron(shift_up, up, format="csr")
-        + scipy.sparse.kron(shift_down, down, format="csr")
+    dn, eye = grid.delta, np.eye(model.dim**2, dtype=complex)
+    # shift 0 first, then the node above, then the node below: the
+    # summation order that keeps the fluxes bit-identical
+    return absorbing_generator(
+        {
+            0: build_liouvillian(model) - (drift.diffusion / dn**2) * eye,
+            -1: -drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye,
+            +1: drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye,
+        },
+        grid,
     )
-    matrix = matrix.tocsr()
-    tr = trace_functional(d)
-    survival = np.kron(grid.trace_weights, tr).astype(complex)
-    # delta - w on the nodes -1..m, split into the ghost and edge node of each side
-    deficit = dn - np.concatenate(([0.0], grid.trace_weights, [0.0]))
-    lower, upper = np.zeros((2, m + 2))
-    lower[:2], upper[-2:] = deficit[:2], deficit[-2:]
-
-    def flux(e: np.ndarray) -> np.ndarray:
-        return np.kron(e[1:-1], tr @ diag) + np.kron(e[:-2], tr @ up) + np.kron(e[2:], tr @ down)
-
-    return BlockGenerator(d, matrix, survival, flux(upper), flux(lower))
 
 
 def conditioned_charge_distribution(state: BlockState) -> tuple[np.ndarray, np.ndarray]:

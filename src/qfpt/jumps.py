@@ -26,22 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .analysis import TAIL_EPSILON, FptMoments
 from .errors import ConfigError, ConvergenceError, ModelError
-from .operators import (
-    LindbladModel,
-    build_jump_super,
-    build_no_jump,
-    trace_functional,
-    vectorize,
-)
+from .operators import LindbladModel, build_jump_super, build_no_jump, is_integer
 from .propagation import (
     BlockGenerator,
     BlockState,
     Discretisation,
     FptSolution,
+    absorbing_generator,
     absorbing_moments,
     default_step,
     initial_density,
@@ -64,7 +58,7 @@ class ChargeWindow:
     cell_width = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.lower, (int, np.integer)) and isinstance(self.upper, (int, np.integer))):
+        if not (is_integer(self.lower) and is_integer(self.upper)):
             raise ConfigError("window edges must be integers")
         object.__setattr__(self, "lower", int(self.lower))
         object.__setattr__(self, "upper", int(self.upper))
@@ -121,47 +115,22 @@ def integer_weight(channel) -> int:
 def build_block_generator(model: LindbladModel, window: ChargeWindow) -> BlockGenerator:
     """Assemble the block generator for a charge window.
 
-    Diagonal blocks carry the no-jump generator plus the sharp jumps of any
-    silent channel; the block in row N, column N - nu_k carries the sharp
-    jump of monitored channel k.  Jumps that would leave the window are
-    dropped from the generator, and their rates accumulate in the flux
-    functional that evaluates the first-passage density.
+    The shift-0 block carries the no-jump generator plus the sharp jumps of
+    any silent channel; the block of shift nu carries the sharp jumps of
+    the monitored channels of weight nu, which share it.
+    ``absorbing_generator`` drops the jumps that would leave the window and
+    turns their rates into the edge fluxes.
     """
     model.require_channels()
-    d = model.dim
-    n_cells = window.ncells
     diag = build_no_jump(model)
     for ch in model.silent:
         diag = diag + build_jump_super(ch)
-    # charge shift -> block on the cells it connects; channels of one shift
-    # share a block
-    blocks = {0: scipy.sparse.csr_matrix(diag)}
-    upper_flux = np.zeros((n_cells, d * d), dtype=complex)
-    lower_flux = np.zeros((n_cells, d * d), dtype=complex)
+    blocks = {0: diag}
     for ch in model.monitored:
         nu = integer_weight(ch)
-        jump = scipy.sparse.csr_matrix(build_jump_super(ch))
+        jump = build_jump_super(ch)
         blocks[nu] = blocks[nu] + jump if nu in blocks else jump
-        gram = ch.operator.conj().T @ ch.operator
-        # tr(M rho) as a row functional on vec(rho): vec(M.T)
-        gram_row = vectorize(gram.T)
-        upper_flux[window.charges + nu > window.upper] += gram_row
-        lower_flux[window.charges + nu < window.lower] += gram_row
-    rows, cols, vals = [], [], []
-    for nu, block in blocks.items():
-        block = block.tocoo()
-        # cell i receives from cell i - nu when both lie in the window
-        cells = np.arange(max(nu, 0), min(n_cells, n_cells + nu))[:, None]
-        rows.append((cells * d * d + block.row).ravel())
-        cols.append(((cells - nu) * d * d + block.col).ravel())
-        vals.append(np.broadcast_to(block.data, (cells.size, block.nnz)).ravel())
-    size = n_cells * d * d
-    matrix = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    survival = np.tile(trace_functional(d), n_cells)
-    return BlockGenerator(d, matrix, survival, upper_flux.ravel(), lower_flux.ravel())
+    return absorbing_generator(blocks, window)
 
 
 def integer_threshold(value, sign: int) -> int | None:

@@ -125,7 +125,7 @@ def _parse_complex_matrix(entries, dim: int, label: str) -> np.ndarray:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, (int, float)) for x in item)
+            or not all(type(x) in (int, float) for x in item)
         ):
             raise ConfigError(f"{label} entries must be [re, im] number pairs")
         flat.append(complex(item[0], item[1]))
@@ -153,7 +153,8 @@ def load_model(path: str | Path) -> LindbladModel:
         if key not in raw:
             raise ConfigError(f"model file is missing required key {key!r}")
     dim = raw["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    # exact types: JSON true and false load as bool, a subclass of int
+    if type(dim) is not int or dim < 1:
         raise ConfigError("dim must be a positive integer")
     ham = _parse_complex_matrix(raw["hamiltonian"], dim, "hamiltonian")
     if not isinstance(raw["channels"], list) or not raw["channels"]:
@@ -171,9 +172,9 @@ def load_model(path: str | Path) -> LindbladModel:
         weight = entry.get("weight", 1.0)
         phase = entry.get("phase", 0.0)
         monitored = entry.get("monitored", True)
-        if not isinstance(weight, (int, float)):
+        if type(weight) not in (int, float):
             raise ConfigError(f"channel {i} weight must be a number")
-        if not isinstance(phase, (int, float)):
+        if type(phase) not in (int, float):
             raise ConfigError(f"channel {i} phase must be a number")
         if not isinstance(monitored, bool):
             raise ConfigError(f"channel {i} monitored flag must be boolean")

@@ -8,15 +8,12 @@ vectorized states.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateKernelError, ModelError
-
-logger = logging.getLogger(__name__)
 
 HERMITICITY_TOL = 1e-12
 KERNEL_RTOL = 1e-9
@@ -24,6 +21,11 @@ DRAZIN_RESIDUAL_TOL = 1e-9
 STATE_HERMITICITY_TOL = 1e-10
 STATE_POSITIVITY_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_complex_matrix(a, name: str) -> np.ndarray:

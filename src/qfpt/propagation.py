@@ -32,7 +32,8 @@ edge cell.  ``absorbing_moments`` solves the same generator once
 for its phase-type moments and edge exit probabilities.  Both engines
 hand the driver the same contract: a ``Discretisation`` whose
 ``assemble(domain)`` returns a ``BlockGenerator`` (the sparse matrix, the
-survival functional and the absorption rate split by domain edge), on a
+survival functional and the absorption rate split by domain edge), which
+``absorbing_generator`` builds from the engine's charge-shift blocks, on a
 domain that supplies the cell count, the charge per cell, the trace
 weights and its own widening.  The series ends with the charge-resolved
 ``BlockState`` at the horizon; a solve on an explicit window or grid up
@@ -215,11 +216,7 @@ def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
 
 
 def propagate_uniform(
-    matrix,
-    x0: np.ndarray,
-    times: np.ndarray,
-    *,
-    rows=None,
+    matrix, x0: np.ndarray, times: np.ndarray, *, rows
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Stream observations of x_i = exp(t_i * matrix) @ x0 over a uniform
     time grid, in chunks of consecutive grid points.
@@ -228,13 +225,11 @@ def propagate_uniform(
     ``rows @ x_(start+k)``, one row per grid point of the chunk, and
     ``state`` is the state at its last point.  The first chunk is the
     initial point alone.  ``rows`` is a dense or sparse matrix with one
-    row per observed functional; ``None`` observes nothing.  The dense
-    propagator runs up to ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.
+    row per observed functional.  The dense propagator runs up to
+    ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     n = matrix.shape[0]
-    if rows is None:
-        rows = scipy.sparse.csr_matrix((0, n), dtype=complex)
     if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("matrix, state and observation dimensions disagree")
     chunks = _dense_chunks if n <= DENSE_CUTOFF else _cn_chunks
@@ -375,6 +370,53 @@ class BlockGenerator:
     def flux_vector(self) -> np.ndarray:
         """Absorption rate through either edge: the first-passage density."""
         return self.upper_flux + self.lower_flux
+
+
+def absorbing_generator(blocks: dict[int, np.ndarray], domain) -> BlockGenerator:
+    """The generator of ``blocks`` truncated to ``domain``, whose edges absorb.
+
+    ``blocks`` maps each charge shift nu to the dense (d*d, d*d)
+    superoperator B_nu that moves a cell's state nu cells up; together they
+    sum to a trace-preserving generator.  What would land outside the
+    domain is dropped.  The survival functional is w (x) tr for the
+    domain's ``trace_weights`` w, and as sum_nu tr o B_nu = 0 its loss rate
+    gives cell j the flux sum_nu (c - w_(j+nu)) tr o B_nu, with c the
+    ``cell_width`` and w zero outside the domain.  Padded with max|nu|
+    ghosts on each side, each side takes its own ghosts and its edge cell:
+    a jump window's edge cells have w = c, a trapezoidal grid's half-weight
+    edge nodes do not.
+    """
+    # the dict's insertion order is the summation order of each flux,
+    # which the engines keep fixed so that their fluxes stay bit-identical
+    n = next(iter(blocks.values())).shape[0]
+    dim = math.isqrt(n)
+    m = domain.ncells
+    rows, cols, vals = [], [], []
+    for nu, block in blocks.items():
+        block = scipy.sparse.coo_matrix(block)
+        # cell i receives from cell i - nu when both lie in the domain
+        cells = np.arange(max(nu, 0), min(m, m + nu))[:, None]
+        rows.append((cells * n + block.row).ravel())
+        cols.append(((cells - nu) * n + block.col).ravel())
+        vals.append(np.broadcast_to(block.data, (cells.size, block.nnz)).ravel())
+    matrix = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m * n, m * n),
+    )
+    tr = trace_functional(dim)
+    reach = max(abs(nu) for nu in blocks)
+    # c - w on the cells -reach..m-1+reach, split into each side's ghosts
+    # and edge cell
+    deficit = domain.cell_width - np.pad(domain.trace_weights, reach)
+    lower, upper = np.zeros((2, m + 2 * reach))
+    lower[: reach + 1], upper[-reach - 1 :] = deficit[: reach + 1], deficit[-reach - 1 :]
+
+    def flux(e: np.ndarray) -> np.ndarray:
+        terms = [np.kron(e[reach + nu : reach + nu + m], tr @ b) for nu, b in blocks.items()]
+        return sum(terms[1:], terms[0])
+
+    survival = np.kron(domain.trace_weights, tr)
+    return BlockGenerator(dim, matrix, survival, flux(upper), flux(lower))
 
 
 @dataclass

@@ -47,7 +47,7 @@ from .analysis import FptResult
 from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
-from .models import LindbladModel
+from .operators import LindbladModel, is_integer
 from .propagation import initial_density, positive_finite
 
 DEFAULT_STEP_BUDGET = 0.01
@@ -90,7 +90,7 @@ class TrajectoryConfig:
         if self.unravelling not in ("jump", "diffusion"):
             raise ConfigError(f"unknown unravelling {self.unravelling!r}")
         for name in ("ntraj", "index_offset"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer")
         if self.ntraj < 1:
             raise ConfigError("need at least one trajectory")
@@ -99,7 +99,7 @@ class TrajectoryConfig:
         positive_finite(self.horizon, "horizon")
         if self.dt is not None:
             positive_finite(self.dt, "dt")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed <= SEED_MAX):
+        if not (is_integer(self.seed) and 0 <= self.seed <= SEED_MAX):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.keep_paths:
             raise ConfigError("charge paths are no longer recorded; keep_paths must be False")
@@ -483,7 +483,7 @@ def merge_ensembles(parts) -> TrajectoryEnsemble:
 def fpt_histogram(ensemble: TrajectoryEnsemble, bins: int) -> FptResult:
     """Unconditional FPT density of an ensemble's hit times, sampled on the
     left edges of ``bins`` equal bins over [0, horizon], with survival."""
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
+    if not is_integer(bins) or bins < 1:
         raise ConfigError("need at least one histogram bin")
     edges = np.linspace(0.0, ensemble.config.horizon, bins + 1)
     ntraj = ensemble.ntraj

@@ -5,9 +5,9 @@ importing the package under test, so agreement between the two is
 meaningful evidence rather than circular bookkeeping.  ``cell_traces`` is
 no reference: it replays a jump solve through the package's own
 propagator to read the per-cell traces that the solve does not observe.
-``rotate`` and ``mirror`` are no references either: they transform a
-model into one whose first-passage statistics are known to be the same,
-so a solve of each checks the engines against themselves.
+``rotate``, ``mirror`` and ``split`` are no references either: they
+transform a model into one whose first-passage statistics are known to
+be the same, so a solve of each checks the engines against themselves.
 """
 
 from __future__ import annotations
@@ -237,4 +237,18 @@ def mirror(model):
     return LindbladModel(
         model.hamiltonian,
         tuple(dataclasses.replace(ch, weight=-ch.weight) for ch in model.channels),
+    )
+
+
+def split(model):
+    """The model with every channel L replaced by two copies of L/sqrt(2)
+    of the same weight, phase and monitoring: the copies' jumps sum to the
+    original one, so every charge statistic is unchanged."""
+    return LindbladModel(
+        model.hamiltonian,
+        tuple(
+            dataclasses.replace(ch, operator=ch.operator / np.sqrt(2.0))
+            for ch in model.channels
+            for _ in range(2)
+        ),
     )

@@ -12,6 +12,8 @@ import qfpt.cli as cli
 from qfpt.kur import KurReport
 from qfpt.models import decay_qubit, model_payload, save_model
 
+from .test_models import BOOLEAN_FIELDS, boolean_payload
+
 
 def run(args, tmp_path):
     return cli.main([*args, "--outdir", str(tmp_path)])
@@ -140,6 +142,18 @@ def test_bad_model_file_exits_config(tmp_path):
     path.write_text(json.dumps(payload))
     code = run(["fpt-jump", "--model", str(path), "--threshold", "1"], tmp_path)
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+def test_boolean_in_model_file_exits_config(field, tmp_path, monkeypatch):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(boolean_payload(field)))
+    # validate has no --outdir, so it runs where a stray write would land
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate", "--model", str(path)]) == cli.EXIT_CONFIG
+    code = run(["fpt-jump", "--model", str(path), "--threshold", "1"], tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert [p.name for p in tmp_path.iterdir()] == ["bool.json"]
 
 
 def test_kur_scan_rejects_omega_flag(tmp_path, capsys):

@@ -36,6 +36,10 @@ def test_charge_window_validation():
         ChargeWindow(0, 0)
     with pytest.raises(ConfigError):
         ChargeWindow(0.0, 5)
+    # a bool is an int to isinstance, but not a charge
+    for lower, upper in ((-3, True), (False, 2)):
+        with pytest.raises(ConfigError, match="integers"):
+            ChargeWindow(lower, upper)
     win = ChargeWindow(-2, 3)
     assert win.ncells == 6
     assert list(win.charges) == [-2, -1, 0, 1, 2, 3]
@@ -232,6 +236,34 @@ def test_flux_splits_into_edges():
     assert np.any(gen.upper_flux[-block:]) and not np.any(gen.upper_flux[:-block])
     assert np.any(gen.lower_flux[:block]) and not np.any(gen.lower_flux[block:])
     assert np.array_equal(gen.flux_vector, gen.upper_flux + gen.lower_flux)
+
+
+def _complex_three_level(seed: int) -> LindbladModel:
+    """Seeded complex 3-level model: two weight +2 channels, which share a
+    charge shift, one weight -1 channel and a silent one."""
+    rng = np.random.default_rng(seed)
+
+    def matrix():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    h = matrix()
+    channels = [JumpChannel(0.5 * matrix(), weight=w) for w in (2.0, 2.0, -1.0)]
+    channels.append(JumpChannel(0.5 * matrix(), monitored=False))
+    return LindbladModel(h + h.conj().T, tuple(channels))
+
+
+@pytest.mark.parametrize("lower, upper", [(-1, 1), (-5, 3), (-12, 7)])
+def test_flux_is_the_survival_loss_split_by_edge(lower, upper):
+    gen = build_block_generator(_complex_three_level(31), ChargeWindow(lower, upper))
+    # the two edges together carry the total weight loss
+    loss = -(gen.matrix.T @ gen.survival_vector)
+    assert np.max(np.abs(gen.upper_flux + gen.lower_flux - loss)) <= 1e-12 * np.max(np.abs(loss))
+    # a weight-2 jump leaves from the top two cells, a weight -1 jump from
+    # the bottom one
+    upper_cells = gen.upper_flux.reshape(-1, gen.dim**2)
+    lower_cells = gen.lower_flux.reshape(-1, gen.dim**2)
+    assert np.all(np.any(upper_cells[-2:], axis=1)) and not np.any(upper_cells[:-2])
+    assert np.any(lower_cells[0]) and not np.any(lower_cells[1:])
 
 
 def test_time_series_moments_match_passage_moments():

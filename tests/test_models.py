@@ -13,6 +13,7 @@ from qfpt.models import (
     SIGMA_MINUS,
     builtin_model,
     decay_qubit,
+    drifted_charge,
     homodyne_qubit,
     load_model,
     model_payload,
@@ -92,6 +93,30 @@ def test_load_rejects_unknown_keys(tmp_path):
     payload["channels"][0]["wieght"] = 2
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match="wieght"):
+        load_model(path)
+
+
+def boolean_payload(field: str) -> dict:
+    """A valid one-level model file with one number replaced by JSON true,
+    which Python reads as a bool, a subclass of int."""
+    payload = model_payload(drifted_charge(0.5))
+    if field == "dim":
+        payload["dim"] = True
+    elif field == "matrix entry":
+        payload["hamiltonian"][0] = [True, 0.0]
+    else:
+        payload["channels"][0][field] = True
+    return payload
+
+
+BOOLEAN_FIELDS = ("dim", "weight", "phase", "matrix entry")
+
+
+@pytest.mark.parametrize("field", BOOLEAN_FIELDS)
+def test_load_rejects_booleans_for_numbers(field, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(boolean_payload(field)))
+    with pytest.raises(ConfigError):
         load_model(path)
 
 

@@ -85,6 +85,41 @@ def test_sparse_lu_has_one_call_site():
     assert len(calls) == 1
 
 
+def _unread_bindings(tree: ast.Module) -> set[str]:
+    """Names an import binds, dotted as imported, and a module-level
+    ``logger``, that nothing in ``tree`` reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    bound |= {
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id == "logger"
+    }
+    # every read name, and every dotted read such as scipy.sparse.linalg.splu
+    read = {
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return {name for name in bound if not any(r == name or r.startswith(name + ".") for r in read)}
+
+
+def test_every_import_and_logger_is_read():
+    # an import or a logger that its module never reads is dead code, and
+    # one left behind by a refactor hides which layer still needs what
+    unread = {
+        path.stem: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unread_bindings(ast.parse(path.read_text())))
+    }
+    assert unread == {}
+
+
 def test_cli_import_loads_no_quadrature_or_special_functions():
     # the package integrates its series with numpy alone; scipy.integrate
     # would pull scipy.special and scipy.optimize into every process

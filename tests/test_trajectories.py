@@ -51,6 +51,13 @@ def test_config_validation():
         TrajectoryConfig(model, "jump", 10, 1.0, index_offset=1.0)
     with pytest.raises(ConfigError, match="keep_paths"):
         TrajectoryConfig(model, "jump", 10, 1.0, keep_paths=True)
+    # a bool is an int to isinstance, but True is no count or seed
+    with pytest.raises(ConfigError, match="ntraj must be an integer"):
+        TrajectoryConfig(model, "jump", True, 1.0)
+    with pytest.raises(ConfigError, match="index_offset must be an integer"):
+        TrajectoryConfig(model, "jump", 10, 1.0, index_offset=False)
+    with pytest.raises(ConfigError, match="seed"):
+        TrajectoryConfig(model, "jump", 10, 1.0, seed=True)
 
 
 def test_same_seed_is_bit_identical():
@@ -223,6 +230,12 @@ def test_all_censored_when_threshold_unreachable():
     assert ens.absorbed_times().size == 0
     res = fpt_histogram(ens, bins=10)
     assert np.all(res.survival == 1.0) and not res.density.any()
+
+
+def test_histogram_refuses_boolean_bins():
+    ens = simulate(TrajectoryConfig(decay_qubit(1.0), "jump", 4, 1.0, seed=1, threshold=1))
+    with pytest.raises(ConfigError):
+        fpt_histogram(ens, True)
 
 
 def test_histogram_to_result_is_valid():
