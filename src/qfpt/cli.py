@@ -494,16 +494,21 @@ def run_validate(args) -> int:
                 f"jump window preview: [{window.lower}, {window.upper}] ({sides}), "
                 f"{window.ncells * model.dim**2} coupled components"
             )
-        dt = default_step(model.rate_scale())
-        npoints = grid_points(horizon, dt)
-        if npoints > MAX_GRID_POINTS:
-            capped = horizon / (MAX_GRID_POINTS - 1)
-            lines.append(
-                f"warning: default jump step {dt:.3g} would need {npoints} grid "
-                f"points; capped at {MAX_GRID_POINTS} (step {capped:.3g})"
-            )
+        scale = model.rate_scale()
+        if scale == 0:
+            # a model that only diffuses has no jump rate to set a step from
+            lines.append("default jump step: none, the model has no jump dynamics")
         else:
-            lines.append(f"default jump step: {dt:.3g} ({npoints} grid points)")
+            dt = default_step(scale)
+            npoints = grid_points(horizon, dt)
+            if npoints > MAX_GRID_POINTS:
+                capped = horizon / (MAX_GRID_POINTS - 1)
+                lines.append(
+                    f"warning: default jump step {dt:.3g} would need {npoints} grid "
+                    f"points; capped at {MAX_GRID_POINTS} (step {capped:.3g})"
+                )
+            else:
+                lines.append(f"default jump step: {dt:.3g} ({npoints} grid points)")
 
     if model.monitored:
         drift = build_drift_superoperator(model)

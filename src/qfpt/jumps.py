@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import TAIL_EPSILON, FptMoments
-from .errors import ConfigError, ConvergenceError, ModelError
+from .errors import ConfigError, ModelError
 from .operators import LindbladModel, build_jump_super, build_no_jump, is_integer
 from .propagation import (
     BlockGenerator,
@@ -43,7 +43,7 @@ from .propagation import (
     solve_absorbing,
 )
 
-# the upper-exit probability of a moments solve must be 1 to this
+# the exit probability of a moments solve must be 1 to this
 CERTAIN_EXIT_TOLERANCE = 1e-9
 
 
@@ -220,24 +220,21 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     steady state, reaches ``threshold``, with the lower side open.
 
     ``propagation.absorbing_moments`` widens the lower side until its exit
-    probability is below ``EDGE_TOLERANCE``.  A singular generator, an
-    upper-exit probability short of 1, or a window past
-    ``MAX_MOMENT_UNKNOWNS`` raises ConvergenceError.  ``absorbed_probability``
-    is the upper-exit probability.
+    probability is below ``EDGE_TOLERANCE``.  An unreachable threshold, a
+    probability of ever being absorbed that is not 1 to within
+    ``CERTAIN_EXIT_TOLERANCE``, or a window past ``MAX_MOMENT_UNKNOWNS``
+    raises ConvergenceError.  ``absorbed_probability`` is the upper-exit
+    probability.
     """
     model.require_channels()
     threshold = integer_threshold(threshold, +1)
     if threshold is None:
         raise ConfigError("first-passage moments need an upper threshold")
     window, _, _ = preview_window(model, threshold)
-    mean, second, upper_exit = absorbing_moments(
+    _, upper_exit, mean, second = absorbing_moments(
         _discretisation(model, initial_density(model, "steady")),
         window,
+        CERTAIN_EXIT_TOLERANCE,
         f"threshold {threshold} is unreachable from the steady state",
     )
-    if not abs(upper_exit - 1.0) <= CERTAIN_EXIT_TOLERANCE:
-        raise ConvergenceError(
-            f"threshold {threshold} is reached with probability {upper_exit:.9g}, "
-            "not 1; its first-passage moments do not exist"
-        )
     return FptMoments.from_raw(mean, second, upper_exit)

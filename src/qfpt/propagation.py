@@ -28,8 +28,9 @@ into a first-passage-time series.  It owns the time grid, the observation
 rows and their checks, the widening of open domain sides and the
 horizon extension; every series observes the same four rows, the
 survival, the absorption rate and the traces of the lower and the upper
-edge cell.  ``absorbing_moments`` solves the same generator once
-for its phase-type moments and edge exit probabilities.  Both engines
+edge cell.  ``exit_solve`` gives the exact edge exit probabilities and
+phase-type moments from one LU on the coordinates that can reach an edge,
+for the auto-tail horizon and ``absorbing_moments``.  Both engines
 hand the driver the same contract: a ``Discretisation`` whose
 ``assemble(domain)`` returns a ``BlockGenerator`` (the sparse matrix, the
 survival functional and the absorption rate split by domain edge), which
@@ -96,13 +97,6 @@ def positive_finite(value, name: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value!r}")
     return value
-
-
-def _check_finite(x: np.ndarray, index: int) -> None:
-    # a non-finite entry stays non-finite under every later step, so one
-    # check per solve catches what a check per step would
-    if not np.isfinite(x).all():
-        raise _non_finite(index)
 
 
 def _block_size(steps: int, m: int, n: int) -> int:
@@ -239,10 +233,9 @@ def propagate_uniform(
 def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A^-1 x0 and A^-2 x0 for an absorbing generator A, from one sparse LU.
 
-    For a flux functional u, -u A^-1 x0 is the probability of leaving
-    through the edges that u measures; ``_phase_type_moments`` turns the
-    solves into moments of the absorption time.  A singular A, which keeps
-    some weight forever, raises ConvergenceError.
+    ``exit_solve`` turns the solves into exit probabilities and moments of
+    the absorption time.  A singular A, which keeps some weight forever,
+    raises ConvergenceError.
     """
     try:
         lu = _factor(matrix)
@@ -255,52 +248,65 @@ def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y1, y2
 
 
-def _phase_type_moments(weights: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> tuple[float, float]:
-    """E[T] = -w A^-1 x0 and E[T^2] = 2 w A^-2 x0 of the absorption time,
-    for the survival functional w and the ``resolvent_solves`` of x0
-    (Neuts 1981)."""
-    return -float(np.real(weights @ y1)), 2.0 * float(np.real(weights @ y2))
+def absorbable(matrix, flux: np.ndarray) -> np.ndarray:
+    """Sorted coordinates from which mass can reach one where ``flux`` is
+    nonzero: mass flows from j to i where A[i, j] != 0, so the CSR rows list
+    each coordinate's feeders, searched breadth first from an extra node
+    that leads to every absorbing one.  The rest never feeds the kept
+    coordinates and is never absorbed, whatever the rates."""
+    csr = scipy.sparse.csr_matrix(matrix)
+    n, sinks = csr.shape[0], np.flatnonzero(flux)
+    graph = scipy.sparse.csr_matrix(
+        (np.append(csr.data != 0, np.ones(sinks.size)), np.append(csr.indices, sinks),
+         np.append(csr.indptr, csr.nnz + sinks.size)),
+        shape=(n + 1, n + 1),
+    )
+    # an explicitly stored zero is not an edge
+    graph.eliminate_zeros()
+    reached = scipy.sparse.csgraph.breadth_first_order(graph, n, return_predecessors=False)
+    return np.sort(reached[reached < n])
 
 
-def absorption_horizon_guess(matrix, weights: np.ndarray, x0: np.ndarray) -> float | None:
-    """Resolvent estimate of how long an absorbing generator keeps mass.
+def exit_solve(
+    generator: BlockGenerator, x0: np.ndarray, shortfall: float, unreachable: str
+) -> tuple[float, float, float, float]:
+    """Lower- and upper-exit probabilities, E[T] and E[T^2] of the weight x0.
 
-    Mean plus 16 standard deviations of the absorption time, from
-    ``resolvent_solves``, comfortably covers the survival tail.  Returns
-    None when the solves fail or give unusable values, e.g. for generators
-    that conserve some of the weight forever.
+    One ``resolvent_solves`` factorisation of A on its ``absorbable``
+    coordinates, which evolve on their own (A as given where all are kept):
+    -u A^-1 x0 for the flux u of an edge, E[T] = -w A^-1 x0 and
+    E[T^2] = 2 w A^-2 x0 for the survival w (Neuts 1981).  Raises
+    ConvergenceError(``unreachable``) when x0 has no weight on the kept
+    coordinates, and names the absorbed probability unless it is 1 to
+    within ``shortfall``.
     """
-    try:
-        mean, second = _phase_type_moments(weights, *resolvent_solves(matrix, x0))
-    except ConvergenceError:
-        return None
-    if mean <= 0 or second <= 0:
-        return None
+    matrix, keep = generator.matrix, absorbable(generator.matrix, generator.flux_vector)
+    lower, upper, weights = generator.lower_flux, generator.upper_flux, generator.survival_vector
+    if keep.size < x0.size:
+        x0, matrix = x0[keep], matrix[keep][:, keep]
+        lower, upper, weights = lower[keep], upper[keep], weights[keep]
+    if not x0.any():
+        raise ConvergenceError(unreachable)
+    y1, y2 = resolvent_solves(matrix, x0)
+    lower_exit, upper_exit, mean = (-float(np.real(u @ y1)) for u in (lower, upper, weights))
+    if not abs(lower_exit + upper_exit - 1.0) <= shortfall:
+        raise ConvergenceError(
+            "the initial weight is ever absorbed with probability "
+            f"{lower_exit + upper_exit:.9g}, not 1 to within {shortfall:g}"
+        )
+    return lower_exit, upper_exit, mean, 2.0 * float(np.real(weights @ y2))
+
+
+def absorption_horizon_guess(generator: BlockGenerator, x0, tail_epsilon: float) -> float:
+    """Resolvent estimate of how long an absorbing generator keeps mass:
+    mean plus 16 standard deviations of the absorption time, from
+    ``exit_solve``, which refuses a state that no horizon can bring below a
+    survival of ``tail_epsilon``."""
+    _, _, mean, second = exit_solve(
+        generator, x0, tail_epsilon, "the threshold is unreachable from the initial state"
+    )
     spread = math.sqrt(max(second - mean**2, 0.0))
     return mean + 16.0 * max(spread, 0.25 * mean)
-
-
-def reaches_flux(matrix, x0: np.ndarray, flux: np.ndarray) -> bool:
-    """Whether mass started on the support of ``x0`` can reach a coordinate
-    where ``flux`` is nonzero.
-
-    A breadth-first search over the sparsity graph of the generator, in
-    which mass flows from j to i where A[i, j] != 0.  Every state
-    exp(tA) x0 lives on the coordinates it reaches, so a False verdict
-    means nothing is ever absorbed, whatever the rates.
-    """
-    coo = scipy.sparse.coo_matrix(matrix)
-    keep = coo.data != 0
-    n = coo.shape[0]
-    support = np.flatnonzero(x0)
-    # an extra node n feeds every coordinate of the support
-    sources = np.concatenate([coo.col[keep], np.full(support.size, n)])
-    targets = np.concatenate([coo.row[keep], support])
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(sources.size), (sources, targets)), shape=(n + 1, n + 1)
-    )
-    reached = scipy.sparse.csgraph.breadth_first_order(graph, n, return_predecessors=False)
-    return bool(np.any(flux[reached[reached < n]] != 0))
 
 
 def initial_density(model: LindbladModel, initial: np.ndarray | str) -> np.ndarray:
@@ -344,11 +350,6 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
         )
         num = MAX_GRID_POINTS
     return np.linspace(0.0, horizon, num)
-
-
-def block_traces(blocks: np.ndarray) -> np.ndarray:
-    """Real traces of a stack of square blocks, shape (n, d, d) -> (n,)."""
-    return np.einsum("nii->n", blocks).real
 
 
 @dataclass(frozen=True)
@@ -451,7 +452,7 @@ class BlockState:
 
     def traces(self) -> np.ndarray:
         # stacking order inside each block is irrelevant for the trace
-        return block_traces(self.blocks())
+        return np.einsum("nii->n", self.blocks()).real
 
     def clipped_traces(self) -> np.ndarray:
         """Cell traces with roundoff negatives set to zero; a trace below
@@ -523,7 +524,10 @@ def _series(
     bad = ~np.isfinite(obs).all(axis=1)
     if bad.any():
         raise _non_finite(int(np.argmax(bad)))
-    _check_finite(x, times.size - 1)
+    # a non-finite entry stays non-finite under every later step, so one
+    # check of the last state catches what a check per step would
+    if not np.isfinite(x).all():
+        raise _non_finite(times.size - 1)
     surv, dens = obs[:, 0], obs[:, 1]
     lo_peak = max(obs[:, 2].max(), 0.0)
     hi_peak = max(obs[:, 3].max(), 0.0)
@@ -559,12 +563,13 @@ def solve_absorbing(
 
     Open domain sides are widened, up to ``MAX_WIDEN_ROUNDS`` times, until
     the edge mass stays below ``EDGE_TOLERANCE`` over the whole horizon.
-    With ``auto_tail`` an initial state that ``reaches_flux`` does not
-    connect to an absorbing edge is refused at once; otherwise the
-    resolvent estimate sets the first horizon, which then doubles until
-    the survival drops below ``tail_epsilon``, up to ``MAX_DOUBLINGS``
-    doublings of the requested horizon; the widened domain is kept across
-    extensions.  Each domain's generator is assembled once.
+    With ``auto_tail`` an initial state whose ``exit_solve`` absorbed
+    probability is not 1 to within ``tail_epsilon`` is refused at once;
+    otherwise the resolvent estimate sets the first horizon, which then
+    doubles until the survival drops below ``tail_epsilon``, up to
+    ``MAX_DOUBLINGS`` doublings of the requested horizon; the widened
+    domain is kept across extensions.  Each domain's generator is
+    assembled once.
     """
     if not 0.0 < tail_epsilon < 1.0:
         raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
@@ -573,15 +578,8 @@ def solve_absorbing(
     generator = None
     if auto_tail:
         generator = disc.assemble(domain)
-        x0 = disc.initial(domain)
-        # no horizon can absorb what the generator never carries to an edge
-        if not reaches_flux(generator.matrix, x0, generator.flux_vector):
-            raise ConvergenceError(
-                "the threshold is unreachable from the initial state: no "
-                f"absorbing coordinate of {domain} is connected to it"
-            )
-        guess = absorption_horizon_guess(generator.matrix, generator.survival_vector, x0)
-        if guess is not None and guess > horizon:
+        guess = absorption_horizon_guess(generator, disc.initial(domain), tail_epsilon)
+        if guess > horizon:
             horizon = float(min(guess, cap))
             logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
     for _ in range(MAX_DOUBLINGS + 1):
@@ -614,27 +612,24 @@ def solve_absorbing(
     raise ConvergenceError("horizon extension failed to converge the tail")
 
 
-def absorbing_moments(disc: Discretisation, domain, singular: str) -> tuple[float, float, float]:
-    """E[T], E[T^2] and the upper-exit probability of an absorbing generator
-    whose lower domain side is open, from one ``resolvent_solves``
-    factorisation per domain.  The lower side doubles until its exit
-    probability is below ``EDGE_TOLERANCE``, up to ``MAX_MOMENT_UNKNOWNS``;
-    a singular generator raises ConvergenceError("<singular>: <cause> on
-    <domain>")."""
+def absorbing_moments(
+    disc: Discretisation, domain, shortfall: float, unreachable: str
+) -> tuple[float, float, float, float]:
+    """``exit_solve`` of an absorbing generator whose lower domain side is
+    open, one factorisation per domain: the lower side doubles until its
+    exit probability is below ``EDGE_TOLERANCE``, up to
+    ``MAX_MOMENT_UNKNOWNS``.  An unreachable edge raises
+    ConvergenceError("<unreachable> on <domain>")."""
     while True:
         generator = disc.assemble(domain)
-        try:
-            y1, y2 = resolvent_solves(generator.matrix, disc.initial(domain))
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"{singular}: {exc} on {domain}") from None
-        lower_exit = -float(np.real(generator.lower_flux @ y1))
-        if lower_exit < EDGE_TOLERANCE:
-            mean, second = _phase_type_moments(generator.survival_vector, y1, y2)
-            return mean, second, -float(np.real(generator.upper_flux @ y1))
+        x0 = disc.initial(domain)
+        exits = exit_solve(generator, x0, shortfall, f"{unreachable} on {domain}")
+        if exits[0] < EDGE_TOLERANCE:
+            return exits
         domain = domain.widened(True, False)
         if domain.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
             raise ConvergenceError(
-                f"lower-exit probability is still {lower_exit:.3e} before {domain} "
+                f"lower-exit probability is still {exits[0]:.3e} before {domain} "
                 f"outgrows {MAX_MOMENT_UNKNOWNS} unknowns; the charge may not "
                 "drift towards the threshold"
             )

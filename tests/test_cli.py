@@ -10,7 +10,7 @@ import pytest
 
 import qfpt.cli as cli
 from qfpt.kur import KurReport
-from qfpt.models import decay_qubit, model_payload, save_model
+from qfpt.models import decay_qubit, model_payload, save_model, wiener_charge
 
 from .test_models import BOOLEAN_FIELDS, boolean_payload
 
@@ -200,7 +200,7 @@ def test_kur_scan_failed_point_keeps_the_columns(tmp_path):
     assert [len(row) for row in rows] == [14, 14, 14]
     failed, ok = rows[1], rows[2]
     assert failed[-1].startswith("failed: threshold 5 is unreachable")
-    assert "singular (Factor is exactly singular) on window [-9, 4]" in failed[-1]
+    assert failed[-1] == "failed: threshold 5 is unreachable from the steady state on window [-9, 4]"
     assert ok[-1] == "ok"
 
 
@@ -279,6 +279,18 @@ def test_validate_checks_diffusion_spacing(capsys):
     )
     assert code == 0
     assert "Peclet" in capsys.readouterr().out
+
+
+def test_validate_takes_a_model_that_only_diffuses(tmp_path, monkeypatch, capsys):
+    # a Wiener charge has no jump rate to set a default step from, but
+    # fpt-diffusion runs on it
+    path = tmp_path / "wiener.json"
+    save_model(wiener_charge(), path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["validate", "--model", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "default jump step: none" in out
+    assert "diffusion grid: Peclet number" in out
 
 
 def test_validate_refuses_fractional_jump_threshold(capsys):

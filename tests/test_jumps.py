@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qfpt import jumps
+from qfpt import jumps, propagation
 from qfpt.analysis import integrate_moments
 from qfpt.errors import ConfigError, ConvergenceError
 from qfpt.jumps import (
@@ -186,6 +186,62 @@ def test_auto_tail_refuses_only_unreachable_thresholds():
     excited = np.diag([0.0, 1.0]).astype(complex)
     sol = solve_jump_fpt(model, threshold=1, initial=excited, horizon=4.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
+
+
+def _series_horizons(monkeypatch) -> list[float]:
+    """The horizon of every series the absorbing solves step from now on."""
+    horizons = []
+    propagate = propagation.propagate_uniform
+
+    def recording(matrix, x0, times, *, rows):
+        horizons.append(float(times[-1]))
+        return propagate(matrix, x0, times, rows=rows)
+
+    monkeypatch.setattr(propagation, "propagate_uniform", recording)
+    return horizons
+
+
+def test_auto_tail_horizon_is_the_exact_resolvent_guess(monkeypatch):
+    # the excited level waits an exponential time of mean 1 and spread 1
+    # before its one emission; the ground state it leaves is never
+    # absorbed, so the guess comes from the excited level alone
+    horizons = _series_horizons(monkeypatch)
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    sol = solve_jump_fpt(decay_qubit(1.0), threshold=1, initial=excited, horizon=4.0, auto_tail=True)
+    assert horizons == [17.0]
+    assert sol.result.times[-1] == 17.0
+
+
+def _qubit_beside_a_decoupled_level() -> LindbladModel:
+    """A driven qubit on levels 0 and 1 (omega 1; emission 1.2 at +1,
+    absorption 0.2 at -1) and a third level that nothing couples to it."""
+    lower = np.zeros((3, 3))
+    lower[0, 1] = 1.0
+    return LindbladModel(
+        lower + lower.T,
+        (JumpChannel(np.sqrt(1.2) * lower, weight=1.0), JumpChannel(np.sqrt(0.2) * lower.T, weight=-1.0)),
+    )
+
+
+@pytest.mark.parametrize("lower_threshold", [None, -3])
+def test_auto_tail_refuses_partial_absorption_before_stepping(lower_threshold, monkeypatch):
+    # a third of the maximally mixed start sits on the decoupled level and
+    # is never absorbed, so no horizon brings the survival below 1e-6
+    horizons = _series_horizons(monkeypatch)
+    with pytest.raises(ConvergenceError, match="absorbed with probability 0.666666667,"):
+        solve_jump_fpt(
+            _qubit_beside_a_decoupled_level(), threshold=3, lower_threshold=lower_threshold,
+            initial=np.eye(3) / 3, auto_tail=True,
+        )
+    assert horizons == []
+
+
+def test_passage_moments_refuse_partial_absorption(monkeypatch):
+    # the model's steady states are not unique, so the moments start from
+    # the maximally mixed state instead
+    monkeypatch.setattr(jumps, "initial_density", lambda model, initial: np.eye(3) / 3)
+    with pytest.raises(ConvergenceError, match="absorbed with probability 0.666666667,"):
+        passage_moments(_qubit_beside_a_decoupled_level(), 3)
 
 
 def test_repeat_solves_are_bit_identical():

@@ -20,13 +20,22 @@ from qfpt.diffusion import (
     solve_diffusion_fpt,
 )
 from qfpt.errors import ConvergenceError, PhysicsError
-from qfpt.jumps import ChargeWindow, charge_distribution, solve_jump_fpt
+from qfpt.jumps import (
+    ChargeWindow,
+    build_block_generator,
+    charge_distribution,
+    preview_window,
+    solve_jump_fpt,
+)
 from qfpt.models import homodyne_qubit, thermal_qubit
-from qfpt.operators import build_liouvillian, vectorize
+from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, vectorize
 from qfpt.propagation import (
     MAX_GRID_POINTS,
     STARTUP_STEPS,
+    BlockState,
+    absorbable,
     absorption_horizon_guess,
+    exit_solve,
     propagate_uniform,
     resolvent_solves,
     time_grid,
@@ -112,9 +121,10 @@ def test_resolvent_solves_give_exponential_moments():
     y1, y2 = resolvent_solves(scipy.sparse.csr_matrix([[-rate]]), np.array([1.0]))
     assert -y1[0].real == pytest.approx(1.0 / rate, rel=1e-15)
     assert 2.0 * y2[0].real == pytest.approx(2.0 / rate**2, rel=1e-15)
-    assert absorption_horizon_guess(
-        np.array([[-rate]]), np.array([1.0]), np.array([1.0])
-    ) == pytest.approx(17.0 / rate)
+    one_cell = propagation.BlockGenerator(
+        1, scipy.sparse.csr_matrix([[-rate]]), np.ones(1), np.array([rate]), np.zeros(1)
+    )
+    assert absorption_horizon_guess(one_cell, np.array([1.0]), 1e-6) == pytest.approx(17.0 / rate)
 
 
 def test_resolvent_solves_refuse_singular_generator():
@@ -122,7 +132,77 @@ def test_resolvent_solves_refuse_singular_generator():
     singular = np.array([[-1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ConvergenceError, match="singular"):
         resolvent_solves(singular, np.array([0.5, 0.5]))
-    assert absorption_horizon_guess(singular, np.ones(2), np.array([0.5, 0.5])) is None
+    generator = propagation.BlockGenerator(
+        1, scipy.sparse.csr_matrix(singular), np.ones(2), np.array([1.0, 0.0]), np.zeros(2)
+    )
+    lower, upper, _, _ = exit_solve(generator, np.array([0.5, 0.5]), 0.5, "unreachable")
+    assert lower + upper == pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(ConvergenceError, match="absorbed with probability 0.5, not 1"):
+        absorption_horizon_guess(generator, np.array([0.5, 0.5]), 1e-6)
+
+
+def _dark_level_leak(gamma, kappa):
+    """An undriven qutrit whose excited level 1 decays to level 0 through a
+    counted channel (rate gamma, weight +1) and to the dark level 2 through
+    a silent one (rate kappa); the generator on the window [-1, 0] and the
+    excited start."""
+    def jump(to, rate):
+        op = np.zeros((3, 3))
+        op[to, 1] = np.sqrt(rate)
+        return op
+
+    model = LindbladModel(
+        np.zeros((3, 3)),
+        (JumpChannel(jump(0, gamma), weight=1.0), JumpChannel(jump(2, kappa), monitored=False)),
+    )
+    window = ChargeWindow(-1, 0)
+    x0 = BlockState.initial(window, np.diag([0.0, 1.0, 0.0]).astype(complex)).data
+    return build_block_generator(model, window), x0
+
+
+def test_exit_solve_is_exact_for_a_dark_level_leak():
+    # the dark level is never absorbed and traps what leaks into it, so the
+    # full generator is singular; only the excited level of the top cell
+    # can reach the threshold
+    gamma, kappa = 1.0, 0.25
+    generator, x0 = _dark_level_leak(gamma, kappa)
+    # rho_11 of the top cell, the second of nine coordinates each
+    assert absorbable(generator.matrix, generator.flux_vector).tolist() == [9 + 1 * 3 + 1]
+    lower, upper, _, _ = exit_solve(generator, x0, 0.5, "unreachable")
+    assert lower == 0.0
+    assert upper == pytest.approx(gamma / (gamma + kappa), abs=1e-12)
+    with pytest.raises(ConvergenceError, match="absorbed with probability 0.8, not 1"):
+        exit_solve(generator, x0, 1e-6, "unreachable")
+
+
+@pytest.mark.parametrize(
+    "model, horizon",
+    [
+        # the README fpt-jump start window
+        (thermal_qubit(1.0, 1.0, 0.2), 50.0),
+        # kur-scan windows of the README scan and of the hot bath
+        (thermal_qubit(1.0, 0.1, 0.1), 10.0),
+        (thermal_qubit(1.0, 5.0, 0.1), 10.0),
+        (thermal_qubit(1.0, 1.0, 1.0), 10.0),
+        (thermal_qubit(1.0, 5.0, 1.0), 10.0),
+    ],
+)
+def test_absorbable_keeps_every_coordinate_without_a_trap(model, horizon):
+    # nothing is sliced, so the resolvent solves factor the matrix as before
+    window, _, _ = preview_window(model, 5, None, horizon)
+    for domain in (window, window.widened(True, False)):
+        generator = build_block_generator(model, domain)
+        keep = absorbable(generator.matrix, generator.flux_vector)
+        assert keep.tolist() == list(range(generator.matrix.shape[0]))
+
+
+def test_absorbable_ignores_stored_zeros():
+    # A[0, 1] is stored but zero: coordinate 1 never feeds the absorbing 0
+    matrix = scipy.sparse.csr_matrix(
+        (np.array([-1.0, 0.0]), np.array([0, 1]), np.array([0, 2, 2])), shape=(2, 2)
+    )
+    assert matrix.nnz == 2
+    assert absorbable(matrix, np.array([1.0, 0.0])).tolist() == [0]
 
 
 def test_dense_chunks_observe_exact_powers(monkeypatch):
