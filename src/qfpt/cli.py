@@ -3,7 +3,7 @@
 Subcommands
 -----------
 ``fpt-jump``
-    Deterministic hit-time distribution for counting-type monitoring.
+    Hit-time and final charge distributions for counting-type monitoring.
 ``fpt-diffusion``
     Deterministic hit-time distribution for diffusive monitoring, plus
     the final charge distribution conditioned on survival.
@@ -61,7 +61,7 @@ from .errors import (
     PhysicsError,
     TailNotConvergedError,
 )
-from .jumps import ChargeWindow, integer_weight, preview_window, solve_jump_fpt
+from .jumps import ChargeWindow, charge_distribution, integer_weight, preview_window, solve_jump_fpt
 from .kur import KurReport, kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, steady_state
@@ -293,12 +293,15 @@ def run_fpt_jump(args) -> int:
     # a threshold run that cannot summarise its series writes nothing
     results = conditional_moment_summary(solution.result, window is not None)
     results["window"] = [solution.domain.lower, solution.domain.upper]
-    paths = publish(
-        args, run_payload("fpt-jump", args, model),
-        {"fpt_jump.csv": _series_writer(solution.result)}, results, t0,
-    )
+    writers = {"fpt_jump.csv": _series_writer(solution.result)}
+    if float(solution.result.survival[-1]) > 1e-9:
+        charges = charge_distribution(solution.final_state)
+        total = sum(charges.values())
+        rows = [(n, p / total) for n, p in charges.items()]
+        writers["final_distribution.csv"] = _rows_writer(["N", "probability"], rows)
+    paths = publish(args, run_payload("fpt-jump", args, model), writers, results, t0)
     print(
-        f"fpt-jump: wrote {paths[0]} "
+        f"fpt-jump: wrote {', '.join(map(str, paths))} "
         f"(absorbed {results['absorbed_probability']:.6f}, {solution.domain})"
     )
     return EXIT_OK

@@ -312,10 +312,9 @@ def solve_diffusion_fpt(
     the zeroed ghost node exactly on the threshold.  Open sides start from
     the unconditional mean path plus a diffusive margin, shallower on the
     side the steady current drifts away from (``_open_margins``), and are
-    widened until the edge mass stays negligible over the horizon.  ``auto_tail``
-    doubles the horizon until survival drops under ``tail_epsilon``;
-    distributions that never fully absorb will hit the horizon cap
-    instead, so leave it off for conditioned studies.
+    widened before the one series is stepped.  ``auto_tail`` steps it to a
+    horizon certified to bring the survival below ``tail_epsilon``, and
+    refuses a state that is never absorbed; see ``solve_absorbing``.
     """
     horizon = positive_finite(horizon, "horizon")
     if delta is not None:

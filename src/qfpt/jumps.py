@@ -8,8 +8,8 @@ first-passage-time density for leaving the window.
 
 Threshold semantics: a user threshold ``n`` means "the first time the
 charge reaches n", realized by the window edge b = n - 1 (symmetrically
-a = n + 1 for a lower threshold).  One-sided thresholds keep the open side
-wide enough that the edge cell stays numerically unoccupied.
+a = n + 1 for a lower threshold).  A side without a threshold is open:
+it is widened before any step until it loses a negligible probability.
 
 ``solve_jump_fpt`` returns the first-passage series together with the
 charge-resolved ``BlockState`` at the horizon; on an explicit window with
@@ -189,10 +189,9 @@ def solve_jump_fpt(
 ) -> FptSolution:
     """Solve the windowed charge-resolved dynamics and return its chronology.
 
-    Open window sides (no threshold given) are widened until the edge cell
-    occupancy stays negligible over the whole horizon.  With ``auto_tail``
-    the horizon doubles until the survival drops below ``tail_epsilon``, so
-    that moments are well defined afterwards; see ``solve_absorbing``.
+    Open window sides (no threshold given) are widened before the one
+    series is stepped; ``auto_tail`` steps it to a horizon certified to
+    bring the survival below ``tail_epsilon``.  See ``solve_absorbing``.
     """
     horizon = positive_finite(horizon, "horizon")
     model.require_channels()

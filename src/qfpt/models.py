@@ -29,7 +29,6 @@ from .operators import JumpChannel, LindbladModel
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 SIGMA_X = SIGMA_MINUS + SIGMA_PLUS
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def thermal_qubit(gamma: float, omega: float, nbar: float) -> LindbladModel:

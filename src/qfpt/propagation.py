@@ -24,18 +24,17 @@ banded, so the factors stay inside the band.
 ``CHUNK_BYTES`` bounds a chunk's buffers and the stacked powers.
 
 ``solve_absorbing`` turns a charge-resolved generator with absorbing edges
-into a first-passage-time series.  It owns the time grid, the observation
-rows and their checks, the widening of open domain sides and the
-horizon extension; every series observes the same four rows, the
-survival, the absorption rate and the traces of the lower and the upper
-edge cell.  ``exit_solve`` gives the exact edge exit probabilities and
-phase-type moments from one LU on the coordinates that can reach an edge,
-for the auto-tail horizon and ``absorbing_moments``.  Both engines
-hand the driver the same contract: a ``Discretisation`` whose
-``assemble(domain)`` returns a ``BlockGenerator`` (the sparse matrix, the
-survival functional and the absorption rate split by domain edge), which
-``absorbing_generator`` builds from the engine's charge-shift blocks, on a
-domain that supplies the cell count, the charge per cell, the trace
+into a first-passage-time series, stepped once, observing the survival
+and the absorption rate.  Linear solves decide the rest before any step:
+``choose_domain`` widens each open domain side, one without a threshold,
+until ``edge_loss_bound`` or, at an infinite horizon, ``exit_solve`` says
+it loses nothing, and the phase-type moments of the same LU certify the
+auto-tail horizon and serve ``absorbing_moments``.  Both engines hand the
+driver the same contract: a ``Discretisation`` whose ``assemble(domain)``
+returns a ``BlockGenerator`` (the sparse matrix, the survival functional
+and the absorption rate split by domain edge), which
+``absorbing_generator`` builds from the engine's charge-shift blocks, on
+a domain that supplies the cell count, the charge per cell, the trace
 weights and its own widening.  The series ends with the charge-resolved
 ``BlockState`` at the horizon; a solve on an explicit window or grid up
 to horizon t is how either engine propagates a state to time t.
@@ -75,11 +74,10 @@ STEP_FACTOR = 0.002
 MAX_GRID_POINTS = 200_000
 EDGE_TOLERANCE = 1e-12
 WEIGHT_EXCESS_TOLERANCE = 1e-6
-MAX_WIDEN_ROUNDS = 12
-# an auto-tail horizon stops at 2**MAX_DOUBLINGS times the requested one
-MAX_DOUBLINGS = 16
-# largest generator a moments solve widens its domain to
+# largest generator an open side widens its domain to
 MAX_MOMENT_UNKNOWNS = 2**16
+# moments E[T^k], k <= CERTIFICATE_MOMENTS, that certify an auto-tail horizon
+CERTIFICATE_MOMENTS = 24
 # cell traces this far below zero are an error, not roundoff
 TRACE_CLIP_ABORT = 1e-9
 
@@ -193,8 +191,11 @@ def _factor(matrix):
 def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
     mat = scipy.sparse.csc_matrix(matrix)
     ident = scipy.sparse.identity(mat.shape[0], format="csc", dtype=complex)
+    yield _first_chunk(x, rows)
+    startup = min(STARTUP_STEPS, steps)
+    # one set of factors at a time: implicit Euler's go before CN's are made
+    x = yield from _stepped_chunks(_factor(ident - dt * mat).solve, x, 1, startup, rows)
     lu_cn = _factor(ident - 0.5 * dt * mat)
-    lu_be = _factor(ident - dt * mat)
 
     def cn_step(x):
         # (I + hA) = 2I - (I - hA): one solve per Crank-Nicolson step
@@ -203,9 +204,6 @@ def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
         y -= x
         return y
 
-    yield _first_chunk(x, rows)
-    startup = min(STARTUP_STEPS, steps)
-    x = yield from _stepped_chunks(lu_be.solve, x, 1, startup, rows)
     yield from _stepped_chunks(cn_step, x, startup + 1, steps, rows)
 
 
@@ -230,22 +228,23 @@ def propagate_uniform(
     return chunks(matrix, x0, uniform_step(times), times.size - 1, rows)
 
 
-def resolvent_solves(matrix, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A^-1 x0 and A^-2 x0 for an absorbing generator A, from one sparse LU.
-
-    ``exit_solve`` turns the solves into exit probabilities and moments of
-    the absorption time.  A singular A, which keeps some weight forever,
-    raises ConvergenceError.
+def resolvent_solves(matrix, x0: np.ndarray, powers: int = 2, shift: float = 0.0) -> np.ndarray:
+    """(A - shift I)^-k x0, k = 1..``powers``, for an absorbing generator A,
+    from one sparse LU, for ``exit_solve`` and ``edge_loss_bound``.  A
+    singular A, which keeps some weight forever, raises ConvergenceError.
     """
+    if shift:
+        matrix = matrix - shift * scipy.sparse.identity(matrix.shape[0])
     try:
         lu = _factor(matrix)
     except RuntimeError as exc:
         raise ConvergenceError(f"the absorbing generator is singular ({exc})") from None
-    y1 = lu.solve(np.asarray(x0, dtype=complex))
-    y2 = lu.solve(y1)
-    if not np.isfinite(y2).all():
+    solves = [np.asarray(x0, dtype=complex)]
+    for _ in range(powers):
+        solves.append(lu.solve(solves[-1]))
+    if not np.isfinite(solves[-1]).all():
         raise ConvergenceError("the absorbing generator is numerically singular")
-    return y1, y2
+    return np.array(solves[1:])
 
 
 def absorbable(matrix, flux: np.ndarray) -> np.ndarray:
@@ -267,46 +266,76 @@ def absorbable(matrix, flux: np.ndarray) -> np.ndarray:
     return np.sort(reached[reached < n])
 
 
-def exit_solve(
-    generator: BlockGenerator, x0: np.ndarray, shortfall: float, unreachable: str
-) -> tuple[float, float, float, float]:
-    """Lower- and upper-exit probabilities, E[T] and E[T^2] of the weight x0.
+def _absorbable_part(matrix, flux: np.ndarray, *vectors: np.ndarray):
+    """A and ``vectors`` on the ``absorbable`` coordinates of ``flux``,
+    which evolve on their own."""
+    keep = absorbable(matrix, flux)
+    return (matrix[keep][:, keep], *(v[keep] for v in vectors))
 
-    One ``resolvent_solves`` factorisation of A on its ``absorbable``
-    coordinates, which evolve on their own (A as given where all are kept):
-    -u A^-1 x0 for the flux u of an edge, E[T] = -w A^-1 x0 and
-    E[T^2] = 2 w A^-2 x0 for the survival w (Neuts 1981).  Raises
-    ConvergenceError(``unreachable``) when x0 has no weight on the kept
-    coordinates, and names the absorbed probability unless it is 1 to
-    within ``shortfall``.
-    """
-    matrix, keep = generator.matrix, absorbable(generator.matrix, generator.flux_vector)
-    lower, upper, weights = generator.lower_flux, generator.upper_flux, generator.survival_vector
-    if keep.size < x0.size:
-        x0, matrix = x0[keep], matrix[keep][:, keep]
-        lower, upper, weights = lower[keep], upper[keep], weights[keep]
+
+def exit_solve(generator: BlockGenerator, x0, shortfall: float, unreachable: str, powers=2):
+    """Lower- and upper-exit probabilities of the weight x0, then the
+    moments E[T^k], k = 1..``powers``, of its absorption time, from one LU
+    of A on its ``absorbable`` coordinates: -u A^-1 x0 for the flux u of
+    an edge, E[T^k] = k! w (-A)^-k x0 for the survival w (Neuts 1981).
+    Raises ConvergenceError(``unreachable``) when x0 has no weight on the
+    kept coordinates, and names the absorbed probability unless it is 1
+    to within ``shortfall``."""
+    matrix, x0, lower, upper, w = _absorbable_part(
+        generator.matrix, generator.flux_vector,
+        x0, generator.lower_flux, generator.upper_flux, generator.survival_vector,
+    )
     if not x0.any():
         raise ConvergenceError(unreachable)
-    y1, y2 = resolvent_solves(matrix, x0)
-    lower_exit, upper_exit, mean = (-float(np.real(u @ y1)) for u in (lower, upper, weights))
+    solves = resolvent_solves(matrix, x0, powers)
+    lower_exit, upper_exit = (-float(np.real(u @ solves[0])) for u in (lower, upper))
     if not abs(lower_exit + upper_exit - 1.0) <= shortfall:
         raise ConvergenceError(
             "the initial weight is ever absorbed with probability "
             f"{lower_exit + upper_exit:.9g}, not 1 to within {shortfall:g}"
         )
-    return lower_exit, upper_exit, mean, 2.0 * float(np.real(weights @ y2))
+    moments = (math.factorial(k) * (-1) ** k * float(np.real(w @ y))
+               for k, y in enumerate(solves, 1))
+    return lower_exit, upper_exit, *moments
 
 
-def absorption_horizon_guess(generator: BlockGenerator, x0, tail_epsilon: float) -> float:
-    """Resolvent estimate of how long an absorbing generator keeps mass:
-    mean plus 16 standard deviations of the absorption time, from
-    ``exit_solve``, which refuses a state that no horizon can bring below a
-    survival of ``tail_epsilon``."""
-    _, _, mean, second = exit_solve(
-        generator, x0, tail_epsilon, "the threshold is unreachable from the initial state"
-    )
-    spread = math.sqrt(max(second - mean**2, 0.0))
-    return mean + 16.0 * max(spread, 0.25 * mean)
+def absorption_horizon_guess(generator: BlockGenerator, x0, tail_epsilon: float):
+    """Exit probabilities of the weight x0 and the horizon T* by which its
+    survival G is below ``tail_epsilon``: Markov's inequality
+    G(t) <= E[T^k] / t^k on the ``exit_solve`` moments gives
+    T* = min over k <= ``CERTIFICATE_MOMENTS`` of (E[T^k] / eps)^(1/k).
+    ``exit_solve`` refuses a state that no horizon brings below eps."""
+    unreachable = "the threshold is unreachable from the initial state"
+    exits = exit_solve(generator, x0, tail_epsilon, unreachable, CERTIFICATE_MOMENTS)
+    certified = min((m / tail_epsilon) ** (1.0 / k) for k, m in enumerate(exits[2:], 1) if m > 0)
+    return exits[0], exits[1], certified
+
+
+def edge_loss_bound(generator: BlockGenerator, x0, flux: np.ndarray, horizon: float) -> float:
+    """Bound on the probability that the weight x0 leaves through the edge
+    of ``flux`` by ``horizon`` T.  The edge-flux density u exp(tA) x0 is
+    nonnegative, so by Chernoff that probability is at most
+    e^(sT) u (sI - A)^-1 x0 for every s >= 0; at s = 0 this is the exit
+    probability, the bound at T = inf.  Its logarithm is convex in s, so
+    the search tries s = 0, then 2^j / T for j = 0, 1, ..., and stops at
+    the first bound below ``EDGE_TOLERANCE`` or the first rise.  One LU
+    per s, on the ``absorbable`` coordinates."""
+    matrix, x0, flux = _absorbable_part(generator.matrix, flux, x0, flux)
+    if not x0.any():
+        return 0.0
+    # scale = sT; ln(bound) is capped at 0, as a bound above 1 says nothing
+    best, scale = math.inf, 0.0
+    while best >= EDGE_TOLERANCE:
+        try:
+            laplace = -float(np.real(flux @ resolvent_solves(matrix, x0, 1, scale / horizon)[0]))
+        except ConvergenceError:
+            # a never-absorbed (dark) state makes A singular: s = 0 bounds nothing
+            laplace = math.inf
+        bound = math.exp(min(scale + math.log(laplace), 0.0)) if laplace > 0 else 0.0
+        if not bound < best or math.isinf(horizon):
+            return min(bound, best)
+        best, scale = bound, 2.0 * scale or 1.0
+    return best
 
 
 def initial_density(model: LindbladModel, initial: np.ndarray | str) -> np.ndarray:
@@ -505,21 +534,65 @@ class FptSolution:
     final_state: BlockState
 
 
-def _series(
-    disc: Discretisation, generator: BlockGenerator, domain, times: np.ndarray
-) -> tuple[FptSolution, float, float]:
-    """The series on one domain and the peak probability mass of its lower
-    and upper edge cells."""
-    d = generator.dim
-    edges = scipy.sparse.identity(domain.ncells, format="csr")[[0, -1]]
-    cells = scipy.sparse.kron(edges, trace_functional(d)[None, :], format="csr")
-    rows = scipy.sparse.vstack(
-        [generator.survival_vector, generator.flux_vector, cells], format="csr"
-    )
-    obs = np.empty((times.size, rows.shape[0]))
-    for start, chunk, x in propagate_uniform(
-        generator.matrix, disc.initial(domain), times, rows=rows
-    ):
+def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon, exits=None):
+    """The domain whose open sides each lose less than ``EDGE_TOLERANCE``
+    by ``horizon``, its generator and, at T = inf, its ``exits``.
+
+    Each domain is assembled once.  A side's loss is its
+    ``edge_loss_bound``, or at T = inf its exit probability, the lower and
+    the upper one first in ``exits(generator, x0, domain)``.  Flagged sides
+    widen through ``domain.widened``, up to ``MAX_MOMENT_UNKNOWNS``
+    unknowns; a side that would pass them is refused, naming its loss."""
+    opened = (lower_open, upper_open)
+    while True:
+        generator, x0 = disc.assemble(domain), disc.initial(domain)
+        found = exits(generator, x0, domain) if math.isinf(horizon) else None
+        losses = found[:2] if found else [
+            edge_loss_bound(generator, x0, flux, horizon) if is_open else 0.0
+            for flux, is_open in zip((generator.lower_flux, generator.upper_flux), opened)
+        ]
+        grow = [is_open and loss >= EDGE_TOLERANCE for is_open, loss in zip(opened, losses)]
+        if not any(grow):
+            return domain, generator, found
+        wider, side = domain.widened(*grow), grow.index(True)
+        if wider.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
+            raise ConvergenceError(
+                f"{('lower', 'upper')[side]}-exit probability by T = {horizon:g} is still up to "
+                f"{losses[side]:.4g} on {domain}, and widening it passes {MAX_MOMENT_UNKNOWNS} "
+                "unknowns; the charge may drift away from the threshold")
+        logger.debug("widening %s -> %s", domain, wider)
+        domain = wider
+
+
+def solve_absorbing(
+    disc: Discretisation, domain, *, lower_open: bool, upper_open: bool, horizon: float,
+    dt: float, auto_tail: bool, tail_epsilon: float,
+) -> FptSolution:
+    """First-passage series of an absorbing generator on a uniform grid,
+    stepped once on the domain ``choose_domain`` picks for the horizon.
+
+    With ``auto_tail`` the domain is picked for T = inf, where
+    ``absorption_horizon_guess`` refuses an initial state that is not
+    absorbed with probability 1 to within ``tail_epsilon`` and certifies a
+    horizon T*; the series runs to max(horizon, T*), and is refused if its
+    survival there is not below ``tail_epsilon``.
+    """
+    if not 0.0 < tail_epsilon < 1.0:
+        raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
+    horizon = float(horizon)
+    if auto_tail:
+        domain, generator, (_, _, certified) = choose_domain(
+            disc, domain, lower_open, upper_open, math.inf,
+            lambda generator, x0, _: absorption_horizon_guess(generator, x0, tail_epsilon),
+        )
+        horizon = max(horizon, certified)
+    else:
+        domain, generator, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
+    times = time_grid(horizon, dt)
+    rows = scipy.sparse.csr_matrix(np.vstack([generator.survival_vector, generator.flux_vector]))
+    obs = np.empty((times.size, 2))
+    chunks = propagate_uniform(generator.matrix, disc.initial(domain), times, rows=rows)
+    for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
     bad = ~np.isfinite(obs).all(axis=1)
     if bad.any():
@@ -529,8 +602,6 @@ def _series(
     if not np.isfinite(x).all():
         raise _non_finite(times.size - 1)
     surv, dens = obs[:, 0], obs[:, 1]
-    lo_peak = max(obs[:, 2].max(), 0.0)
-    hi_peak = max(obs[:, 3].max(), 0.0)
     if dens.min() < -1e-10:
         raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
     if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
@@ -539,97 +610,25 @@ def _series(
         raise PhysicsError("survival grew along the grid beyond roundoff")
     dens = np.clip(dens, 0.0, None)
     surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
+    if auto_tail and not surv[-1] < tail_epsilon:
+        raise ConvergenceError(
+            f"survival G(T) is {surv[-1]:.3e} at the certified horizon T = {horizon:.6g}, "
+            f"not below the tail epsilon {tail_epsilon:g}"
+        )
     # x is the state at the horizon, the last one the propagator yielded
-    series = FptSolution(
+    return FptSolution(
         FptResult(times, dens, surv, disc.provenance),
         domain,
-        BlockState(domain, d, x, float(times[-1])),
+        BlockState(domain, generator.dim, x, float(times[-1])),
     )
-    return series, domain.cell_width * lo_peak, domain.cell_width * hi_peak
 
 
-def solve_absorbing(
-    disc: Discretisation,
-    domain,
-    *,
-    lower_open: bool,
-    upper_open: bool,
-    horizon: float,
-    dt: float,
-    auto_tail: bool,
-    tail_epsilon: float,
-) -> FptSolution:
-    """First-passage series of an absorbing generator on a uniform grid.
-
-    Open domain sides are widened, up to ``MAX_WIDEN_ROUNDS`` times, until
-    the edge mass stays below ``EDGE_TOLERANCE`` over the whole horizon.
-    With ``auto_tail`` an initial state whose ``exit_solve`` absorbed
-    probability is not 1 to within ``tail_epsilon`` is refused at once;
-    otherwise the resolvent estimate sets the first horizon, which then
-    doubles until the survival drops below ``tail_epsilon``, up to
-    ``MAX_DOUBLINGS`` doublings of the requested horizon; the widened
-    domain is kept across extensions.  Each domain's generator is
-    assembled once.
-    """
-    if not 0.0 < tail_epsilon < 1.0:
-        raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
-    horizon = float(horizon)
-    cap = horizon * 2.0**MAX_DOUBLINGS
-    generator = None
-    if auto_tail:
-        generator = disc.assemble(domain)
-        guess = absorption_horizon_guess(generator, disc.initial(domain), tail_epsilon)
-        if guess > horizon:
-            horizon = float(min(guess, cap))
-            logger.debug("resolvent tail estimate sets the horizon to %.4g", horizon)
-    for _ in range(MAX_DOUBLINGS + 1):
-        times = time_grid(horizon, dt)
-        for _ in range(MAX_WIDEN_ROUNDS):
-            if generator is None:
-                generator = disc.assemble(domain)
-            series, lo_peak, hi_peak = _series(disc, generator, domain, times)
-            grow_lower = lower_open and lo_peak > EDGE_TOLERANCE
-            grow_upper = upper_open and hi_peak > EDGE_TOLERANCE
-            if not grow_lower and not grow_upper:
-                break
-            wider = domain.widened(grow_lower, grow_upper)
-            logger.debug("widening %s -> %s", domain, wider)
-            domain, generator = wider, None
-        else:
-            raise ConvergenceError(
-                f"open sides of {domain} failed to satisfy the edge-mass "
-                f"tolerance {EDGE_TOLERANCE:g} after {MAX_WIDEN_ROUNDS} widenings"
-            )
-        if not auto_tail or series.result.survival[-1] < tail_epsilon:
-            return series
-        if horizon * 2 > cap:
-            raise ConvergenceError(
-                f"survival is {series.result.survival[-1]:.3e} at the horizon "
-                f"cap {cap:g}; the threshold may be unreachable, or absorption "
-                "incomplete by construction"
-            )
-        horizon *= 2.0
-    raise ConvergenceError("horizon extension failed to converge the tail")
-
-
-def absorbing_moments(
-    disc: Discretisation, domain, shortfall: float, unreachable: str
-) -> tuple[float, float, float, float]:
+def absorbing_moments(disc: Discretisation, domain, shortfall: float, unreachable: str):
     """``exit_solve`` of an absorbing generator whose lower domain side is
-    open, one factorisation per domain: the lower side doubles until its
-    exit probability is below ``EDGE_TOLERANCE``, up to
-    ``MAX_MOMENT_UNKNOWNS``.  An unreachable edge raises
-    ConvergenceError("<unreachable> on <domain>")."""
-    while True:
-        generator = disc.assemble(domain)
-        x0 = disc.initial(domain)
-        exits = exit_solve(generator, x0, shortfall, f"{unreachable} on {domain}")
-        if exits[0] < EDGE_TOLERANCE:
-            return exits
-        domain = domain.widened(True, False)
-        if domain.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
-            raise ConvergenceError(
-                f"lower-exit probability is still {exits[0]:.3e} before {domain} "
-                f"outgrows {MAX_MOMENT_UNKNOWNS} unknowns; the charge may not "
-                "drift towards the threshold"
-            )
+    open, on the domain ``choose_domain`` picks at T = inf, where the lower
+    exit probability is below ``EDGE_TOLERANCE``.  An unreachable edge
+    raises ConvergenceError("<unreachable> on <domain>")."""
+    def exits(generator, x0, domain):
+        return exit_solve(generator, x0, shortfall, f"{unreachable} on {domain}")
+
+    return choose_domain(disc, domain, True, False, math.inf, exits)[2]

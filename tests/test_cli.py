@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import qfpt.cli as cli
+from qfpt.jumps import ChargeWindow, charge_distribution, solve_jump_fpt
 from qfpt.kur import KurReport
-from qfpt.models import decay_qubit, model_payload, save_model, wiener_charge
+from qfpt.models import decay_qubit, model_payload, save_model, thermal_qubit, wiener_charge
 
 from .test_models import BOOLEAN_FIELDS, boolean_payload
 
@@ -461,7 +462,8 @@ def test_domain_written_apart_parses_like_joined(argv, flag, csv, tmp_path):
     "argv, artifacts",
     [
         # the README's way to read P(N, t): nothing reaches the edges by t = 2
-        ("fpt-jump --builtin thermal-qubit --window -20:20 --horizon 2", ["fpt_jump.csv"]),
+        ("fpt-jump --builtin thermal-qubit --window -20:20 --horizon 2",
+         ["fpt_jump.csv", "final_distribution.csv"]),
         ("fpt-diffusion --builtin homodyne-qubit --grid -8:8 --delta 0.05 --horizon 0.3",
          ["fpt_diffusion.csv", "final_distribution.csv"]),
     ],
@@ -475,6 +477,26 @@ def test_explicit_domain_that_absorbs_nothing_is_published(argv, artifacts, tmp_
     assert abs(results["absorbed_probability"]) < 1e-12
     for key in ("mean_fpt_given_absorbed", "var_fpt_given_absorbed", "snr_given_absorbed"):
         assert results[key] is None
+
+
+def test_fpt_jump_writes_the_charge_distribution_of_a_window(tmp_path):
+    # the README's P(N, t): the window's cell traces, normalised
+    argv = ("fpt-jump --builtin thermal-qubit --gamma 1 --omega 1 --nbar 0.2 "
+            "--window -20:20 --horizon 2").split()
+    assert run(argv, tmp_path) == cli.EXIT_OK
+    with open(tmp_path / "final_distribution.csv") as fh:
+        assert fh.readline().startswith("# config_hash=")
+        rows = list(csv.DictReader(fh))
+    charges = [int(row["N"]) for row in rows]
+    probability = np.array([float(row["probability"]) for row in rows])
+    assert probability.sum() == pytest.approx(1.0, abs=1e-11)
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    solution = solve_jump_fpt(model, window=ChargeWindow(-20, 20), horizon=2.0)
+    expected = charge_distribution(solution.final_state)
+    assert charges == list(expected)
+    total = sum(expected.values())
+    normalised = [p / total for p in expected.values()]
+    assert probability == pytest.approx(normalised, rel=1e-11, abs=1e-300)
 
 
 # The configuration hash is written into every CSV header, so renaming a

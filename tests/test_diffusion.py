@@ -336,11 +336,20 @@ def test_degenerate_steady_state_keeps_the_diffusive_margin():
     assert np.array_equal(sol.result.density, fixed.result.density)
 
 
-def test_auto_tail_stops_at_the_horizon_cap(monkeypatch):
-    # the homodyne qubit drifts part of its weight away from a lower
-    # threshold, so survival stalls near one half and doubling cannot help
-    monkeypatch.setattr(propagation, "MAX_DOUBLINGS", 2)
-    with pytest.raises(ConvergenceError, match="horizon cap 12") as failure:
+def test_auto_tail_refuses_a_charge_drifting_away_before_stepping(monkeypatch):
+    # the homodyne current J = 4/9 drifts away from the lower threshold, so
+    # the open upper side is ever reached with probability 0.4496 however
+    # wide the grid; the exit solves see it before any series is stepped
+    horizons = []
+    propagate = propagation.propagate_uniform
+
+    def recording(matrix, x0, times, *, rows):
+        horizons.append(float(times[-1]))
+        return propagate(matrix, x0, times, rows=rows)
+
+    monkeypatch.setattr(propagation, "propagate_uniform", recording)
+    message = "upper-exit probability by T = inf is still up to 0.4496 "
+    with pytest.raises(ConvergenceError, match=message):
         solve_diffusion_fpt(
             homodyne_qubit(1.0, 1.0),
             lower_threshold=-1.0,
@@ -348,5 +357,4 @@ def test_auto_tail_stops_at_the_horizon_cap(monkeypatch):
             horizon=3.0,
             auto_tail=True,
         )
-    survival = float(str(failure.value).split()[2])
-    assert 0.4 < survival < 0.5
+    assert horizons == []

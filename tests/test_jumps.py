@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -202,14 +204,17 @@ def _series_horizons(monkeypatch) -> list[float]:
 
 
 def test_auto_tail_horizon_is_the_exact_resolvent_guess(monkeypatch):
-    # the excited level waits an exponential time of mean 1 and spread 1
-    # before its one emission; the ground state it leaves is never
-    # absorbed, so the guess comes from the excited level alone
+    # the excited level waits an exponential time of mean 1 before its one
+    # emission, so E[T^k] = k! and Markov's inequality certifies survival
+    # 1e-6 at min_k (k!/1e-6)^(1/k) = 16.126; the ground state it leaves is
+    # never absorbed, so the moments come from the excited level alone
     horizons = _series_horizons(monkeypatch)
     excited = np.diag([0.0, 1.0]).astype(complex)
     sol = solve_jump_fpt(decay_qubit(1.0), threshold=1, initial=excited, horizon=4.0, auto_tail=True)
-    assert horizons == [17.0]
-    assert sol.result.times[-1] == 17.0
+    certified = min((math.factorial(k) / 1e-6) ** (1.0 / k) for k in range(1, 25))
+    assert horizons == [pytest.approx(certified, rel=1e-14)]
+    assert sol.result.times[-1] == horizons[0]
+    assert sol.result.survival[-1] < 1e-6
 
 
 def _qubit_beside_a_decoupled_level() -> LindbladModel:
@@ -234,6 +239,34 @@ def test_auto_tail_refuses_partial_absorption_before_stepping(lower_threshold, m
             initial=np.eye(3) / 3, auto_tail=True,
         )
     assert horizons == []
+
+
+def _lambda_with_a_dark_state() -> LindbladModel:
+    """Ground levels 0 and 1 both driven to the excited level 2, which
+    decays to 0 (counted +1) and to 1 (counted -1); their antisymmetric
+    superposition is dark and never emits."""
+    drive = np.zeros((3, 3))
+    drive[2, :2] = drive[:2, 2] = 1.0
+
+    def decay(to):
+        op = np.zeros((3, 3))
+        op[to, 2] = 1.0
+        return op
+
+    channels = (JumpChannel(decay(0), weight=1.0), JumpChannel(decay(1), weight=-1.0))
+    return LindbladModel(drive, channels)
+
+
+def test_dark_state_keeps_fixed_horizon_solves():
+    # the dark state makes the generator singular at s = 0, so only the
+    # s > 0 edge-loss bounds choose the open side; it widens to the window
+    # the stepped edge mass chose before
+    model, start = _lambda_with_a_dark_state(), np.eye(3) / 3
+    sol = solve_jump_fpt(model, threshold=3, initial=start, horizon=10.0)
+    assert sol.domain == ChargeWindow(-22, 2)
+    assert 1.0 / 3.0 < sol.result.survival[-1] < 1.0
+    with pytest.raises(ConvergenceError, match="singular"):
+        solve_jump_fpt(model, threshold=3, initial=start, horizon=10.0, auto_tail=True)
 
 
 def test_passage_moments_refuse_partial_absorption(monkeypatch):

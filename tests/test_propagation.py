@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from qfpt import propagation
+from qfpt import diffusion, propagation
+from qfpt.analysis import trapezoid_steps
 from qfpt.diffusion import (
     ChargeGrid,
     build_fokker_planck_generator,
@@ -28,13 +30,20 @@ from qfpt.jumps import (
     solve_jump_fpt,
 )
 from qfpt.models import homodyne_qubit, thermal_qubit
-from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, vectorize
+from qfpt.operators import (
+    JumpChannel,
+    LindbladModel,
+    build_drift_superoperator,
+    build_liouvillian,
+    vectorize,
+)
 from qfpt.propagation import (
     MAX_GRID_POINTS,
     STARTUP_STEPS,
     BlockState,
     absorbable,
     absorption_horizon_guess,
+    edge_loss_bound,
     exit_solve,
     propagate_uniform,
     resolvent_solves,
@@ -98,9 +107,10 @@ def test_absorbing_solve_refuses_overflow():
         )
 
 
-def test_both_engines_observe_four_rows(monkeypatch):
-    # survival, absorption rate and the two edge cells, however many cells
-    # the domain has
+def test_both_engines_observe_two_rows(monkeypatch):
+    # the survival and the absorption rate, however many cells the domain
+    # has; the open sides are chosen before the step, so each solve steps
+    # one series, also where the n=1 auto-tail window widens once
     seen = []
     propagate = propagation.propagate_uniform
 
@@ -109,11 +119,20 @@ def test_both_engines_observe_four_rows(monkeypatch):
         return propagate(matrix, x0, times, rows=rows)
 
     monkeypatch.setattr(propagation, "propagate_uniform", recording)
-    solve_jump_fpt(thermal_qubit(1.0, 1.0, 0.2), threshold=5, horizon=50.0, auto_tail=True)
-    jump_rows, seen = seen, []
-    solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), threshold=1.0, delta=0.05, horizon=1.0)
-    assert jump_rows and set(jump_rows) == {4}
-    assert seen and set(seen) == {4}
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    solves = [
+        lambda: solve_jump_fpt(model, threshold=5, horizon=50.0, auto_tail=True),
+        lambda: solve_jump_fpt(model, threshold=3, horizon=10.0),
+        lambda: solve_jump_fpt(model, lower_threshold=-3, horizon=10.0),
+        lambda: solve_jump_fpt(
+            thermal_qubit(1.0, 1.0, 1.0), threshold=5, horizon=50.0, auto_tail=True
+        ),
+        lambda: solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), threshold=1.0, horizon=6.0),
+    ]
+    for solve in solves:
+        seen = []
+        solve()
+        assert seen == [2]
 
 
 def test_resolvent_solves_give_exponential_moments():
@@ -124,7 +143,12 @@ def test_resolvent_solves_give_exponential_moments():
     one_cell = propagation.BlockGenerator(
         1, scipy.sparse.csr_matrix([[-rate]]), np.ones(1), np.array([rate]), np.zeros(1)
     )
-    assert absorption_horizon_guess(one_cell, np.array([1.0]), 1e-6) == pytest.approx(17.0 / rate)
+    # E[T^k] = k!/rate^k, so Markov's inequality certifies survival 1e-6 at
+    # min_k (k!/1e-6)^(1/k)/rate = 16.126/rate
+    certified = min((math.factorial(k) / 1e-6) ** (1.0 / k) for k in range(1, 25))
+    assert certified == pytest.approx(16.126, abs=1e-3)
+    guess = absorption_horizon_guess(one_cell, np.array([1.0]), 1e-6)
+    assert guess == pytest.approx((0.0, 1.0, certified / rate), rel=1e-14)
 
 
 def test_resolvent_solves_refuse_singular_generator():
@@ -203,6 +227,70 @@ def test_absorbable_ignores_stored_zeros():
     )
     assert matrix.nnz == 2
     assert absorbable(matrix, np.array([1.0, 0.0])).tolist() == [0]
+
+
+def _window_below_three(lower):
+    """The thermal qubit (gamma 1, omega 1, nbar 0.2) on the window
+    [lower, 2] of threshold 3 with its steady start; [-10, 2], the start
+    window at horizon 10, has 52 unknowns on the dense backend."""
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    window = ChargeWindow(lower, 2)
+    generator = build_block_generator(model, window)
+    return generator, BlockState.initial(window, propagation.initial_density(model, "steady")).data
+
+
+@pytest.mark.parametrize(
+    "lower",
+    [
+        # measured: loss 5.2e-13, bound 3.7e-12, exit probability 2.7e-9
+        -10,
+        # measured: loss 4.0e-7, bound 1.3e-6, exit probability 3.6e-6; a
+        # loss above the edge tolerance, which a search that dropped the
+        # factor e^(sT) would undercut on its way below the tolerance
+        -6,
+    ],
+)
+def test_edge_loss_bound_brackets_the_lower_edge_loss(lower):
+    generator, x0 = _window_below_three(lower)
+    horizon = 10.0
+    bound = edge_loss_bound(generator, x0, generator.lower_flux, horizon)
+    exit_probability = edge_loss_bound(generator, x0, generator.lower_flux, math.inf)
+    # the exact-in-time series of the lower-edge flux, integrated
+    times = np.linspace(0.0, horizon, 20001)
+    rows = generator.lower_flux[None, :]
+    flux = np.concatenate([
+        chunk[:, 0] for _, chunk, _ in propagate_uniform(generator.matrix, x0, times, rows=rows)
+    ])
+    loss = float(trapezoid_steps(flux, times).sum())
+    assert 0.0 < loss <= bound <= exit_probability
+
+
+def test_edge_loss_bound_at_infinity_is_the_exit_probability():
+    generator, x0 = _window_below_three(-10)
+    assert x0.size == 52
+    lower, _, _, _ = exit_solve(generator, x0, 1e-9, "unreachable")
+    bound = edge_loss_bound(generator, x0, generator.lower_flux, math.inf)
+    assert bound == pytest.approx(lower, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "grid, horizon",
+    [
+        # the README fpt-diffusion grid, and the one of --lower-threshold -1
+        # --delta 0.02 --horizon 3, whose upper side is open
+        (ChargeGrid(-20.6, 0.99, 0.01), 6.0),
+        (ChargeGrid(-0.98, 16.2, 0.02), 3.0),
+    ],
+)
+def test_diffusion_edge_flux_stays_nonnegative(grid, horizon):
+    # the edge-loss bound needs a nonnegative flux density
+    model = homodyne_qubit(1.0, 1.0)
+    generator = build_fokker_planck_generator(model, grid)
+    x0 = BlockState.initial(grid, propagation.initial_density(model, "steady")).data
+    dt = diffusion._default_step(model, build_drift_superoperator(model), 1.0)
+    rows = np.vstack([generator.lower_flux, generator.upper_flux])
+    for _, chunk, _ in propagate_uniform(generator.matrix, x0, time_grid(horizon, dt), rows=rows):
+        assert chunk.min() >= 0.0
 
 
 def test_dense_chunks_observe_exact_powers(monkeypatch):

@@ -120,6 +120,27 @@ def test_every_import_and_logger_is_read():
     assert unread == {}
 
 
+def test_every_module_constant_is_read():
+    # a module-level UPPER_CASE constant that neither the package, its
+    # tests nor the benchmark reads is a setting nothing obeys
+    constants = {
+        target.id: path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for root in (PACKAGE, ROOT / "tests", PERFBENCH)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert {name: module for name, module in constants.items() if name not in read} == {}
+
+
 def test_cli_import_loads_no_quadrature_or_special_functions():
     # the package integrates its series with numpy alone; scipy.integrate
     # would pull scipy.special and scipy.optimize into every process
