@@ -10,6 +10,8 @@ from .errors import PhysicsError, TailNotConvergedError
 
 TAIL_EPSILON = 1e-6
 LEDGER_TOL = 1e-6
+# survival this far above 1 is an error, not roundoff
+WEIGHT_EXCESS_TOLERANCE = 1e-6
 
 PROVENANCES = ("deterministic-jump", "deterministic-diffusion", "monte-carlo")
 
@@ -39,6 +41,10 @@ class FptResult:
 
     ``density`` is unconditional: its integral up to the horizon equals the
     probability of absorption by then, and ``survival`` carries the rest.
+    The series as given is refused if its density falls below -1e-10, its
+    survival rises by more than 1e-10 or passes 1 +
+    ``WEIGHT_EXCESS_TOLERANCE``; it is stored clipped, and the stored
+    series must start at survival 1 and close the ledger to ``LEDGER_TOL``.
     """
 
     times: np.ndarray
@@ -57,23 +63,22 @@ class FptResult:
         for name, arr in (("times", t), ("density", f), ("survival", g)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+        uniform_step(t)
+        if np.min(f) < -1e-10:
+            raise PhysicsError(f"density has negative excursion {np.min(f):.3e}")
+        if np.max(g) > 1.0 + WEIGHT_EXCESS_TOLERANCE:
+            raise PhysicsError(f"total weight grew to {np.max(g):.8f}")
+        rise = np.max(np.diff(g))
+        if rise > 1e-10:
+            raise PhysicsError(f"survival increases by {rise:.3e} along the grid")
+        # what passed is roundoff: stored clipped to a nonnegative density
+        # and a survival that never rises or leaves [0, 1]
+        f, g = np.clip(f, 0.0, None), np.minimum.accumulate(np.clip(g, 0.0, 1.0))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "density", f)
         object.__setattr__(self, "survival", g)
-        self._validate()
-
-    def _validate(self):
-        t, f, g = self.times, self.density, self.survival
-        uniform_step(t)
         if abs(g[0] - 1.0) > 1e-9:
             raise PhysicsError(f"survival at the first grid point is {g[0]!r}, not 1")
-        if np.min(f) < -1e-10:
-            raise PhysicsError(f"density has negative excursion {np.min(f):.3e}")
-        increases = np.diff(g)
-        if increases.size and np.max(increases) > 1e-10:
-            raise PhysicsError(
-                f"survival increases by {np.max(increases):.3e} along the grid"
-            )
         absorbed = trapezoid_steps(f, t).sum()
         residue = abs(g[-1] + absorbed - 1.0)
         tol = LEDGER_TOL

@@ -30,6 +30,7 @@ from .operators import (
     build_drift_superoperator,
     build_liouvillian,
     current_cumulants,
+    positive_finite,
     vectorize,
 )
 from .propagation import (
@@ -39,11 +40,9 @@ from .propagation import (
     BlockState,
     Discretisation,
     FptSolution,
-    _non_finite,
     absorbing_generator,
     default_step,
     initial_density,
-    positive_finite,
     propagate_uniform,
     solve_absorbing,
 )
@@ -204,9 +203,6 @@ def mean_charge_path(
         liou, vectorize(rho0), times, rows=functional[None, :]
     ):
         rates[start : start + chunk.shape[0]] = chunk[:, 0]
-    bad = ~np.isfinite(rates)
-    if bad.any():
-        raise _non_finite(int(np.argmax(bad)))
     return np.concatenate(([0.0], np.cumsum(trapezoid_steps(rates, times))))
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .analysis import TAIL_EPSILON, FptMoments
 from .errors import ConfigError, ModelError
-from .operators import LindbladModel, build_jump_super, build_no_jump, is_integer
+from .operators import LindbladModel, build_jump_super, build_no_jump, is_integer, positive_finite
 from .propagation import (
     BlockGenerator,
     BlockState,
@@ -39,7 +39,6 @@ from .propagation import (
     absorbing_moments,
     default_step,
     initial_density,
-    positive_finite,
     solve_absorbing,
 )
 

@@ -163,12 +163,13 @@ def kur_scan(
 ) -> list[KurReport]:
     """Scan the driven thermal qubit over a grid of drive amplitudes.
 
-    A threshold that is not a positive integer is refused before any
-    point runs.  Points whose moments do not exist or fail to converge are
-    marked failed and the scan continues.  Results come in grid order.
+    A threshold that is not a positive integer, and a gamma or nbar that
+    ``thermal_qubit`` refuses, are refused before any point runs.  Points
+    whose moments do not exist or fail to converge are marked failed and
+    the scan continues.  Results come in grid order.
     """
     threshold = integer_threshold(threshold, +1)
-    return [
-        _scan_one(float(o), float(gamma), float(nbar), threshold)
-        for o in np.asarray(omegas, dtype=float)
-    ]
+    gamma, nbar = float(gamma), float(nbar)
+    # the model's own checks, once, instead of a failed row per point
+    thermal_qubit(gamma, 0.0, nbar)
+    return [_scan_one(float(o), gamma, nbar, threshold) for o in np.asarray(omegas, dtype=float)]

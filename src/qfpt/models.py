@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .operators import JumpChannel, LindbladModel
+from .operators import JumpChannel, LindbladModel, positive_finite
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -39,10 +39,9 @@ def thermal_qubit(gamma: float, omega: float, nbar: float) -> LindbladModel:
     in the frame rotating at the qubit frequency, H = omega * (sp + sm).
     At ``nbar == 0`` the absorption channel is omitted.
     """
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    if nbar < 0:
-        raise ConfigError("nbar must be non-negative")
+    gamma = positive_finite(gamma, "gamma")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ConfigError(f"nbar must be nonnegative and finite, got {nbar!r}")
     channels = [
         JumpChannel(math.sqrt(gamma * (nbar + 1.0)) * SIGMA_MINUS, weight=+1.0)
     ]
@@ -57,21 +56,15 @@ def homodyne_qubit(gamma: float, omega: float) -> LindbladModel:
     Single channel sqrt(gamma) * sm at detection phase -pi/2, so the drift
     of the integrated signal follows the y component of the Bloch vector.
     """
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    channel = JumpChannel(
-        math.sqrt(gamma) * SIGMA_MINUS, weight=1.0, phase=-math.pi / 2.0
-    )
+    gamma = positive_finite(gamma, "gamma")
+    channel = JumpChannel(math.sqrt(gamma) * SIGMA_MINUS, weight=1.0, phase=-math.pi / 2.0)
     return LindbladModel(omega * SIGMA_X, (channel,))
 
 
 def decay_qubit(gamma: float) -> LindbladModel:
     """Undriven qubit with a single emission channel of charge +1."""
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
-    return LindbladModel(
-        np.zeros((2, 2)), (JumpChannel(math.sqrt(gamma) * SIGMA_MINUS, weight=+1.0),)
-    )
+    channel = JumpChannel(math.sqrt(positive_finite(gamma, "gamma")) * SIGMA_MINUS, weight=+1.0)
+    return LindbladModel(np.zeros((2, 2)), (channel,))
 
 
 def wiener_charge(weight: float = 1.0) -> LindbladModel:

@@ -28,6 +28,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def positive_finite(value, name: str) -> float:
+    """``value`` as a float, refused unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def _as_complex_matrix(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -58,6 +58,7 @@ from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_liouvillian,
+    positive_finite,
     steady_state,
     trace_functional,
     validate_density_matrix,
@@ -73,28 +74,12 @@ STARTUP_STEPS = 4
 STEP_FACTOR = 0.002
 MAX_GRID_POINTS = 200_000
 EDGE_TOLERANCE = 1e-12
-WEIGHT_EXCESS_TOLERANCE = 1e-6
 # largest generator an open side widens its domain to
 MAX_MOMENT_UNKNOWNS = 2**16
 # moments E[T^k], k <= CERTIFICATE_MOMENTS, that certify an auto-tail horizon
 CERTIFICATE_MOMENTS = 24
 # cell traces this far below zero are an error, not roundoff
 TRACE_CLIP_ABORT = 1e-9
-
-
-def _non_finite(index: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"propagation produced non-finite values at grid index {index}; "
-        "reduce the step size or switch integrator"
-    )
-
-
-def positive_finite(value, name: str) -> float:
-    """``value`` as a float, refused unless it is positive and finite."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return value
 
 
 def _block_size(steps: int, m: int, n: int) -> int:
@@ -218,14 +203,34 @@ def propagate_uniform(
     ``state`` is the state at its last point.  The first chunk is the
     initial point alone.  ``rows`` is a dense or sparse matrix with one
     row per observed functional.  The dense propagator runs up to
-    ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.
+    ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.  A chunk with a
+    non-finite observation, or a non-finite state at the last point,
+    raises ConvergenceError naming the grid index as it is reached.
     """
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     n = matrix.shape[0]
     if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("matrix, state and observation dimensions disagree")
     chunks = _dense_chunks if n <= DENSE_CUTOFF else _cn_chunks
-    return chunks(matrix, x0, uniform_step(times), times.size - 1, rows)
+    steps = times.size - 1
+    return _finite_chunks(chunks(matrix, x0, uniform_step(times), steps, rows), steps)
+
+
+def _finite_chunks(chunks, last: int):
+    """``chunks`` as they come, refused at the first grid index whose
+    observations are non-finite; a non-finite entry stays non-finite under
+    every later step, so one check of the state at ``last`` catches what a
+    check per step would."""
+    for start, obs, x in chunks:
+        bad = ~np.isfinite(obs).all(axis=1)
+        if start + obs.shape[0] > last and not np.isfinite(x).all():
+            bad[-1] = True
+        if bad.any():
+            raise ConvergenceError(
+                "propagation produced non-finite values at grid index "
+                f"{start + int(np.argmax(bad))}; reduce the step size or switch integrator"
+            )
+        yield start, obs, x
 
 
 def resolvent_solves(matrix, x0: np.ndarray, powers: int = 2, shift: float = 0.0) -> np.ndarray:
@@ -279,15 +284,22 @@ def exit_solve(generator: BlockGenerator, x0, shortfall: float, unreachable: str
     of A on its ``absorbable`` coordinates: -u A^-1 x0 for the flux u of
     an edge, E[T^k] = k! w (-A)^-k x0 for the survival w (Neuts 1981).
     Raises ConvergenceError(``unreachable``) when x0 has no weight on the
-    kept coordinates, and names the absorbed probability unless it is 1
-    to within ``shortfall``."""
+    kept coordinates, says that a dark state keeps weight when the kept A
+    is singular, and names the absorbed probability unless it is 1 to
+    within ``shortfall``."""
     matrix, x0, lower, upper, w = _absorbable_part(
         generator.matrix, generator.flux_vector,
         x0, generator.lower_flux, generator.upper_flux, generator.survival_vector,
     )
     if not x0.any():
         raise ConvergenceError(unreachable)
-    solves = resolvent_solves(matrix, x0, powers)
+    try:
+        solves = resolvent_solves(matrix, x0, powers)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"part of the initial weight is never absorbed: {exc}, so a dark state that "
+            "the sparsity graph cannot separate keeps it"
+        ) from None
     lower_exit, upper_exit = (-float(np.real(u @ solves[0])) for u in (lower, upper))
     if not abs(lower_exit + upper_exit - 1.0) <= shortfall:
         raise ConvergenceError(
@@ -339,12 +351,24 @@ def edge_loss_bound(generator: BlockGenerator, x0, flux: np.ndarray, horizon: fl
 
 
 def initial_density(model: LindbladModel, initial: np.ndarray | str) -> np.ndarray:
-    """Density matrix of an initial-state spec: ``"steady"`` or a matrix."""
-    if isinstance(initial, str):
-        if initial != "steady":
-            raise ConfigError(f"unknown initial state spec {initial!r}")
+    """Density matrix of an initial-state spec, ``steady``,
+    ``maximally-mixed`` or ``basis:K``, or of a matrix."""
+    if not isinstance(initial, str):
+        return validate_density_matrix(initial)
+    dim = model.dim
+    if initial == "steady":
         return steady_state(build_liouvillian(model))
-    return validate_density_matrix(initial)
+    if initial == "maximally-mixed":
+        return np.eye(dim, dtype=complex) / dim
+    if initial.startswith("basis:"):
+        try:
+            k = int(initial.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad basis index in {initial!r}") from exc
+        if not 0 <= k < dim:
+            raise ConfigError(f"basis index {k} outside 0..{dim - 1}")
+        return np.diag(np.eye(dim, dtype=complex)[k])
+    raise ConfigError(f"unknown start spec {initial!r}; use steady, maximally-mixed or basis:K")
 
 
 def default_step(scale: float) -> float:
@@ -594,33 +618,14 @@ def solve_absorbing(
     chunks = propagate_uniform(generator.matrix, disc.initial(domain), times, rows=rows)
     for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
-    bad = ~np.isfinite(obs).all(axis=1)
-    if bad.any():
-        raise _non_finite(int(np.argmax(bad)))
-    # a non-finite entry stays non-finite under every later step, so one
-    # check of the last state catches what a check per step would
-    if not np.isfinite(x).all():
-        raise _non_finite(times.size - 1)
-    surv, dens = obs[:, 0], obs[:, 1]
-    if dens.min() < -1e-10:
-        raise PhysicsError(f"negative absorption rate {dens.min():.3e}")
-    if surv.max() > 1.0 + WEIGHT_EXCESS_TOLERANCE:
-        raise PhysicsError(f"total weight grew to {surv.max():.8f}")
-    if np.diff(surv).max(initial=-1.0) > 1e-10:
-        raise PhysicsError("survival grew along the grid beyond roundoff")
-    dens = np.clip(dens, 0.0, None)
-    surv = np.minimum.accumulate(np.clip(surv, 0.0, 1.0))
-    if auto_tail and not surv[-1] < tail_epsilon:
+    result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
+    if auto_tail and not result.survival[-1] < tail_epsilon:
         raise ConvergenceError(
-            f"survival G(T) is {surv[-1]:.3e} at the certified horizon T = {horizon:.6g}, "
-            f"not below the tail epsilon {tail_epsilon:g}"
+            f"survival G(T) is {result.survival[-1]:.3e} at the certified horizon "
+            f"T = {horizon:.6g}, not below the tail epsilon {tail_epsilon:g}"
         )
     # x is the state at the horizon, the last one the propagator yielded
-    return FptSolution(
-        FptResult(times, dens, surv, disc.provenance),
-        domain,
-        BlockState(domain, generator.dim, x, float(times[-1])),
-    )
+    return FptSolution(result, domain, BlockState(domain, generator.dim, x, float(times[-1])))
 
 
 def absorbing_moments(disc: Discretisation, domain, shortfall: float, unreachable: str):

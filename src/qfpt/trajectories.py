@@ -47,8 +47,8 @@ from .analysis import FptResult
 from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
-from .operators import LindbladModel, is_integer
-from .propagation import initial_density, positive_finite
+from .operators import LindbladModel, is_integer, positive_finite
+from .propagation import initial_density
 
 DEFAULT_STEP_BUDGET = 0.01
 MC_CHUNK = 4096
@@ -71,8 +71,10 @@ class TrajectoryConfig:
 
     ``dt`` is the integration step of diffusive trajectories; jump
     trajectories are exact in time and take no step, though ``dt`` is
-    validated for both.  ``keep_paths`` is retired: charge paths are not
-    recorded, and only its default ``False`` is accepted."""
+    validated for both.  ``initial`` is a start spec or a matrix, as
+    ``propagation.initial_density`` takes, and is kept as its density
+    matrix.  ``keep_paths`` is retired: charge paths are not recorded, and
+    only its default ``False`` is accepted."""
 
     model: LindbladModel
     unravelling: str
@@ -112,9 +114,8 @@ class TrajectoryConfig:
         else:
             real_threshold(self.threshold, +1)
             real_threshold(self.lower_threshold, -1)
-
-    def initial_matrix(self) -> np.ndarray:
-        return initial_density(self.model, self.initial)
+        # a bad start spec is refused here, before any chunk or worker runs
+        object.__setattr__(self, "initial", initial_density(self.model, self.initial))
 
     def resolve_step(self) -> tuple[float, int]:
         """Diffusive step and step count; the step divides the horizon."""
@@ -410,7 +411,7 @@ def simulate(config: TrajectoryConfig) -> TrajectoryEnsemble:
     concatenated by ``merge_ensembles``.  A trajectory is absorbed when
     its charge reaches ``threshold`` or falls to ``lower_threshold``.
     """
-    rho0 = config.initial_matrix()
+    rho0 = config.initial
     if config.unravelling == "jump":
         run = _JumpSampler(config, rho0).run
     else:

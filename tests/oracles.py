@@ -5,9 +5,10 @@ importing the package under test, so agreement between the two is
 meaningful evidence rather than circular bookkeeping.  ``cell_traces`` is
 no reference: it replays a jump solve through the package's own
 propagator to read the per-cell traces that the solve does not observe.
-``rotate``, ``mirror`` and ``split`` are no references either: they
-transform a model into one whose first-passage statistics are known to
-be the same, so a solve of each checks the engines against themselves.
+``rotate``, ``mirror``, ``split`` and ``silent_zero`` are no references
+either: they transform a model into one whose first-passage statistics
+are known to be the same, so a solve of each checks the engines against
+themselves.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse
 from scipy.linalg import expm
 
 from qfpt.jumps import build_block_generator
-from qfpt.operators import LindbladModel, trace_functional
+from qfpt.operators import JumpChannel, LindbladModel, trace_functional
 from qfpt.propagation import BlockState, initial_density, propagate_uniform
 
 
@@ -237,6 +238,17 @@ def mirror(model):
     return LindbladModel(
         model.hamiltonian,
         tuple(dataclasses.replace(ch, weight=-ch.weight) for ch in model.channels),
+    )
+
+
+def silent_zero(model):
+    """The model with an unmonitored zero channel appended: it adds nothing
+    to the generator and counts nothing, so every charge statistic is
+    unchanged."""
+    dim = model.dim
+    return LindbladModel(
+        model.hamiltonian,
+        (*model.channels, JumpChannel(np.zeros((dim, dim)), monitored=False)),
     )
 
 

@@ -386,6 +386,10 @@ OUT_OF_RANGE = [
     ("kur-scan", "--gamma inf", GAMMA),
     ("kur-scan", "--nbar nan", NBAR),
     ("kur-scan", "--nbar inf", NBAR),
+    # the builtin models refuse these, whichever command builds them
+    ("fpt-jump", "--gamma nan", GAMMA),
+    ("fpt-diffusion", "--gamma inf", GAMMA),
+    ("validate", "--nbar nan", NBAR),
     ("kur-scan", "--omega-range 0:nan:3", RANGE),
     ("kur-scan", "--omega-range 0:inf:3", RANGE),
     ("validate", "--threshold nan", "upper threshold must be finite"),
@@ -409,6 +413,15 @@ def test_out_of_range_numbers_exit_config(command, options, message, tmp_path, m
         code = exc.code
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_trajectories_bad_start_exits_config_before_any_worker(tmp_path, monkeypatch, capsys):
+    # the config refuses the spec, so no pool is ever made
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    argv = f"{COMMANDS['trajectories']} --start basis:9 --workers 2".split()
+    assert run(argv, tmp_path) == cli.EXIT_CONFIG
+    assert "basis index 9 outside 0..1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -3,7 +3,8 @@
 Each relation needs no reference solution.  A rotated basis leaves every
 charge statistic unchanged, negating every weight mirrors the charge, and
 splitting each channel into two halves of the same weight changes
-nothing, so the two solves must agree to roundoff.  The built-in models' operators
+nothing, so the two solves must agree to roundoff; an unmonitored zero
+channel adds nothing at all, so they must agree bit for bit.  The built-in models' operators
 are real, which hides a slip between an operator and its transpose or
 conjugate; a complex rotation exposes it.
 
@@ -22,7 +23,7 @@ from qfpt.diffusion import solve_diffusion_fpt
 from qfpt.jumps import passage_moments, solve_jump_fpt
 from qfpt.models import homodyne_qubit, thermal_qubit
 
-from .oracles import mirror, rotate, split
+from .oracles import mirror, rotate, silent_zero, split
 
 
 def _unitary(dim: int, seed: int) -> np.ndarray:
@@ -146,3 +147,37 @@ def test_split_channels_keep_the_series():
     gap_g, gap_f = _series_gap(a, b)
     assert gap_g < 1e-14
     assert gap_f < 1e-14
+
+
+def test_silent_zero_channel_keeps_passage_moments():
+    # the zero channel adds zero blocks and zero rates; measured: bit-equal
+    model = thermal_qubit(1.0, 1.0, 1.0)
+    plain = passage_moments(model, 5)
+    padded = passage_moments(silent_zero(model), 5)
+    assert (padded.mean, padded.variance, padded.absorbed_probability) == (
+        plain.mean, plain.variance, plain.absorbed_probability
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, options",
+    [
+        # measured: bit-equal in G and f
+        pytest.param(
+            solve_jump_fpt, dict(model=thermal_qubit(1.0, 1.0, 0.2), threshold=3, horizon=10.0),
+            id="jump",
+        ),
+        pytest.param(
+            solve_diffusion_fpt,
+            dict(model=homodyne_qubit(1.0, 1.0), threshold=1.0, lower_threshold=-1.0,
+                 delta=0.02, horizon=3.0),
+            id="diffusion",
+        ),
+    ],
+)
+def test_silent_zero_channel_keeps_the_series(solve, options):
+    a = solve(**options)
+    b = solve(**dict(options, model=silent_zero(options["model"])))
+    assert a.domain == b.domain
+    assert np.array_equal(a.result.survival, b.result.survival)
+    assert np.array_equal(a.result.density, b.result.density)

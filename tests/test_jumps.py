@@ -257,6 +257,11 @@ def _lambda_with_a_dark_state() -> LindbladModel:
     return LindbladModel(drive, channels)
 
 
+# the sparsity graph keeps the dark coherence, so the kept generator is
+# singular; the refusal says why instead of only naming the LU
+DARK_STATE = "never absorbed: the absorbing generator is singular.*dark state"
+
+
 def test_dark_state_keeps_fixed_horizon_solves():
     # the dark state makes the generator singular at s = 0, so only the
     # s > 0 edge-loss bounds choose the open side; it widens to the window
@@ -265,8 +270,16 @@ def test_dark_state_keeps_fixed_horizon_solves():
     sol = solve_jump_fpt(model, threshold=3, initial=start, horizon=10.0)
     assert sol.domain == ChargeWindow(-22, 2)
     assert 1.0 / 3.0 < sol.result.survival[-1] < 1.0
-    with pytest.raises(ConvergenceError, match="singular"):
+    with pytest.raises(ConvergenceError, match=DARK_STATE):
         solve_jump_fpt(model, threshold=3, initial=start, horizon=10.0, auto_tail=True)
+
+
+def test_passage_moments_name_the_dark_state(monkeypatch):
+    # the dark superposition is stationary, so the moments start from the
+    # maximally mixed state, a third of whose weight is never absorbed
+    monkeypatch.setattr(jumps, "initial_density", lambda model, initial: np.eye(3) / 3)
+    with pytest.raises(ConvergenceError, match=DARK_STATE):
+        passage_moments(_lambda_with_a_dark_state(), 3)
 
 
 def test_passage_moments_refuse_partial_absorption(monkeypatch):

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from qfpt.errors import ConvergenceError
+from qfpt.errors import ConfigError, ConvergenceError
+from qfpt import kur
 from qfpt.kur import (
     KurReport,
     dynamical_activity,
@@ -65,6 +66,22 @@ def test_scan_marks_dead_points_failed():
     assert rep.status.startswith("failed")
     assert math.isnan(rep.snr) and math.isnan(rep.mean_fpt)
     assert not rep.classical_violated and not rep.quantum_violated
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (dict(gamma=float("nan")), "gamma must be positive and finite"),
+        (dict(gamma=-1.0), "gamma must be positive and finite"),
+        (dict(nbar=float("inf")), "nbar must be nonnegative and finite"),
+    ],
+    ids=["gamma-nan", "gamma-negative", "nbar-inf"],
+)
+def test_scan_refuses_bad_bath_parameters_before_any_point(params, message, monkeypatch):
+    # thermal_qubit refuses them once, instead of failing every point
+    monkeypatch.setattr(kur, "kur_point", None)
+    with pytest.raises(ConfigError, match=message):
+        kur_scan([0.5, 1.0], **params)
 
 
 def test_failed_report_constructor():

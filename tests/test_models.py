@@ -67,6 +67,21 @@ def test_parameter_validation():
         decay_qubit(0.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: thermal_qubit(float("nan"), 1.0, 0.2), "gamma must be positive and finite"),
+        (lambda: thermal_qubit(1.0, 1.0, float("inf")), "nbar must be nonnegative and finite"),
+        (lambda: homodyne_qubit(float("inf"), 1.0), "gamma must be positive and finite"),
+        (lambda: decay_qubit(float("nan")), "gamma must be positive and finite"),
+    ],
+    ids=["thermal-gamma", "thermal-nbar", "homodyne-gamma", "decay-gamma"],
+)
+def test_builtin_models_refuse_non_finite_parameters(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
 def test_save_load_roundtrip(tmp_path):
     model = thermal_qubit(1.2, 0.8, 0.15)
     path = tmp_path / "model.json"

@@ -29,7 +29,7 @@ from qfpt.jumps import (
     preview_window,
     solve_jump_fpt,
 )
-from qfpt.models import homodyne_qubit, thermal_qubit
+from qfpt.models import drifted_charge, homodyne_qubit, thermal_qubit
 from qfpt.operators import (
     JumpChannel,
     LindbladModel,
@@ -274,20 +274,30 @@ def test_edge_loss_bound_at_infinity_is_the_exit_probability():
 
 
 @pytest.mark.parametrize(
-    "grid, horizon",
+    "model, start, grid, horizon",
     [
         # the README fpt-diffusion grid, and the one of --lower-threshold -1
         # --delta 0.02 --horizon 3, whose upper side is open
-        (ChargeGrid(-20.6, 0.99, 0.01), 6.0),
-        (ChargeGrid(-0.98, 16.2, 0.02), 3.0),
+        (homodyne_qubit(1.0, 1.0), "steady", ChargeGrid(-20.6, 0.99, 0.01), 6.0),
+        (homodyne_qubit(1.0, 1.0), "steady", ChargeGrid(-0.98, 16.2, 0.02), 3.0),
+        # sigma_z dephasing from its +1 eigenstate, threshold 1: the grid
+        # of a degenerate steady state
+        (LindbladModel(np.zeros((2, 2)), (JumpChannel(np.diag([1.0, -1.0])),)),
+         np.diag([1.0, 0.0]), ChargeGrid(-12.32, 0.99, 0.01), 2.0),
+        # the inverse-Gaussian drifted charge, threshold 1
+        (drifted_charge(0.5), np.eye(1), ChargeGrid(-14.82, 0.99, 0.01), 30.0),
+        # thresholds 0.7 and -1 at delta 0.02: both sides absorb
+        (homodyne_qubit(1.0, 1.0), "steady", ChargeGrid(-0.98, 0.68, 0.02), 3.0),
     ],
+    ids=["readme", "upper-open", "dephasing", "drifted", "two-sided"],
 )
-def test_diffusion_edge_flux_stays_nonnegative(grid, horizon):
-    # the edge-loss bound needs a nonnegative flux density
-    model = homodyne_qubit(1.0, 1.0)
+def test_diffusion_edge_flux_stays_nonnegative(model, start, grid, horizon):
+    # the edge-loss bound needs a nonnegative flux density; the step is
+    # the one an explicit-grid solve takes
     generator = build_fokker_planck_generator(model, grid)
-    x0 = BlockState.initial(grid, propagation.initial_density(model, "steady")).data
-    dt = diffusion._default_step(model, build_drift_superoperator(model), 1.0)
+    x0 = BlockState.initial(grid, propagation.initial_density(model, start)).data
+    near = min(grid.upper + grid.delta, grid.delta - grid.lower)
+    dt = diffusion._default_step(model, build_drift_superoperator(model), near)
     rows = np.vstack([generator.lower_flux, generator.upper_flux])
     for _, chunk, _ in propagate_uniform(generator.matrix, x0, time_grid(horizon, dt), rows=rows):
         assert chunk.min() >= 0.0

@@ -120,6 +120,19 @@ def test_every_import_and_logger_is_read():
     assert unread == {}
 
 
+def test_no_module_imports_a_private_name():
+    # a rule behind a private name belongs to the module that defines it;
+    # a sibling that imports the name keeps a second copy of the rule
+    private = {
+        (path.stem, f"from .{node.module or ''} import {alias.name}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert private == set()
+
+
 def test_every_module_constant_is_read():
     # a module-level UPPER_CASE constant that neither the package, its
     # tests nor the benchmark reads is a setting nothing obeys
