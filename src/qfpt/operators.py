@@ -190,6 +190,27 @@ def trace_functional(dim: int) -> np.ndarray:
     return vectorize(np.eye(dim))
 
 
+def hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary T whose columns are the column-stacked members of an
+    orthonormal basis of Hermitian operators.
+
+    Column i + j*dim is vec(|i><i|) on the diagonal, vec((|i><j| +
+    |j><i|)/sqrt(2)) above it (i < j) and vec(i(|i><j| - |j><i|)/sqrt(2))
+    below it (i > j), so T couples only the entries (i, j) and (j, i).  A
+    Hermitian rho has the real coordinates T^dag vec(rho), and a
+    Hermiticity-preserving superoperator S the real matrix T^dag S T.
+    """
+    t = np.zeros((dim * dim, dim * dim), dtype=complex)
+    s = math.sqrt(0.5)
+    for i in range(dim):
+        t[i * (dim + 1), i * (dim + 1)] = 1.0
+        for j in range(i + 1, dim):
+            above, below = i + j * dim, j + i * dim
+            t[above, above] = t[below, above] = s
+            t[below, below], t[above, below] = 1j * s, -1j * s
+    return t
+
+
 def dissipator(operator: np.ndarray) -> np.ndarray:
     """Superoperator for the single-channel dissipator
     rho -> L rho L^dag - (L^dag L rho + rho L^dag L) / 2.

@@ -13,13 +13,14 @@ one state per step.  Two backends, chosen by the stacked dimension alone:
   block; where blocks cost more than they save, E steps point by point.
   Exact in time; used up to ``DENSE_CUTOFF`` unknowns.
 * ``cn``: Crank-Nicolson with a short implicit-Euler startup to damp the
-  stiff content of delta-like initial data, one sparse solve per step.
-  Second order in the step; used above the cutoff, for jump windows and
-  diffusion grids alike.
+  stiff content of delta-like initial data.  Each of the two matrices
+  takes one band LU (``_band_factor``), and a step two triangular band
+  solves.  Second order in the step; used above the cutoff, for jump
+  windows and diffusion grids alike.
 
-Every sparse LU (``_factor``, for the CN steps and the resolvent solves)
-keeps the domain's natural, cell-major order, in which the generator is
-banded, so the factors stay inside the band.
+The band LUs and the sparse LU of the resolvent solves (``_factor``)
+keep the domain's natural, cell-major order, in which the generator is
+banded, so no factor leaves the band.
 
 ``CHUNK_BYTES`` bounds a chunk's buffers and the stacked powers.
 
@@ -37,7 +38,10 @@ and the absorption rate split by domain edge), which
 a domain that supplies the cell count, the charge per cell, the trace
 weights and its own widening.  The series ends with the charge-resolved
 ``BlockState`` at the horizon; a solve on an explicit window or grid up
-to horizon t is how either engine propagates a state to time t.
+to horizon t is how either engine propagates a state to time t.  The
+series is stepped in a basis of Hermitian operators
+(``operators.hermitian_basis``), where each cell's density block, the
+generator and the observed functionals are real.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_liouvillian,
+    hermitian_basis,
     positive_finite,
     steady_state,
     trace_functional,
@@ -80,6 +85,9 @@ MAX_MOMENT_UNKNOWNS = 2**16
 CERTIFICATE_MOMENTS = 24
 # cell traces this far below zero are an error, not roundoff
 TRACE_CLIP_ABORT = 1e-9
+# largest imaginary part, relative to the largest entry, that a real series
+# in the Hermitian basis drops as roundoff
+HERMITIAN_RESIDUE = 1e-12
 
 
 def _block_size(steps: int, m: int, n: int) -> int:
@@ -106,7 +114,7 @@ def _stepped_chunks(step, x: np.ndarray, first: int, last: int, rows):
     it is reached.  A chunk spans as many steps as ``CHUNK_BYTES`` holds
     states, so its observations stay a fraction of the budget.  Returns
     the last state."""
-    size = max(1, min(last - first + 1, CHUNK_BYTES // (16 * x.size)))
+    size = max(1, min(last - first + 1, CHUNK_BYTES // x.nbytes))
     for start in range(first, last + 1, size):
         obs = np.empty((min(size, last + 1 - start), rows.shape[0]))
         for k in range(obs.shape[0]):
@@ -120,24 +128,28 @@ def _block_chunks(prop: np.ndarray, x: np.ndarray, steps: int, block: int, rows)
     """Chunks of the grid points 1..steps, a multiple of ``block``, from
     the dense one-step propagator; returns the last state."""
     m, n = rows.shape
-    # row j*m + r of the stacked powers is rows[r] @ E^(j+1), split as
-    # [Re, -Im] so that one real product with [Re x; Im x] gives the
-    # observations of the block's points from the state x before them
-    powers = np.empty((block, m, 2 * n))
-    power = rows.toarray() if scipy.sparse.issparse(rows) else np.asarray(rows, dtype=complex)
+    # row j*m + r of the stacked powers is rows[r] @ E^(j+1); for a complex
+    # state it is split as [Re, -Im], so that one real product with
+    # [Re x; Im x] gives the observations of the block's points from the
+    # state x before them, and a real state needs the real half alone
+    parts = 2 if np.iscomplexobj(x) else 1
+    powers = np.empty((block, m, parts * n))
+    power = rows.toarray() if scipy.sparse.issparse(rows) else np.asarray(rows)
     for j in range(block):
         power = power @ prop
         powers[j, :, :n] = power.real
-        powers[j, :, n:] = -power.imag
-    powers = powers.reshape(block * m, 2 * n).T
+        if parts == 2:
+            powers[j, :, n:] = -power.imag
+    powers = powers.reshape(block * m, parts * n).T
     leap = np.linalg.matrix_power(prop, block)
-    per_chunk = block * max(1, CHUNK_BYTES // (8 * max(block * m, 2 * n)))
+    per_chunk = block * max(1, CHUNK_BYTES // (8 * max(block * m, parts * n)))
     for start in range(1, steps + 1, per_chunk):
         count = min(per_chunk, steps + 1 - start)
-        anchors = np.empty((count // block, 2 * n))
+        anchors = np.empty((count // block, parts * n))
         for a in range(anchors.shape[0]):
             anchors[a, :n] = x.real
-            anchors[a, n:] = x.imag
+            if parts == 2:
+                anchors[a, n:] = x.imag
             x = leap @ x
         yield start, (anchors @ powers).reshape(count, m), x
     return x
@@ -161,7 +173,8 @@ def _dense_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
 
 
 def _factor(matrix):
-    """Complex sparse LU in the natural column order.
+    """Complex sparse LU in the natural column order, for the resolvent
+    solves.
 
     The engines number their unknowns cell by cell, so their generators
     are banded as given (block tridiagonal on diffusion grids); SuperLU's
@@ -173,18 +186,57 @@ def _factor(matrix):
     return scipy.sparse.linalg.splu(csc, permc_spec="NATURAL")
 
 
+def _band_factor(matrix):
+    """The solve x -> matrix^-1 x from one band LU (LAPACK ``?gbtrf``) of a
+    sparse matrix, whose bandwidths are read off its nonzeros; in the
+    engines' cell-major order the generators are banded.
+
+    Without a row swap the factors are a unit lower band L and an upper
+    band U of the matrix's own widths, and a solve is two triangular band
+    solves (BLAS ``?tbsv``); if ``?gbtrf`` swapped a row, ``?gbtrs``
+    applies the pivots.  The routines match the matrix's dtype.
+    """
+    csr = scipy.sparse.csr_matrix(matrix)
+    # summed duplicates, so each entry is written to the band once
+    csr.sum_duplicates()
+    coo = csr.tocoo()
+    n, offset = coo.shape[0], coo.row - coo.col
+    stored = offset[coo.data != 0]
+    kl, ku = int(stored.max(initial=0)), int(-stored.min(initial=0))
+    # LAPACK band storage: entry (i, j) in row kl + ku + i - j, with kl
+    # more rows above for the fill of row swaps
+    band = np.zeros((2 * kl + ku + 1, n), dtype=coo.dtype, order="F")
+    band[kl + ku + offset, coo.col] = coo.data
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (band,))
+    (tbsv,) = scipy.linalg.get_blas_funcs(("tbsv",), (band,))
+    lu, piv, info = gbtrf(band, kl, ku, overwrite_ab=1)
+    if info:
+        raise ConvergenceError(f"the propagation matrix is singular (info {info})")
+    if not np.array_equal(piv, np.arange(n)):
+        return lambda x: gbtrs(lu, kl, ku, x, piv)[0]
+    # L's multipliers sit below U's diagonal row, whose place the unit
+    # diagonal of the lower solve ignores
+    lower = np.asfortranarray(lu[kl + ku :])
+    upper = np.asfortranarray(lu[kl : kl + ku + 1])
+
+    def solve(x):
+        return tbsv(ku, upper, tbsv(kl, lower, x, lower=1, diag=1), overwrite_x=1)
+
+    return solve
+
+
 def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
-    mat = scipy.sparse.csc_matrix(matrix)
-    ident = scipy.sparse.identity(mat.shape[0], format="csc", dtype=complex)
+    mat = scipy.sparse.csr_matrix(matrix, dtype=x.dtype)
+    ident = scipy.sparse.identity(mat.shape[0], format="csr", dtype=x.dtype)
     yield _first_chunk(x, rows)
     startup = min(STARTUP_STEPS, steps)
     # one set of factors at a time: implicit Euler's go before CN's are made
-    x = yield from _stepped_chunks(_factor(ident - dt * mat).solve, x, 1, startup, rows)
-    lu_cn = _factor(ident - 0.5 * dt * mat)
+    x = yield from _stepped_chunks(_band_factor(ident - dt * mat), x, 1, startup, rows)
+    solve_cn = _band_factor(ident - 0.5 * dt * mat)
 
     def cn_step(x):
         # (I + hA) = 2I - (I - hA): one solve per Crank-Nicolson step
-        y = lu_cn.solve(x)
+        y = solve_cn(x)
         y *= 2.0
         y -= x
         return y
@@ -202,12 +254,14 @@ def propagate_uniform(
     ``rows @ x_(start+k)``, one row per grid point of the chunk, and
     ``state`` is the state at its last point.  The first chunk is the
     initial point alone.  ``rows`` is a dense or sparse matrix with one
-    row per observed functional.  The dense propagator runs up to
+    row per observed functional.  A real state of a real matrix is
+    stepped in real arithmetic.  The dense propagator runs up to
     ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.  A chunk with a
     non-finite observation, or a non-finite state at the last point,
     raises ConvergenceError naming the grid index as it is reached.
     """
-    x0 = np.asarray(x0, dtype=complex).reshape(-1)
+    x0 = np.asarray(x0).reshape(-1)
+    x0 = x0.astype(np.result_type(matrix.dtype, x0.dtype, float))
     n = matrix.shape[0]
     if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("matrix, state and observation dimensions disagree")
@@ -558,6 +612,18 @@ class FptSolution:
     final_state: BlockState
 
 
+def _real_part(values, name: str):
+    """The real part of a dense or sparse array in the Hermitian basis,
+    refused unless its imaginary part is roundoff next to its entries."""
+    data = values.data if scipy.sparse.issparse(values) else values
+    residue = np.abs(data.imag).max(initial=0.0)
+    if residue > HERMITIAN_RESIDUE * np.abs(data).max(initial=0.0):
+        raise ModelError(
+            f"the {name} is not Hermitian in the operator basis: imaginary residue {residue:.3e}"
+        )
+    return values.real
+
+
 def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon, exits=None):
     """The domain whose open sides each lose less than ``EDGE_TOLERANCE``
     by ``horizon``, its generator and, at T = inf, its ``exits``.
@@ -593,7 +659,8 @@ def solve_absorbing(
     dt: float, auto_tail: bool, tail_epsilon: float,
 ) -> FptSolution:
     """First-passage series of an absorbing generator on a uniform grid,
-    stepped once on the domain ``choose_domain`` picks for the horizon.
+    stepped once on the domain ``choose_domain`` picks for the horizon, in
+    real arithmetic in the Hermitian basis.
 
     With ``auto_tail`` the domain is picked for T = inf, where
     ``absorption_horizon_guess`` refuses an initial state that is not
@@ -613,9 +680,21 @@ def solve_absorbing(
     else:
         domain, generator, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
     times = time_grid(horizon, dt)
-    rows = scipy.sparse.csr_matrix(np.vstack([generator.survival_vector, generator.flux_vector]))
+    # every generator block keeps each cell's block Hermitian, so in the
+    # Hermitian basis the generator and the observed rows are real; the
+    # imaginary part of x0 is the anti-Hermitian part of the start, which
+    # validate_density_matrix bounds and no Hermiticity-preserving row sees
+    basis = scipy.sparse.kron(
+        scipy.sparse.identity(domain.ncells), hermitian_basis(generator.dim), format="csr"
+    )
+    to_basis = basis.conj().T.tocsr()
+    rows = np.vstack([generator.survival_vector, generator.flux_vector]) @ basis
     obs = np.empty((times.size, 2))
-    chunks = propagate_uniform(generator.matrix, disc.initial(domain), times, rows=rows)
+    chunks = propagate_uniform(
+        _real_part(to_basis @ generator.matrix @ basis, "generator"),
+        (to_basis @ disc.initial(domain)).real,
+        times, rows=scipy.sparse.csr_matrix(_real_part(rows, "observed rows")),
+    )
     for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
     result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
@@ -625,7 +704,8 @@ def solve_absorbing(
             f"T = {horizon:.6g}, not below the tail epsilon {tail_epsilon:g}"
         )
     # x is the state at the horizon, the last one the propagator yielded
-    return FptSolution(result, domain, BlockState(domain, generator.dim, x, float(times[-1])))
+    final = BlockState(domain, generator.dim, basis @ x, float(times[-1]))
+    return FptSolution(result, domain, final)
 
 
 def absorbing_moments(disc: Discretisation, domain, shortfall: float, unreachable: str):

@@ -2,7 +2,8 @@
 
 Every reference is built directly on numpy/scipy primitives without
 importing the package under test, so agreement between the two is
-meaningful evidence rather than circular bookkeeping.  ``cell_traces`` is
+meaningful evidence rather than circular bookkeeping; ``laplace_series``
+reads its generator from an engine, but steps no time.  ``cell_traces`` is
 no reference: it replays a jump solve through the package's own
 propagator to read the per-cell traces that the solve does not observe.
 ``rotate``, ``mirror``, ``split`` and ``silent_zero`` are no references
@@ -14,9 +15,11 @@ themselves.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.linalg import expm
 
 from qfpt.jumps import build_block_generator
@@ -216,6 +219,43 @@ def cell_traces(model, sol, initial="steady") -> np.ndarray:
     out = np.empty((times.size, window.ncells))
     for start, chunk, _ in propagate_uniform(gen.matrix, x0, times, rows=rows):
         out[start : start + chunk.shape[0]] = chunk
+    return out
+
+
+def laplace_series(generator, x0, times, terms=16) -> np.ndarray:
+    """Survival G(t) = w exp(tA) x0 and first-passage density
+    f(t) = u exp(tA) x0 of a ``BlockGenerator`` at each t > 0 of ``times``,
+    shape (len(times), 2), with no time step.
+
+    The Euler algorithm of Abate and Whitt (INFORMS J. Comput. 18, 408,
+    2006) inverts their Laplace transforms w (sI - A)^-1 x0 and
+    u (sI - A)^-1 x0: with M = ``terms``, g(t) = (1/t) sum_k eta_k
+    Re F(beta_k / t) over k = 0..2M, beta_k = M ln(10)/3 + i pi k and
+    eta_k = 10^(M/3) (-1)^k xi_k, where xi_0 = 1/2, xi_k = 1 for k <= M,
+    xi_2M = 2^-M and xi_(2M-k) = xi_(2M-k+1) + 2^-M C(M, k) for 0 < k < M.
+    Each of the 2M + 1 complex sparse LUs per time serves both G and f.
+    """
+    m = terms
+    xi = np.ones(2 * m + 1)
+    xi[0], xi[2 * m] = 0.5, 2.0**-m
+    for k in range(1, m):
+        xi[2 * m - k] = xi[2 * m - k + 1] + 2.0**-m * math.comb(m, k)
+    k = np.arange(2 * m + 1)
+    eta = 10.0 ** (m / 3) * (-1.0) ** k * xi
+    beta = m * math.log(10.0) / 3 + 1j * math.pi * k
+    matrix = scipy.sparse.csc_matrix(generator.matrix, dtype=complex)
+    ident = scipy.sparse.identity(matrix.shape[0], format="csc", dtype=complex)
+    rows = np.vstack([generator.survival_vector, generator.flux_vector])
+    x0 = np.asarray(x0, dtype=complex)
+    out = np.empty((len(times), 2))
+    for i, t in enumerate(times):
+        total = np.zeros(2)
+        for b, e in zip(beta, eta):
+            # the natural order keeps the factors of a cell-major generator
+            # inside its band
+            lu = scipy.sparse.linalg.splu(b / t * ident - matrix, permc_spec="NATURAL")
+            total += e * np.real(rows @ lu.solve(x0))
+        out[i] = total / t
     return out
 
 

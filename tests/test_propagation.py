@@ -35,9 +35,12 @@ from qfpt.operators import (
     LindbladModel,
     build_drift_superoperator,
     build_liouvillian,
+    hermitian_basis,
+    unvectorize,
     vectorize,
 )
 from qfpt.propagation import (
+    DENSE_CUTOFF,
     MAX_GRID_POINTS,
     STARTUP_STEPS,
     BlockState,
@@ -49,6 +52,9 @@ from qfpt.propagation import (
     resolvent_solves,
     time_grid,
 )
+
+from .oracles import laplace_series
+from .test_jumps import _complex_three_level
 
 
 def _stable_system(n=5, m=3, seed=3):
@@ -368,21 +374,197 @@ def test_factor_keeps_natural_column_order():
 
 
 def test_auto_tail_diffusion_solve_factors_in_natural_order(monkeypatch):
-    # the horizon guess, the backward-Euler startup and the Crank-Nicolson
-    # step each factor the grid generator once, all in natural order
-    calls = []
+    # the horizon guess factors the grid generator once with SuperLU in
+    # natural order; the backward-Euler startup and the Crank-Nicolson
+    # step each take one band LU, of I - hA and of I - (h/2)A
+    calls, bands = [], []
     splu = scipy.sparse.linalg.splu
+    band_factor = propagation._band_factor
 
     def recording(matrix, **kwargs):
         calls.append((matrix.shape[0], kwargs))
         return splu(matrix, **kwargs)
 
+    def recording_band(matrix):
+        bands.append(scipy.sparse.csr_matrix(matrix))
+        return band_factor(matrix)
+
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
+    monkeypatch.setattr(propagation, "_band_factor", recording_band)
     monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
     grid = ChargeGrid(-0.45, 0.45, 0.05)
     sol = solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), grid=grid, horizon=1.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
-    assert calls == [(4 * grid.ncells, {"permc_spec": "NATURAL"})] * 3
+    n = 4 * grid.ncells
+    assert calls == [(n, {"permc_spec": "NATURAL"})]
+    assert [m.shape for m in bands] == [(n, n)] * 2
+    assert all(m.dtype == np.float64 for m in bands)
+    ident = scipy.sparse.identity(n, format="csr")
+    # I - (I - hA) = hA is twice I - (I - (h/2)A), to within the roundoff
+    # of the two matrices' entries
+    gap = abs((ident - bands[0]) - 2.0 * (ident - bands[1])).max()
+    assert gap <= 4 * np.finfo(float).eps * abs(bands[0]).max()
+
+
+def _in_hermitian_basis(gen):
+    """The generator and the survival and flux rows of a ``BlockGenerator``
+    in the Hermitian basis of every cell, still complex."""
+    cells = gen.matrix.shape[0] // gen.dim**2
+    basis = scipy.sparse.kron(scipy.sparse.identity(cells), hermitian_basis(gen.dim), format="csr")
+    rows = np.vstack([gen.survival_vector, gen.flux_vector]) @ basis
+    return basis.conj().T @ gen.matrix @ basis, rows
+
+
+def _readme_cn_matrix():
+    """I - (h/2)A of the README fpt-diffusion grid and step, in the
+    Hermitian basis: 8,640 real unknowns, banded in cell-major order."""
+    grid, dt = ChargeGrid(-20.6, 0.99, 0.01), 0.002 / np.sqrt(2.0)
+    gen = build_fokker_planck_generator(homodyne_qubit(1.0, 1.0), grid)
+    real = _in_hermitian_basis(gen)[0].real
+    return scipy.sparse.identity(real.shape[0], format="csr") - 0.5 * dt * real
+
+
+def _complex_band(n=40, kl=2, ku=3, seed=5):
+    """A seeded complex band matrix with a dominant diagonal, which
+    ``?gbtrf`` factors without a row swap."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-kl, ku + 1)
+    diagonals = [
+        rng.normal(size=n - abs(k)) + 1j * rng.normal(size=n - abs(k)) + 8.0 * (k == 0)
+        for k in offsets
+    ]
+    return scipy.sparse.diags(diagonals, list(offsets), format="csr")
+
+
+def _pivoting_band():
+    """A real band matrix (1 sub-, 2 superdiagonals) whose small diagonal
+    makes ``?gbtrf`` swap rows."""
+    return scipy.sparse.diags(
+        [np.full(5, 2.0), np.full(6, 1e-3), np.full(5, 1.0), np.full(4, 3.0)],
+        [-1, 0, 1, 2], format="csr",
+    )
+
+
+def _band_pivots(matrix):
+    """The row swaps ``?gbtrf`` makes on ``matrix``."""
+    coo = scipy.sparse.coo_matrix(matrix)
+    kl, ku = int((coo.row - coo.col).max()), int((coo.col - coo.row).max())
+    band = np.zeros((2 * kl + ku + 1, coo.shape[0]), dtype=coo.dtype, order="F")
+    band[kl + ku + coo.row - coo.col, coo.col] = coo.data
+    (gbtrf,) = scipy.linalg.get_lapack_funcs(("gbtrf",), (band,))
+    piv = gbtrf(band, kl, ku)[1]
+    return int(np.count_nonzero(piv != np.arange(coo.shape[0])))
+
+
+@pytest.mark.parametrize(
+    "build, swaps", [(_complex_band, 0), (_pivoting_band, 3)], ids=["complex", "pivoting"]
+)
+def test_band_solve_matches_dense_solve(build, swaps):
+    # the complex band takes the two triangular solves, the pivoting one
+    # the ?gbtrs branch
+    matrix = build()
+    assert _band_pivots(matrix) == swaps
+    rng = np.random.default_rng(9)
+    b = rng.normal(size=matrix.shape[0]).astype(matrix.dtype)
+    x = propagation._band_factor(matrix)(b)
+    exact = scipy.linalg.solve(matrix.toarray(), b)
+    assert x.dtype == matrix.dtype
+    assert np.max(np.abs(x - exact)) <= 64 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+def test_band_solve_of_the_readme_crank_nicolson_matrix():
+    # its dense form would take 600 MB, so SuperLU's sparse solve is the
+    # reference; ?gbtrf swaps no row, so two triangular band solves serve
+    matrix = _readme_cn_matrix()
+    assert matrix.shape == (8640, 8640) and matrix.dtype == np.float64
+    assert _band_pivots(matrix) == 0
+    b = np.random.default_rng(9).normal(size=matrix.shape[0])
+    x = propagation._band_factor(matrix)(b)
+    exact = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(matrix), b)
+    assert np.max(np.abs(x - exact)) <= 64 * np.finfo(float).eps * np.max(np.abs(exact))
+    assert np.max(np.abs(matrix @ x - b)) <= 64 * np.finfo(float).eps * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hermitian_basis_is_unitary_and_hermitian(dim):
+    t = hermitian_basis(dim)
+    assert np.max(np.abs(t.conj().T @ t - np.eye(dim * dim))) <= 4 * np.finfo(float).eps
+    for column in t.T:
+        op = unvectorize(column, dim)
+        assert np.array_equal(op, op.conj().T)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        lambda: build_fokker_planck_generator(homodyne_qubit(1.0, 1.0), ChargeGrid(-20.6, 0.99, 0.01)),
+        lambda: build_block_generator(_complex_three_level(31), ChargeWindow(-5, 3)),
+    ],
+    ids=["homodyne-grid", "complex-three-level-window"],
+)
+def test_hermitian_basis_makes_generators_real(generator):
+    # every block keeps each cell's density Hermitian, so in the basis the
+    # generator and the observed rows are real to within roundoff
+    matrix, rows = _in_hermitian_basis(generator())
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(matrix.data.imag)) <= 4 * eps * np.max(np.abs(matrix.data))
+    assert np.max(np.abs(rows.imag)) <= 4 * eps * np.max(np.abs(rows))
+
+
+def test_dense_series_matches_laplace_inversion():
+    # the README-like jump solve at threshold 3 runs on the 92-unknown
+    # window [-20, 2], below DENSE_CUTOFF, so its series is exact in time;
+    # measured 2.5e-11 in G and 6.4e-12 in f, bounded at 4x
+    model = thermal_qubit(1.0, 1.0, 0.2)
+    sol = solve_jump_fpt(model, threshold=3, horizon=10.0)
+    assert sol.final_state.data.size == 92
+    generator = build_block_generator(model, sol.domain)
+    x0 = BlockState.initial(sol.domain, propagation.initial_density(model, "steady")).data
+    times = sol.result.times
+    at = [int(np.argmin(np.abs(times - t))) for t in (0.5, 2.0, 5.0, 9.5)]
+    exact = laplace_series(generator, x0, times[at])
+    assert np.max(np.abs(sol.result.survival[at] - exact[:, 0])) < 1e-10
+    assert np.max(np.abs(sol.result.density[at] - exact[:, 1])) < 2.6e-11
+
+
+def _cn_case(engine):
+    """A solve on an explicit domain above DENSE_CUTOFF at step h, its
+    generator, start and the three times checked."""
+    if engine == "jump":
+        model, domain = thermal_qubit(1.0, 1.0, 0.2), ChargeWindow(-300, 4)
+        build, solve, horizon, points = build_block_generator, solve_jump_fpt, 10.0, (2.0, 5.0, 9.5)
+        keyword = "window"
+    else:
+        model, domain = homodyne_qubit(1.0, 1.0), ChargeGrid(-9.98, 0.98, 0.02)
+        build, solve, horizon, points = build_fokker_planck_generator, solve_diffusion_fpt, 1.0, (0.1, 0.5, 1.0)
+        keyword = "grid"
+    generator = build(model, domain)
+    x0 = BlockState.initial(domain, propagation.initial_density(model, "steady")).data
+
+    def run(dt):
+        return solve(model, **{keyword: domain}, horizon=horizon, dt=dt).result
+
+    return run, generator, x0, points
+
+
+@pytest.mark.parametrize(
+    "engine, dt", [("jump", 0.002), ("diffusion", 0.001)], ids=["jump-window", "diffusion-grid"]
+)
+def test_crank_nicolson_error_is_second_order_against_laplace_inversion(engine, dt):
+    # CN's time error, measured against an exact-in-time reference, falls
+    # about fourfold when the step halves (measured 3.77 to 4.02 on the
+    # 1,220-unknown jump window and the 2,196-unknown homodyne grid)
+    run, generator, x0, points = _cn_case(engine)
+    assert x0.size > DENSE_CUTOFF
+    coarse, fine = run(dt), run(dt / 2)
+    at = [int(round(t / dt)) for t in points]
+    fine_at = [2 * i for i in at]
+    assert np.allclose(coarse.times[at], points) and np.allclose(fine.times[fine_at], points)
+    exact = laplace_series(generator, x0, coarse.times[at])
+    for series, column in (("survival", 0), ("density", 1)):
+        coarse_error = np.abs(getattr(coarse, series)[at] - exact[:, column])
+        fine_error = np.abs(getattr(fine, series)[fine_at] - exact[:, column])
+        assert np.all(coarse_error >= 3.5 * fine_error)
 
 
 def test_mean_charge_path_matches_stepped_rates():

@@ -45,35 +45,41 @@ def test_traced_functions_exist():
     assert tracing.TRACED and not missing
 
 
-def _splu_mentions(tree: ast.AST, module: str, scope: str = "") -> list[tuple[str, str]]:
-    """(module.function, source) of every name, attribute or import alias
-    called ``splu`` under ``tree``, outermost first."""
+def _mentions(tree: ast.AST, module: str, names: set[str], scope: str = "") -> list[tuple[str, str]]:
+    """(module.function, source) of every name, attribute, import alias or
+    string constant under ``tree`` that is one of ``names``, outermost
+    first."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Attribute) and node.attr == "splu":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append((f"{module}.{scope}", ast.unparse(node)))
             continue
-        if (isinstance(node, ast.Name) and node.id == "splu") or (
-            isinstance(node, ast.alias) and "splu" in (node.name, node.asname)
+        if (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.alias) and {node.name, node.asname} & names)
+            or (isinstance(node, ast.Constant) and node.value in names)
         ):
             found.append((f"{module}.{scope}", ast.unparse(node)))
-        found += _splu_mentions(node, module, inner)
+        found += _mentions(node, module, names, inner)
     return found
+
+
+def _package_mentions(names: set[str]) -> list[tuple[str, str]]:
+    return [
+        hit
+        for path in sorted(PACKAGE.glob("*.py"))
+        for hit in _mentions(ast.parse(path.read_text()), path.stem, names)
+    ]
 
 
 def test_sparse_lu_has_one_call_site():
     # the tracer counts factorisations by wrapping the module attribute
     # scipy.sparse.linalg.splu, and _factor fixes the column order; a second
     # call site, or splu bound to another name, escapes both
-    mentions = [
-        hit
-        for path in sorted(PACKAGE.glob("*.py"))
-        for hit in _splu_mentions(ast.parse(path.read_text()), path.stem)
-    ]
-    assert mentions == [("propagation._factor", "scipy.sparse.linalg.splu")]
+    assert _package_mentions({"splu"}) == [("propagation._factor", "scipy.sparse.linalg.splu")]
     tree = ast.parse((PACKAGE / "propagation.py").read_text())
     factor = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_factor"
@@ -83,6 +89,20 @@ def test_sparse_lu_has_one_call_site():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.sparse.linalg.splu"
     ]
     assert len(calls) == 1
+
+
+def test_band_lu_is_fetched_in_one_helper():
+    # _band_factor alone fetches ?gbtrf, ?gbtrs and ?tbsv by dtype: it owns
+    # the band storage, the bandwidths and the pivot check that picks the
+    # triangular solves or ?gbtrs
+    mentions = _package_mentions({"gbtrf", "gbtrs", "tbsv", "get_lapack_funcs", "get_blas_funcs"})
+    helper = "propagation._band_factor"
+    assert {scope for scope, _ in mentions} <= {helper, f"{helper}.solve"}
+    assert [source for _, source in mentions if "get_" in source] == [
+        "scipy.linalg.get_lapack_funcs", "scipy.linalg.get_blas_funcs",
+    ]
+    fetched = [source for scope, source in mentions if scope == helper and source.startswith("'")]
+    assert fetched == ["'gbtrf'", "'gbtrs'", "'tbsv'"]
 
 
 def _unread_bindings(tree: ast.Module) -> set[str]:
