@@ -30,6 +30,8 @@ from .operators import (
     build_drift_superoperator,
     build_liouvillian,
     current_cumulants,
+    hermitian_basis,
+    hermitian_real,
     positive_finite,
     vectorize,
 )
@@ -191,17 +193,20 @@ def mean_charge_path(
 
     The ensemble average of the charge increment is the weighted sum of
     channel expectation currents, so the mean path follows from the plain
-    dissipative evolution, with no grid involved.
+    dissipative evolution, with no grid involved; it is stepped in the
+    Hermitian basis T, where the Liouvillian and the current are real.
     """
-    liou = build_liouvillian(model)
+    t = hermitian_basis(model.dim)
+    liou = hermitian_real(t.conj().T @ build_liouvillian(model) @ t, "Liouvillian")
     functional = np.zeros(model.dim**2, dtype=complex)
     for ch in model.monitored:
         a = ch.rotated_operator()
         functional += ch.weight * vectorize((a + a.conj().T).T)
+    functional = hermitian_real(functional @ t, "current functional")
+    # the anti-Hermitian part of rho0 carries no current
+    x0 = (t.conj().T @ vectorize(rho0)).real
     rates = np.empty(times.size)
-    for start, chunk, _ in propagate_uniform(
-        liou, vectorize(rho0), times, rows=functional[None, :]
-    ):
+    for start, chunk, _ in propagate_uniform(liou, x0, times, rows=functional[None, :]):
         rates[start : start + chunk.shape[0]] = chunk[:, 0]
     return np.concatenate(([0.0], np.cumsum(trapezoid_steps(rates, times))))
 

@@ -21,6 +21,9 @@ DRAZIN_RESIDUAL_TOL = 1e-9
 STATE_HERMITICITY_TOL = 1e-10
 STATE_POSITIVITY_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
+# largest imaginary part, relative to the largest entry, that coordinates in
+# the Hermitian basis drop as roundoff
+HERMITIAN_RESIDUE = 1e-12
 
 
 def is_integer(value) -> bool:
@@ -186,8 +189,9 @@ def sandwich(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def trace_functional(dim: int) -> np.ndarray:
-    """Row vector w such that w @ vec(rho) == trace(rho)."""
-    return vectorize(np.eye(dim))
+    """Real row vector w such that w @ vec(rho) == trace(rho): 1 at the
+    diagonal entries i*(dim + 1), 0 elsewhere."""
+    return np.eye(dim).reshape(-1)
 
 
 def hermitian_basis(dim: int) -> np.ndarray:
@@ -198,7 +202,9 @@ def hermitian_basis(dim: int) -> np.ndarray:
     |j><i|)/sqrt(2)) above it (i < j) and vec(i(|i><j| - |j><i|)/sqrt(2))
     below it (i > j), so T couples only the entries (i, j) and (j, i).  A
     Hermitian rho has the real coordinates T^dag vec(rho), and a
-    Hermiticity-preserving superoperator S the real matrix T^dag S T.
+    Hermiticity-preserving superoperator S the real matrix T^dag S T.  The
+    off-diagonal members are traceless, so the trace row is the same in
+    both bases: ``trace_functional(dim) @ T`` equals it.
     """
     t = np.zeros((dim * dim, dim * dim), dtype=complex)
     s = math.sqrt(0.5)
@@ -209,6 +215,19 @@ def hermitian_basis(dim: int) -> np.ndarray:
             t[above, above] = t[below, above] = s
             t[below, below], t[above, below] = 1j * s, -1j * s
     return t
+
+
+def hermitian_real(values: np.ndarray, name: str) -> np.ndarray:
+    """The real part of ``values``, coordinates in the Hermitian basis of
+    something that keeps Hermiticity; a ModelError names the imaginary
+    residue unless it is roundoff next to the largest entry."""
+    residue = np.abs(values.imag).max(initial=0.0)
+    if residue > HERMITIAN_RESIDUE * np.abs(values).max(initial=0.0):
+        raise ModelError(
+            f"the {name} does not keep Hermiticity: imaginary residue {residue:.3e} "
+            "in the Hermitian basis"
+        )
+    return values.real
 
 
 def dissipator(operator: np.ndarray) -> np.ndarray:

@@ -18,9 +18,7 @@ one state per step.  Two backends, chosen by the stacked dimension alone:
   solves.  Second order in the step; used above the cutoff, for jump
   windows and diffusion grids alike.
 
-The band LUs and the sparse LU of the resolvent solves (``_factor``)
-keep the domain's natural, cell-major order, in which the generator is
-banded, so no factor leaves the band.
+The resolvent solves take the same band LU, in float64.
 
 ``CHUNK_BYTES`` bounds a chunk's buffers and the stacked powers.
 
@@ -38,10 +36,12 @@ and the absorption rate split by domain edge), which
 a domain that supplies the cell count, the charge per cell, the trace
 weights and its own widening.  The series ends with the charge-resolved
 ``BlockState`` at the horizon; a solve on an explicit window or grid up
-to horizon t is how either engine propagates a state to time t.  The
-series is stepped in a basis of Hermitian operators
-(``operators.hermitian_basis``), where each cell's density block, the
-generator and the observed functionals are real.
+to horizon t is how either engine propagates a state to time t.
+
+Every coordinate is real: ``absorbing_generator`` maps each block into a
+basis of Hermitian operators (``operators.hermitian_basis``), where it and
+each cell's density block are real, and ``propagate_uniform`` refuses
+complex input.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .analysis import FptResult, uniform_step
 from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
@@ -63,9 +62,11 @@ from .operators import (
     LindbladModel,
     build_liouvillian,
     hermitian_basis,
+    hermitian_real,
     positive_finite,
     steady_state,
     trace_functional,
+    unvectorize,
     validate_density_matrix,
     vectorize,
 )
@@ -85,9 +86,6 @@ MAX_MOMENT_UNKNOWNS = 2**16
 CERTIFICATE_MOMENTS = 24
 # cell traces this far below zero are an error, not roundoff
 TRACE_CLIP_ABORT = 1e-9
-# largest imaginary part, relative to the largest entry, that a real series
-# in the Hermitian basis drops as roundoff
-HERMITIAN_RESIDUE = 1e-12
 
 
 def _block_size(steps: int, m: int, n: int) -> int:
@@ -119,7 +117,7 @@ def _stepped_chunks(step, x: np.ndarray, first: int, last: int, rows):
         obs = np.empty((min(size, last + 1 - start), rows.shape[0]))
         for k in range(obs.shape[0]):
             x = step(x)
-            obs[k] = np.real(rows @ x)
+            obs[k] = rows @ x
         yield start, obs, x
     return x
 
@@ -128,28 +126,21 @@ def _block_chunks(prop: np.ndarray, x: np.ndarray, steps: int, block: int, rows)
     """Chunks of the grid points 1..steps, a multiple of ``block``, from
     the dense one-step propagator; returns the last state."""
     m, n = rows.shape
-    # row j*m + r of the stacked powers is rows[r] @ E^(j+1); for a complex
-    # state it is split as [Re, -Im], so that one real product with
-    # [Re x; Im x] gives the observations of the block's points from the
-    # state x before them, and a real state needs the real half alone
-    parts = 2 if np.iscomplexobj(x) else 1
-    powers = np.empty((block, m, parts * n))
+    # row j*m + r of the stacked powers is rows[r] @ E^(j+1), so one
+    # product with the state x before a block observes its points
+    powers = np.empty((block, m, n))
     power = rows.toarray() if scipy.sparse.issparse(rows) else np.asarray(rows)
     for j in range(block):
         power = power @ prop
-        powers[j, :, :n] = power.real
-        if parts == 2:
-            powers[j, :, n:] = -power.imag
-    powers = powers.reshape(block * m, parts * n).T
+        powers[j] = power
+    powers = powers.reshape(block * m, n).T
     leap = np.linalg.matrix_power(prop, block)
-    per_chunk = block * max(1, CHUNK_BYTES // (8 * max(block * m, parts * n)))
+    per_chunk = block * max(1, CHUNK_BYTES // (8 * max(block * m, n)))
     for start in range(1, steps + 1, per_chunk):
         count = min(per_chunk, steps + 1 - start)
-        anchors = np.empty((count // block, parts * n))
+        anchors = np.empty((count // block, n))
         for a in range(anchors.shape[0]):
-            anchors[a, :n] = x.real
-            if parts == 2:
-                anchors[a, n:] = x.imag
+            anchors[a] = x
             x = leap @ x
         yield start, (anchors @ powers).reshape(count, m), x
     return x
@@ -157,7 +148,7 @@ def _block_chunks(prop: np.ndarray, x: np.ndarray, steps: int, block: int, rows)
 
 def _first_chunk(x: np.ndarray, rows):
     # no step writes into a state, so the initial one is yielded as given
-    return 0, np.real(rows @ x)[None, :], x
+    return 0, (rows @ x)[None, :], x
 
 
 def _dense_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
@@ -170,20 +161,6 @@ def _dense_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
     if whole:
         x = yield from _block_chunks(prop, x, whole, block, rows)
     yield from _stepped_chunks(lambda x: prop @ x, x, whole + 1, steps, rows)
-
-
-def _factor(matrix):
-    """Complex sparse LU in the natural column order, for the resolvent
-    solves.
-
-    The engines number their unknowns cell by cell, so their generators
-    are banded as given (block tridiagonal on diffusion grids); SuperLU's
-    default COLAMD order scatters the band and fills the factors.
-    """
-    csc = scipy.sparse.csc_matrix(matrix, dtype=complex)
-    # looked up on the module at call time, where the benchmark's tracer
-    # wraps it to count factorisations
-    return scipy.sparse.linalg.splu(csc, permc_spec="NATURAL")
 
 
 def _band_factor(matrix):
@@ -211,7 +188,7 @@ def _band_factor(matrix):
     (tbsv,) = scipy.linalg.get_blas_funcs(("tbsv",), (band,))
     lu, piv, info = gbtrf(band, kl, ku, overwrite_ab=1)
     if info:
-        raise ConvergenceError(f"the propagation matrix is singular (info {info})")
+        raise ConvergenceError(f"zero pivot {info} in the band LU")
     if not np.array_equal(piv, np.arange(n)):
         return lambda x: gbtrs(lu, kl, ku, x, piv)[0]
     # L's multipliers sit below U's diagonal row, whose place the unit
@@ -226,8 +203,8 @@ def _band_factor(matrix):
 
 
 def _cn_chunks(matrix, x: np.ndarray, dt: float, steps: int, rows):
-    mat = scipy.sparse.csr_matrix(matrix, dtype=x.dtype)
-    ident = scipy.sparse.identity(mat.shape[0], format="csr", dtype=x.dtype)
+    mat = scipy.sparse.csr_matrix(matrix, dtype=float)
+    ident = scipy.sparse.identity(mat.shape[0], format="csr")
     yield _first_chunk(x, rows)
     startup = min(STARTUP_STEPS, steps)
     # one set of factors at a time: implicit Euler's go before CN's are made
@@ -250,18 +227,20 @@ def propagate_uniform(
     """Stream observations of x_i = exp(t_i * matrix) @ x0 over a uniform
     time grid, in chunks of consecutive grid points.
 
-    Each chunk is ``(start, obs, state)``: ``obs[k]`` is the real part of
+    Each chunk is ``(start, obs, state)``: ``obs[k]`` is
     ``rows @ x_(start+k)``, one row per grid point of the chunk, and
     ``state`` is the state at its last point.  The first chunk is the
     initial point alone.  ``rows`` is a dense or sparse matrix with one
-    row per observed functional.  A real state of a real matrix is
-    stepped in real arithmetic.  The dense propagator runs up to
-    ``DENSE_CUTOFF`` unknowns, Crank-Nicolson above.  A chunk with a
-    non-finite observation, or a non-finite state at the last point,
-    raises ConvergenceError naming the grid index as it is reached.
+    row per observed functional.  Everything is real and stepped in
+    float64: a complex matrix, state or rows raises ValueError.  The
+    dense propagator runs up to ``DENSE_CUTOFF`` unknowns,
+    Crank-Nicolson above.  A chunk with a non-finite observation, or a
+    non-finite state at the last point, raises ConvergenceError naming
+    the grid index as it is reached.
     """
-    x0 = np.asarray(x0).reshape(-1)
-    x0 = x0.astype(np.result_type(matrix.dtype, x0.dtype, float))
+    if any(np.iscomplexobj(a) for a in (matrix, x0, rows)):
+        raise ValueError("propagation is real: the matrix, state and rows must not be complex")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     n = matrix.shape[0]
     if matrix.shape != (n, n) or x0.size != n or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError("matrix, state and observation dimensions disagree")
@@ -288,19 +267,20 @@ def _finite_chunks(chunks, last: int):
 
 
 def resolvent_solves(matrix, x0: np.ndarray, powers: int = 2, shift: float = 0.0) -> np.ndarray:
-    """(A - shift I)^-k x0, k = 1..``powers``, for an absorbing generator A,
-    from one sparse LU, for ``exit_solve`` and ``edge_loss_bound``.  A
-    singular A, which keeps some weight forever, raises ConvergenceError.
+    """(A - shift I)^-k x0, k = 1..``powers``, for a real absorbing
+    generator A, from one band LU, for ``exit_solve`` and
+    ``edge_loss_bound``.  A singular A, which keeps some weight forever,
+    raises ConvergenceError.
     """
     if shift:
         matrix = matrix - shift * scipy.sparse.identity(matrix.shape[0])
     try:
-        lu = _factor(matrix)
-    except RuntimeError as exc:
+        solve = _band_factor(matrix)
+    except ConvergenceError as exc:
         raise ConvergenceError(f"the absorbing generator is singular ({exc})") from None
-    solves = [np.asarray(x0, dtype=complex)]
+    solves = [np.asarray(x0, dtype=float)]
     for _ in range(powers):
-        solves.append(lu.solve(solves[-1]))
+        solves.append(solve(solves[-1]))
     if not np.isfinite(solves[-1]).all():
         raise ConvergenceError("the absorbing generator is numerically singular")
     return np.array(solves[1:])
@@ -354,13 +334,13 @@ def exit_solve(generator: BlockGenerator, x0, shortfall: float, unreachable: str
             f"part of the initial weight is never absorbed: {exc}, so a dark state that "
             "the sparsity graph cannot separate keeps it"
         ) from None
-    lower_exit, upper_exit = (-float(np.real(u @ solves[0])) for u in (lower, upper))
+    lower_exit, upper_exit = (-float(u @ solves[0]) for u in (lower, upper))
     if not abs(lower_exit + upper_exit - 1.0) <= shortfall:
         raise ConvergenceError(
             "the initial weight is ever absorbed with probability "
             f"{lower_exit + upper_exit:.9g}, not 1 to within {shortfall:g}"
         )
-    moments = (math.factorial(k) * (-1) ** k * float(np.real(w @ y))
+    moments = (math.factorial(k) * (-1) ** k * float(w @ y)
                for k, y in enumerate(solves, 1))
     return lower_exit, upper_exit, *moments
 
@@ -393,7 +373,7 @@ def edge_loss_bound(generator: BlockGenerator, x0, flux: np.ndarray, horizon: fl
     best, scale = math.inf, 0.0
     while best >= EDGE_TOLERANCE:
         try:
-            laplace = -float(np.real(flux @ resolvent_solves(matrix, x0, 1, scale / horizon)[0]))
+            laplace = -float(flux @ resolvent_solves(matrix, x0, 1, scale / horizon)[0])
         except ConvergenceError:
             # a never-absorbed (dark) state makes A singular: s = 0 bounds nothing
             laplace = math.inf
@@ -485,19 +465,24 @@ def absorbing_generator(blocks: dict[int, np.ndarray], domain) -> BlockGenerator
 
     ``blocks`` maps each charge shift nu to the dense (d*d, d*d)
     superoperator B_nu that moves a cell's state nu cells up; together they
-    sum to a trace-preserving generator.  What would land outside the
-    domain is dropped.  The survival functional is w (x) tr for the
-    domain's ``trace_weights`` w, and as sum_nu tr o B_nu = 0 its loss rate
-    gives cell j the flux sum_nu (c - w_(j+nu)) tr o B_nu, with c the
-    ``cell_width`` and w zero outside the domain.  Padded with max|nu|
-    ghosts on each side, each side takes its own ghosts and its edge cell:
-    a jump window's edge cells have w = c, a trapezoidal grid's half-weight
-    edge nodes do not.
+    sum to a trace-preserving generator.  Each is mapped once into the
+    Hermitian basis T as the real T^dag B_nu T, refused with ModelError
+    unless its imaginary part is roundoff (``operators.hermitian_real``),
+    so the matrix, the functionals and the fluxes are real.  What would
+    land outside the domain is dropped.  The survival functional is
+    w (x) tr for the domain's ``trace_weights`` w, and as
+    sum_nu tr o B_nu = 0 its loss rate gives cell j the flux
+    sum_nu (c - w_(j+nu)) tr o B_nu, with c the ``cell_width`` and w zero
+    outside the domain.  Padded with max|nu| ghosts on each side, each
+    side takes its own ghosts and its edge cell: a jump window's edge
+    cells have w = c, a trapezoidal grid's half-weight edge nodes do not.
     """
     # the dict's insertion order is the summation order of each flux,
     # which the engines keep fixed so that their fluxes stay bit-identical
     n = next(iter(blocks.values())).shape[0]
     dim = math.isqrt(n)
+    t = hermitian_basis(dim)
+    blocks = {nu: hermitian_real(t.conj().T @ b @ t, "generator block") for nu, b in blocks.items()}
     m = domain.ncells
     rows, cols, vals = [], [], []
     for nu, block in blocks.items():
@@ -511,6 +496,7 @@ def absorbing_generator(blocks: dict[int, np.ndarray], domain) -> BlockGenerator
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m * n, m * n),
     )
+    # tr T = tr, as the off-diagonal members of the basis are traceless
     tr = trace_functional(dim)
     reach = max(abs(nu) for nu in blocks)
     # c - w on the cells -reach..m-1+reach, split into each side's ghosts
@@ -529,8 +515,9 @@ def absorbing_generator(blocks: dict[int, np.ndarray], domain) -> BlockGenerator
 
 @dataclass
 class BlockState:
-    """Charge-resolved state at one instant: one column-stacked density
-    block per cell of ``domain``.
+    """Charge-resolved state at one instant: the real coordinates
+    T^dag vec(rho) / c of each cell's density block rho in the Hermitian
+    basis T (``operators.hermitian_basis``), for the charge per cell c.
 
     The domain is a charge window or grid.  It supplies ``ncells``,
     ``index(charge)``, the charge ``cell_width`` that turns a cell trace
@@ -548,18 +535,17 @@ class BlockState:
         """All charge mass in the cell at charge 0."""
         rho0 = validate_density_matrix(rho0)
         d = rho0.shape[0]
-        data = np.zeros(domain.ncells * d * d, dtype=complex)
+        data = np.zeros(domain.ncells * d * d)
         i = domain.index(0)
-        data[i * d * d : (i + 1) * d * d] = vectorize(rho0) / domain.cell_width
+        # the imaginary part is the anti-Hermitian part of rho0, which
+        # validate_density_matrix bounds and the real dynamics drop
+        coords = hermitian_basis(d).conj().T @ vectorize(rho0)
+        data[i * d * d : (i + 1) * d * d] = coords.real / domain.cell_width
         return cls(domain, d, data, 0.0)
 
-    def blocks(self) -> np.ndarray:
-        # C-order block views are transposes of the column-stacked matrices
-        return self.data.reshape((self.domain.ncells, self.dim, self.dim))
-
     def traces(self) -> np.ndarray:
-        # stacking order inside each block is irrelevant for the trace
-        return np.einsum("nii->n", self.blocks()).real
+        # the trace of a cell is the sum of its diagonal coordinates i(d+1)
+        return np.einsum("nii->n", self.data.reshape((self.domain.ncells, self.dim, self.dim)))
 
     def clipped_traces(self) -> np.ndarray:
         """Cell traces with roundoff negatives set to zero; a trace below
@@ -577,9 +563,10 @@ class BlockState:
         return float(self.domain.trace_weights @ self.traces())
 
     def total_state(self) -> np.ndarray:
-        """Trace-weighted sum of all blocks: the surviving unconditional
-        state."""
-        return np.tensordot(self.domain.trace_weights, self.blocks(), axes=(0, 0)).T.copy()
+        """Trace-weighted sum of all density blocks: the surviving
+        unconditional state."""
+        coords = self.domain.trace_weights @ self.data.reshape((self.domain.ncells, -1))
+        return unvectorize(hermitian_basis(self.dim) @ coords, self.dim)
 
 
 @dataclass(frozen=True)
@@ -610,18 +597,6 @@ class FptSolution:
     result: FptResult
     domain: object
     final_state: BlockState
-
-
-def _real_part(values, name: str):
-    """The real part of a dense or sparse array in the Hermitian basis,
-    refused unless its imaginary part is roundoff next to its entries."""
-    data = values.data if scipy.sparse.issparse(values) else values
-    residue = np.abs(data.imag).max(initial=0.0)
-    if residue > HERMITIAN_RESIDUE * np.abs(data).max(initial=0.0):
-        raise ModelError(
-            f"the {name} is not Hermitian in the operator basis: imaginary residue {residue:.3e}"
-        )
-    return values.real
 
 
 def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon, exits=None):
@@ -659,8 +634,7 @@ def solve_absorbing(
     dt: float, auto_tail: bool, tail_epsilon: float,
 ) -> FptSolution:
     """First-passage series of an absorbing generator on a uniform grid,
-    stepped once on the domain ``choose_domain`` picks for the horizon, in
-    real arithmetic in the Hermitian basis.
+    stepped once on the domain ``choose_domain`` picks for the horizon.
 
     With ``auto_tail`` the domain is picked for T = inf, where
     ``absorption_horizon_guess`` refuses an initial state that is not
@@ -680,21 +654,9 @@ def solve_absorbing(
     else:
         domain, generator, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
     times = time_grid(horizon, dt)
-    # every generator block keeps each cell's block Hermitian, so in the
-    # Hermitian basis the generator and the observed rows are real; the
-    # imaginary part of x0 is the anti-Hermitian part of the start, which
-    # validate_density_matrix bounds and no Hermiticity-preserving row sees
-    basis = scipy.sparse.kron(
-        scipy.sparse.identity(domain.ncells), hermitian_basis(generator.dim), format="csr"
-    )
-    to_basis = basis.conj().T.tocsr()
-    rows = np.vstack([generator.survival_vector, generator.flux_vector]) @ basis
+    rows = scipy.sparse.csr_matrix(np.vstack([generator.survival_vector, generator.flux_vector]))
     obs = np.empty((times.size, 2))
-    chunks = propagate_uniform(
-        _real_part(to_basis @ generator.matrix @ basis, "generator"),
-        (to_basis @ disc.initial(domain)).real,
-        times, rows=scipy.sparse.csr_matrix(_real_part(rows, "observed rows")),
-    )
+    chunks = propagate_uniform(generator.matrix, disc.initial(domain), times, rows=rows)
     for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
     result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
@@ -704,7 +666,7 @@ def solve_absorbing(
             f"T = {horizon:.6g}, not below the tail epsilon {tail_epsilon:g}"
         )
     # x is the state at the horizon, the last one the propagator yielded
-    final = BlockState(domain, generator.dim, basis @ x, float(times[-1]))
+    final = BlockState(domain, generator.dim, x, float(times[-1]))
     return FptSolution(result, domain, final)
 
 

@@ -6,10 +6,10 @@ meaningful evidence rather than circular bookkeeping; ``laplace_series``
 reads its generator from an engine, but steps no time.  ``cell_traces`` is
 no reference: it replays a jump solve through the package's own
 propagator to read the per-cell traces that the solve does not observe.
-``rotate``, ``mirror``, ``split`` and ``silent_zero`` are no references
-either: they transform a model into one whose first-passage statistics
-are known to be the same, so a solve of each checks the engines against
-themselves.
+``rotate``, ``mirror``, ``split``, ``silent_zero`` and ``scale_weights``
+are no references either: they transform a model into one whose
+first-passage statistics are known to be the same, or known to map
+exactly, so a solve of each checks the engines against themselves.
 """
 
 from __future__ import annotations
@@ -289,6 +289,17 @@ def silent_zero(model):
     return LindbladModel(
         model.hamiltonian,
         (*model.channels, JumpChannel(np.zeros((dim, dim)), monitored=False)),
+    )
+
+
+def scale_weights(model, c):
+    """The model with every channel weight multiplied by ``c``: its charge
+    is c times the original's, so a diffusion grid scaled by c, bounds and
+    spacing alike, has the same first-passage series, and its charge
+    density maps nodes x to c x and density p to p / c."""
+    return LindbladModel(
+        model.hamiltonian,
+        tuple(dataclasses.replace(ch, weight=c * ch.weight) for ch in model.channels),
     )
 
 

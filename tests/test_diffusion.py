@@ -27,6 +27,8 @@ from qfpt.operators import (
     LindbladModel,
     build_liouvillian,
     current_cumulants,
+    hermitian_basis,
+    hermitian_real,
     vectorize,
 )
 from qfpt.trajectories import TrajectoryConfig
@@ -152,18 +154,21 @@ def _reflecting(model, grid):
     total weight exactly, which isolates integrator error."""
     gen = build_fokker_planck_generator(model, grid)
     drift, m, dn = build_drift_superoperator(model), grid.ncells, grid.delta
-    eye = np.eye(gen.dim**2, dtype=complex)
-    up = -drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
-    down = drift.matrix / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
+    t = hermitian_basis(gen.dim)
+    # the generator's coordinates are real, in the Hermitian basis
+    kmat = hermitian_real(t.conj().T @ drift.matrix @ t, "drift")
+    eye = np.eye(gen.dim**2)
+    up = -kmat / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
+    down = kmat / (2 * dn) + (drift.diffusion / (2 * dn**2)) * eye
 
     def cell(i, j):
         return scipy.sparse.coo_matrix(([1.0], ([i], [j])), shape=(m, m))
 
     matrix = (
         gen.matrix
-        + scipy.sparse.kron(cell(0, 0), -drift.matrix / dn, format="csr")
+        + scipy.sparse.kron(cell(0, 0), -kmat / dn, format="csr")
         + scipy.sparse.kron(cell(0, 1), up, format="csr")
-        + scipy.sparse.kron(cell(m - 1, m - 1), drift.matrix / dn, format="csr")
+        + scipy.sparse.kron(cell(m - 1, m - 1), kmat / dn, format="csr")
         + scipy.sparse.kron(cell(m - 1, m - 2), down, format="csr")
     )
     return dataclasses.replace(gen, matrix=matrix.tocsr())

@@ -1,7 +1,8 @@
 """Metamorphic oracles: exact relations between solves of transformed models.
 
 Each relation needs no reference solution.  A rotated basis leaves every
-charge statistic unchanged, negating every weight mirrors the charge, and
+charge statistic unchanged, negating every weight mirrors the charge,
+scaling every weight and the diffusion grid alike scales the charge, and
 splitting each channel into two halves of the same weight changes
 nothing, so the two solves must agree to roundoff; an unmonitored zero
 channel adds nothing at all, so they must agree bit for bit.  The built-in models' operators
@@ -19,11 +20,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qfpt.diffusion import solve_diffusion_fpt
+from qfpt.diffusion import (
+    ChargeGrid,
+    build_fokker_planck_generator,
+    conditioned_charge_distribution,
+    solve_diffusion_fpt,
+)
 from qfpt.jumps import passage_moments, solve_jump_fpt
 from qfpt.models import homodyne_qubit, thermal_qubit
 
-from .oracles import mirror, rotate, silent_zero, split
+from .oracles import mirror, rotate, scale_weights, silent_zero, split
 
 
 def _unitary(dim: int, seed: int) -> np.ndarray:
@@ -181,3 +187,43 @@ def test_silent_zero_channel_keeps_the_series(solve, options):
     assert a.domain == b.domain
     assert np.array_equal(a.result.survival, b.result.survival)
     assert np.array_equal(a.result.density, b.result.density)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "c, bound",
+    [
+        # a power of two scales every entry exactly; measured: bit-equal
+        # generator, G and f, and rows exactly c times the original
+        (2.0, 0.0),
+        # measured: bit-equal generator, 4.4e-16 in the fluxes, 7.8e-16 in
+        # G and 1.1e-15 in f (peak 1.66); bound 16 eps, relative to the
+        # largest entry
+        (3.0, 16 * EPS),
+    ],
+    ids=["c2", "c3"],
+)
+def test_scaled_weights_and_grid_keep_the_series(c, bound):
+    # drift/delta and diffusion/delta^2 are unchanged, and the trace
+    # weights and edge deficits scale with delta, so the generator is the
+    # same while the survival and both fluxes scale by c, against a start
+    # scaled by 1/c; the step is given, as the default depends on the rates
+    model, grid = homodyne_qubit(1.0, 1.0), ChargeGrid(-0.98, 0.68, 0.02)
+    scaled_model, scaled_grid = scale_weights(model, c), ChargeGrid(-0.98 * c, 0.68 * c, 0.02 * c)
+    plain = build_fokker_planck_generator(model, grid)
+    scaled = build_fokker_planck_generator(scaled_model, scaled_grid)
+    assert abs(scaled.matrix - plain.matrix).max() <= bound * abs(plain.matrix).max()
+    for name in ("survival_vector", "upper_flux", "lower_flux"):
+        row, scaled_row = getattr(plain, name), getattr(scaled, name)
+        assert np.max(np.abs(scaled_row - c * row)) <= bound * c * np.max(np.abs(row))
+    a = solve_diffusion_fpt(model, grid=grid, horizon=2.0, dt=0.001)
+    b = solve_diffusion_fpt(scaled_model, grid=scaled_grid, horizon=2.0, dt=0.001)
+    assert np.array_equal(a.result.times, b.result.times)
+    assert np.max(np.abs(b.result.survival - a.result.survival)) <= bound
+    assert np.max(np.abs(b.result.density - a.result.density)) <= bound * np.max(a.result.density)
+    nodes, density = conditioned_charge_distribution(a.final_state)
+    scaled_nodes, scaled_density = conditioned_charge_distribution(b.final_state)
+    assert np.max(np.abs(scaled_nodes - c * nodes)) <= bound * c * np.max(np.abs(nodes))
+    assert np.max(np.abs(scaled_density - density / c)) <= bound * np.max(density) / c

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 
@@ -12,7 +13,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from qfpt import diffusion, propagation
+from qfpt import diffusion, jumps, propagation
 from qfpt.analysis import trapezoid_steps
 from qfpt.diffusion import (
     ChargeGrid,
@@ -21,7 +22,7 @@ from qfpt.diffusion import (
     mean_charge_path,
     solve_diffusion_fpt,
 )
-from qfpt.errors import ConvergenceError, PhysicsError
+from qfpt.errors import ConvergenceError, ModelError, PhysicsError
 from qfpt.jumps import (
     ChargeWindow,
     build_block_generator,
@@ -36,6 +37,7 @@ from qfpt.operators import (
     build_drift_superoperator,
     build_liouvillian,
     hermitian_basis,
+    trace_functional,
     unvectorize,
     vectorize,
 )
@@ -58,13 +60,12 @@ from .test_jumps import _complex_three_level
 
 
 def _stable_system(n=5, m=3, seed=3):
-    """A random complex generator with spectrum in the left half plane,
+    """A random real generator with spectrum in the left half plane,
     observation rows and an initial state."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = rng.normal(size=(n, n))
     a -= (np.abs(np.linalg.eigvals(a)).max() + 0.5) * np.eye(n)
-    rows = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    return a, rows, rng.normal(size=n) + 1j * rng.normal(size=n)
+    return a, rng.normal(size=(m, n)), rng.normal(size=n)
 
 
 def _collect(chunks, num, m):
@@ -84,6 +85,18 @@ def _collect(chunks, num, m):
 def test_mismatched_dimensions_refused():
     with pytest.raises(ValueError):
         propagate_uniform(np.array([[-1.0]]), np.ones(1), np.linspace(0, 1, 3), rows=np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("part", ["matrix", "state", "rows"])
+def test_propagation_refuses_complex_input(part):
+    # propagation is real; an imaginary part is refused, never dropped
+    a, rows, x0 = _stable_system()
+    inputs = {"matrix": a, "state": x0, "rows": rows}
+    inputs[part] = inputs[part] + 0j
+    with pytest.raises(ValueError, match="must not be complex"):
+        propagate_uniform(
+            inputs["matrix"], inputs["state"], np.linspace(0, 1, 3), rows=inputs["rows"]
+        )
 
 
 def test_capped_time_grid_warns(caplog):
@@ -218,12 +231,15 @@ def test_exit_solve_is_exact_for_a_dark_level_leak():
     ],
 )
 def test_absorbable_keeps_every_coordinate_without_a_trap(model, horizon):
-    # nothing is sliced, so the resolvent solves factor the matrix as before
+    # no coordinate is trapped, and only the sigma_x coherence, coordinate
+    # 2 of each cell's four, is dropped: the sigma_x drive never couples
+    # it to the populations, so it carries no trace and feeds nothing
     window, _, _ = preview_window(model, 5, None, horizon)
     for domain in (window, window.widened(True, False)):
         generator = build_block_generator(model, domain)
         keep = absorbable(generator.matrix, generator.flux_vector)
-        assert keep.tolist() == list(range(generator.matrix.shape[0]))
+        n = generator.matrix.shape[0]
+        assert keep.tolist() == [i for i in range(n) if i % 4 != 2]
 
 
 def test_absorbable_ignores_stored_zeros():
@@ -279,6 +295,14 @@ def test_edge_loss_bound_at_infinity_is_the_exit_probability():
     assert bound == pytest.approx(lower, rel=1e-12)
 
 
+def _homodyne_at_phase(phase):
+    """The homodyne qubit (gamma 1, omega 1) detected at ``phase``."""
+    model = homodyne_qubit(1.0, 1.0)
+    return dataclasses.replace(
+        model, channels=tuple(dataclasses.replace(ch, phase=phase) for ch in model.channels)
+    )
+
+
 @pytest.mark.parametrize(
     "model, start, grid, horizon",
     [
@@ -294,8 +318,11 @@ def test_edge_loss_bound_at_infinity_is_the_exit_probability():
         (drifted_charge(0.5), np.eye(1), ChargeGrid(-14.82, 0.99, 0.01), 30.0),
         # thresholds 0.7 and -1 at delta 0.02: both sides absorb
         (homodyne_qubit(1.0, 1.0), "steady", ChargeGrid(-0.98, 0.68, 0.02), 3.0),
+        # detection phase pi/3, whose drift has real and imaginary entries:
+        # the grid of threshold 1 at delta 0.02 and horizon 2
+        (_homodyne_at_phase(math.pi / 3), "steady", ChargeGrid(-13.1, 0.98, 0.02), 2.0),
     ],
-    ids=["readme", "upper-open", "dephasing", "drifted", "two-sided"],
+    ids=["readme", "upper-open", "dephasing", "drifted", "two-sided", "phase-pi/3"],
 )
 def test_diffusion_edge_flux_stays_nonnegative(model, start, grid, horizon):
     # the edge-loss bound needs a nonnegative flux density; the step is
@@ -338,7 +365,7 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     # below the number of steps times 16 eps
     # chunks of 7 steps of 5 unknowns: the initial point, the startup
     # steps, then 8 chunks
-    monkeypatch.setattr(propagation, "CHUNK_BYTES", 7 * 16 * 5)
+    monkeypatch.setattr(propagation, "CHUNK_BYTES", 7 * 8 * 5)
     monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
     a, rows, x0 = _stable_system()
     num, dt = 60, 0.05
@@ -346,7 +373,7 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     obs, state, chunks = _collect(propagate_uniform(a, x0, times, rows=rows), num, 3)
     assert chunks == 10
     mat = scipy.sparse.csc_matrix(a)
-    ident = scipy.sparse.identity(5, format="csc", dtype=complex)
+    ident = scipy.sparse.identity(5, format="csc")
     lu_cn = scipy.sparse.linalg.splu(ident - 0.5 * dt * mat)
     lu_be = scipy.sparse.linalg.splu(ident - dt * mat)
     x, ref = x0.copy(), [x0]
@@ -359,68 +386,39 @@ def test_cn_chunks_match_per_step_crank_nicolson(monkeypatch):
     assert np.max(np.abs(state - x)) < num * 16 * np.finfo(float).eps * np.abs(x0).max()
 
 
-def test_factor_keeps_natural_column_order():
-    # the grid and step of the README fpt-diffusion command; its unknowns
-    # are numbered node by node, so the Crank-Nicolson matrix is banded as
-    # given
-    model = homodyne_qubit(1.0, 1.0)
-    grid, dt = ChargeGrid(-20.6, 0.99, 0.01), 0.002 / np.sqrt(2.0)
-    mat = scipy.sparse.csc_matrix(build_fokker_planck_generator(model, grid).matrix)
-    n = mat.shape[0]
-    assert n == 8640
-    ident = scipy.sparse.identity(n, format="csc", dtype=complex)
-    lu = propagation._factor(ident - 0.5 * dt * mat)
-    assert np.array_equal(lu.perm_c, np.arange(n))
-
-
 def test_auto_tail_diffusion_solve_factors_in_natural_order(monkeypatch):
-    # the horizon guess factors the grid generator once with SuperLU in
-    # natural order; the backward-Euler startup and the Crank-Nicolson
-    # step each take one band LU, of I - hA and of I - (h/2)A
-    calls, bands = [], []
-    splu = scipy.sparse.linalg.splu
+    # every LU is a band LU of a float64 matrix in the grid's node-major
+    # order: the horizon guess factors the generator A, every coordinate
+    # of which is absorbable, then the backward-Euler startup and the
+    # Crank-Nicolson step take one each, of I - hA and of I - (h/2)A
+    bands = []
     band_factor = propagation._band_factor
-
-    def recording(matrix, **kwargs):
-        calls.append((matrix.shape[0], kwargs))
-        return splu(matrix, **kwargs)
 
     def recording_band(matrix):
         bands.append(scipy.sparse.csr_matrix(matrix))
         return band_factor(matrix)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording)
     monkeypatch.setattr(propagation, "_band_factor", recording_band)
     monkeypatch.setattr(propagation, "DENSE_CUTOFF", 0)
-    grid = ChargeGrid(-0.45, 0.45, 0.05)
-    sol = solve_diffusion_fpt(homodyne_qubit(1.0, 1.0), grid=grid, horizon=1.0, auto_tail=True)
+    model, grid = homodyne_qubit(1.0, 1.0), ChargeGrid(-0.45, 0.45, 0.05)
+    sol = solve_diffusion_fpt(model, grid=grid, horizon=1.0, auto_tail=True)
     assert sol.result.survival[-1] < 1e-6
     n = 4 * grid.ncells
-    assert calls == [(n, {"permc_spec": "NATURAL"})]
-    assert [m.shape for m in bands] == [(n, n)] * 2
+    assert [m.shape for m in bands] == [(n, n)] * 3
     assert all(m.dtype == np.float64 for m in bands)
+    assert abs(bands[0] - build_fokker_planck_generator(model, grid).matrix).max() == 0.0
     ident = scipy.sparse.identity(n, format="csr")
     # I - (I - hA) = hA is twice I - (I - (h/2)A), to within the roundoff
     # of the two matrices' entries
-    gap = abs((ident - bands[0]) - 2.0 * (ident - bands[1])).max()
-    assert gap <= 4 * np.finfo(float).eps * abs(bands[0]).max()
-
-
-def _in_hermitian_basis(gen):
-    """The generator and the survival and flux rows of a ``BlockGenerator``
-    in the Hermitian basis of every cell, still complex."""
-    cells = gen.matrix.shape[0] // gen.dim**2
-    basis = scipy.sparse.kron(scipy.sparse.identity(cells), hermitian_basis(gen.dim), format="csr")
-    rows = np.vstack([gen.survival_vector, gen.flux_vector]) @ basis
-    return basis.conj().T @ gen.matrix @ basis, rows
+    gap = abs((ident - bands[1]) - 2.0 * (ident - bands[2])).max()
+    assert gap <= 4 * np.finfo(float).eps * abs(bands[1]).max()
 
 
 def _readme_cn_matrix():
-    """I - (h/2)A of the README fpt-diffusion grid and step, in the
-    Hermitian basis: 8,640 real unknowns, banded in cell-major order."""
+    """I - (h/2)A of the README fpt-diffusion grid and step: 8,640 real
+    unknowns, banded in cell-major order."""
     grid, dt = ChargeGrid(-20.6, 0.99, 0.01), 0.002 / np.sqrt(2.0)
-    gen = build_fokker_planck_generator(homodyne_qubit(1.0, 1.0), grid)
-    real = _in_hermitian_basis(gen)[0].real
+    real = build_fokker_planck_generator(homodyne_qubit(1.0, 1.0), grid).matrix
     return scipy.sparse.identity(real.shape[0], format="csr") - 0.5 * dt * real
 
 
@@ -495,20 +493,53 @@ def test_hermitian_basis_is_unitary_and_hermitian(dim):
 
 
 @pytest.mark.parametrize(
-    "generator",
+    "engine, build, model, domain",
     [
-        lambda: build_fokker_planck_generator(homodyne_qubit(1.0, 1.0), ChargeGrid(-20.6, 0.99, 0.01)),
-        lambda: build_block_generator(_complex_three_level(31), ChargeWindow(-5, 3)),
+        (diffusion, build_fokker_planck_generator, homodyne_qubit(1.0, 1.0),
+         ChargeGrid(-20.6, 0.99, 0.01)),
+        (jumps, build_block_generator, _complex_three_level(31), ChargeWindow(-5, 3)),
+        (diffusion, build_fokker_planck_generator, _homodyne_at_phase(math.pi / 3),
+         ChargeGrid(-13.1, 0.98, 0.02)),
     ],
-    ids=["homodyne-grid", "complex-three-level-window"],
+    ids=["homodyne-grid", "complex-three-level-window", "homodyne-phase-pi/3"],
 )
-def test_hermitian_basis_makes_generators_real(generator):
-    # every block keeps each cell's density Hermitian, so in the basis the
-    # generator and the observed rows are real to within roundoff
-    matrix, rows = _in_hermitian_basis(generator())
+def test_hermitian_basis_makes_generators_real(engine, build, model, domain, monkeypatch):
+    # every block keeps each cell's density Hermitian, so the assembled
+    # generator is the complex one of the engine's blocks, sum_nu
+    # S_nu (x) B_nu for the cell shifts S_nu, mapped through the Hermitian
+    # basis of every cell: real, to within the roundoff of the map
+    seen = {}
+    assemble = propagation.absorbing_generator
+
+    def recording(blocks, domain):
+        seen.update(blocks)
+        return assemble(blocks, domain)
+
+    monkeypatch.setattr(engine, "absorbing_generator", recording)
+    gen = build(model, domain)
+    m = domain.ncells
+    complex_matrix = sum(
+        scipy.sparse.kron(scipy.sparse.eye(m, k=-nu), b, format="csr") for nu, b in seen.items()
+    )
+    basis = scipy.sparse.kron(scipy.sparse.identity(m), hermitian_basis(gen.dim), format="csr")
+    mapped = (basis.conj().T @ complex_matrix @ basis).toarray()
     eps = np.finfo(float).eps
-    assert np.max(np.abs(matrix.data.imag)) <= 4 * eps * np.max(np.abs(matrix.data))
-    assert np.max(np.abs(rows.imag)) <= 4 * eps * np.max(np.abs(rows))
+    assert gen.matrix.dtype == np.float64
+    assert np.max(np.abs(mapped - gen.matrix.toarray())) <= 8 * eps * np.max(np.abs(mapped))
+    # the rows are real, the survival the trace row on every cell, and the
+    # two fluxes carry the survival's loss
+    assert all(r.dtype == np.float64 for r in (gen.survival_vector, gen.upper_flux, gen.lower_flux))
+    survival = np.kron(domain.trace_weights, trace_functional(gen.dim))
+    assert np.array_equal(gen.survival_vector, survival)
+    loss = -(gen.matrix.T @ gen.survival_vector)
+    assert np.max(np.abs(gen.flux_vector - loss)) <= 1e-12 * np.max(np.abs(loss))
+
+
+def test_generator_refuses_a_block_that_breaks_hermiticity():
+    # -iI maps every Hermitian block to an anti-Hermitian one: its image
+    # in the Hermitian basis is -iI, all imaginary
+    with pytest.raises(ModelError, match="imaginary residue 1.000e"):
+        propagation.absorbing_generator({0: -1j * np.eye(4)}, ChargeWindow(-1, 1))
 
 
 def test_dense_series_matches_laplace_inversion():
@@ -583,7 +614,7 @@ def test_mean_charge_path_matches_stepped_rates():
 
 def _states_with_negative_cell(low):
     """A window state and a grid state whose second cell has trace ``low``."""
-    traces = np.array([0.25, low, 0.5, 0.25, 0.0], dtype=complex)
+    traces = np.array([0.25, low, 0.5, 0.25, 0.0])
     return (
         propagation.BlockState(ChargeWindow(-2, 2), 1, traces),
         propagation.BlockState(ChargeGrid(-1.0, 1.0, 0.5), 1, traces),

@@ -75,20 +75,10 @@ def _package_mentions(names: set[str]) -> list[tuple[str, str]]:
     ]
 
 
-def test_sparse_lu_has_one_call_site():
-    # the tracer counts factorisations by wrapping the module attribute
-    # scipy.sparse.linalg.splu, and _factor fixes the column order; a second
-    # call site, or splu bound to another name, escapes both
-    assert _package_mentions({"splu"}) == [("propagation._factor", "scipy.sparse.linalg.splu")]
-    tree = ast.parse((PACKAGE / "propagation.py").read_text())
-    factor = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_factor"
-    )
-    calls = [
-        node for node in ast.walk(factor)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.sparse.linalg.splu"
-    ]
-    assert len(calls) == 1
+def test_no_module_calls_sparse_lu():
+    # every LU is the real band LU of propagation._band_factor; SuperLU
+    # would bring back a second routine and its column order
+    assert _package_mentions({"splu", "spsolve"}) == []
 
 
 def test_band_lu_is_fetched_in_one_helper():
