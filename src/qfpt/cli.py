@@ -65,7 +65,7 @@ from .jumps import ChargeWindow, charge_distribution, integer_weight, preview_wi
 from .kur import KurReport, kur_scan
 from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, positive_finite, steady_state
-from .propagation import MAX_GRID_POINTS, default_step, grid_points
+from .propagation import default_step, time_grid
 from .trajectories import (
     TrajectoryConfig,
     fpt_histogram,
@@ -476,16 +476,9 @@ def run_validate(args) -> int:
             # a model that only diffuses has no jump rate to set a step from
             lines.append("default jump step: none, the model has no jump dynamics")
         else:
-            dt = default_step(scale)
-            npoints = grid_points(horizon, dt)
-            if npoints > MAX_GRID_POINTS:
-                capped = horizon / (MAX_GRID_POINTS - 1)
-                lines.append(
-                    f"warning: default jump step {dt:.3g} would need {npoints} grid "
-                    f"points; capped at {MAX_GRID_POINTS} (step {capped:.3g})"
-                )
-            else:
-                lines.append(f"default jump step: {dt:.3g} ({npoints} grid points)")
+            # the grid a solve would step, capped and logged as a solve does
+            times = time_grid(horizon, default_step(scale))
+            lines.append(f"default jump step: {times[1]:.3g} ({times.size} grid points)")
 
     if model.monitored:
         drift = build_drift_superoperator(model)

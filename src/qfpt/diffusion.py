@@ -93,10 +93,6 @@ class ChargeGrid:
         return self.delta
 
     @property
-    def zero_index(self) -> int:
-        return int(round(-self.lower / self.delta))
-
-    @property
     def trace_weights(self) -> np.ndarray:
         """Trapezoidal quadrature weights over the nodes."""
         w = np.full(self.ncells, self.delta)

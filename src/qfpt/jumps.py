@@ -29,7 +29,13 @@ import numpy as np
 
 from .analysis import TAIL_EPSILON, FptMoments
 from .errors import ConfigError, ModelError
-from .operators import LindbladModel, build_jump_super, build_no_jump, is_integer, positive_finite
+from .operators import (
+    LindbladModel,
+    build_jump_super,
+    build_liouvillian,
+    is_integer,
+    positive_finite,
+)
 from .propagation import (
     BlockGenerator,
     BlockState,
@@ -114,20 +120,19 @@ def integer_weight(channel) -> int:
 def build_block_generator(model: LindbladModel, window: ChargeWindow) -> BlockGenerator:
     """Assemble the block generator for a charge window.
 
-    The shift-0 block carries the no-jump generator plus the sharp jumps of
-    any silent channel; the block of shift nu carries the sharp jumps of
-    the monitored channels of weight nu, which share it.
+    The block of shift nu carries the sharp jumps of the monitored channels
+    of weight nu, which share it, and the shift-0 block is the Liouvillian
+    minus those counted jumps, the paper's L0; a silent channel's jumps
+    stay in it.  The blocks therefore sum to the Liouvillian.
     ``absorbing_generator`` drops the jumps that would leave the window and
     turns their rates into the edge fluxes.
     """
     model.require_channels()
-    diag = build_no_jump(model)
-    for ch in model.silent:
-        diag = diag + build_jump_super(ch)
-    blocks = {0: diag}
+    blocks = {0: build_liouvillian(model)}
     for ch in model.monitored:
         nu = integer_weight(ch)
         jump = build_jump_super(ch)
+        blocks[0] = blocks[0] - jump
         blocks[nu] = blocks[nu] + jump if nu in blocks else jump
     return absorbing_generator(blocks, window)
 

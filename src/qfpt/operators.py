@@ -160,10 +160,10 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def unvectorize(vec: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
+def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vectorize` for a (dim, dim) matrix."""
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    d = int(round(math.isqrt(v.size))) if dim is None else int(dim)
+    d = int(dim)
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a stacked square matrix")
     return v.reshape((d, d), order="F")
@@ -181,11 +181,10 @@ def right_multiplier(b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, np.eye(b.shape[0]))
 
 
-def sandwich(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator for rho -> A @ rho @ B^dag.  Defaults to B = A."""
+def sandwich(a: np.ndarray) -> np.ndarray:
+    """Superoperator for rho -> A @ rho @ A^dag."""
     a = np.asarray(a, dtype=complex)
-    b = a if b is None else np.asarray(b, dtype=complex)
-    return np.kron(b.conj(), a)
+    return np.kron(a.conj(), a)
 
 
 def trace_functional(dim: int) -> np.ndarray:
@@ -230,39 +229,6 @@ def hermitian_real(values: np.ndarray, name: str) -> np.ndarray:
     return values.real
 
 
-def dissipator(operator: np.ndarray) -> np.ndarray:
-    """Superoperator for the single-channel dissipator
-    rho -> L rho L^dag - (L^dag L rho + rho L^dag L) / 2.
-    """
-    op = np.asarray(operator, dtype=complex)
-    gram = op.conj().T @ op
-    return sandwich(op) - 0.5 * (left_multiplier(gram) + right_multiplier(gram))
-
-
-def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Full generator of the unconditional master equation."""
-    h = model.hamiltonian
-    gen = -1j * (left_multiplier(h) - right_multiplier(h))
-    for ch in model.channels:
-        gen += dissipator(ch.operator)
-    return gen
-
-
-def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
-    """Non-Hermitian drift Hamiltonian H - (i/2) sum_k L_k^dag L_k."""
-    heff = model.hamiltonian.astype(complex).copy()
-    for ch in model.channels:
-        heff -= 0.5j * (ch.operator.conj().T @ ch.operator)
-    return heff
-
-
-def build_no_jump(model: LindbladModel) -> np.ndarray:
-    """Between-jump part of the generator,
-    rho -> -i (H_eff rho - rho H_eff^dag)."""
-    heff = effective_hamiltonian(model)
-    return -1j * (left_multiplier(heff) - right_multiplier(heff.conj().T))
-
-
 def build_jump_super(channel: JumpChannel) -> np.ndarray:
     """Sharp jump superoperator rho -> L rho L^dag for one channel."""
     return sandwich(channel.operator)
@@ -278,7 +244,8 @@ class DriftSuperoperator:
 
 def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
     """Weighted sum of (A rho + rho A') over monitored channels, with the
-    squared weights accumulating into the scalar diffusion constant."""
+    squared weights accumulating into the scalar diffusion constant D,
+    which must be finite."""
     model.require_channels()
     if not model.monitored:
         raise ModelError("diffusive monitoring needs at least one monitored channel")
@@ -288,7 +255,14 @@ def build_drift_superoperator(model: LindbladModel) -> DriftSuperoperator:
     for ch in model.monitored:
         a = ch.rotated_operator()
         kmat += ch.weight * (left_multiplier(a) + right_multiplier(a.conj().T))
-        kdiff += ch.weight**2
+        try:
+            kdiff += ch.weight**2
+        except OverflowError:
+            kdiff = math.inf
+    if not math.isfinite(kdiff):
+        raise ModelError(
+            "the diffusion constant D, the sum of the squared monitored weights, is not finite"
+        )
     kmat.setflags(write=False)
     return DriftSuperoperator(kmat, float(kdiff))
 
@@ -298,8 +272,9 @@ def build_split_generators(model: LindbladModel) -> tuple[np.ndarray, np.ndarray
 
     The first half collects every term that multiplies the state from the
     left (plus the shared sandwich term at half strength); the second half
-    collects the right-acting terms.  Their sum is the full generator, and
-    the pair enters the coherent correction to the activity bound.
+    collects the right-acting terms.  Their sum is the full generator,
+    ``build_liouvillian``, and the pair enters the coherent correction to
+    the activity bound.
     """
     h = model.hamiltonian
     left = -1j * left_multiplier(h)
@@ -310,6 +285,13 @@ def build_split_generators(model: LindbladModel) -> tuple[np.ndarray, np.ndarray
         left += shared - 0.5 * left_multiplier(gram)
         right += shared - 0.5 * right_multiplier(gram)
     return left, right
+
+
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Full generator of the unconditional master equation, the sum of the
+    two halves of ``build_split_generators``."""
+    left, right = build_split_generators(model)
+    return left + right
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:

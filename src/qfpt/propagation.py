@@ -413,12 +413,6 @@ def default_step(scale: float) -> float:
     return STEP_FACTOR / scale
 
 
-def grid_points(horizon: float, dt: float) -> int:
-    """Points of a uniform grid of step ``dt`` up to ``horizon``, before
-    the ``MAX_GRID_POINTS`` cap."""
-    return max(2, int(math.ceil(horizon / dt)) + 1)
-
-
 def time_grid(horizon: float, dt: float) -> np.ndarray:
     """Uniform output grid of step ``dt`` up to ``horizon``.
 
@@ -429,7 +423,7 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     """
     positive_finite(horizon, "horizon")
     positive_finite(dt, "dt")
-    num = grid_points(horizon, dt)
+    num = max(2, int(math.ceil(horizon / dt)) + 1)
     if num > MAX_GRID_POINTS:
         logger.warning(
             "capping time grid at %d points (dt %.3g -> %.3g)",
@@ -528,7 +522,6 @@ class BlockState:
     domain: object
     dim: int
     data: np.ndarray
-    time: float = 0.0
 
     @classmethod
     def initial(cls, domain, rho0: np.ndarray):
@@ -541,7 +534,7 @@ class BlockState:
         # validate_density_matrix bounds and the real dynamics drop
         coords = hermitian_basis(d).conj().T @ vectorize(rho0)
         data[i * d * d : (i + 1) * d * d] = coords.real / domain.cell_width
-        return cls(domain, d, data, 0.0)
+        return cls(domain, d, data)
 
     def traces(self) -> np.ndarray:
         # the trace of a cell is the sum of its diagonal coordinates i(d+1)
@@ -666,7 +659,7 @@ def solve_absorbing(
             f"T = {horizon:.6g}, not below the tail epsilon {tail_epsilon:g}"
         )
     # x is the state at the horizon, the last one the propagator yielded
-    final = BlockState(domain, generator.dim, x, float(times[-1]))
+    final = BlockState(domain, generator.dim, x)
     return FptSolution(result, domain, final)
 
 

@@ -24,14 +24,15 @@ the plain explicit step to first order in dt but keeps the state positive
 by construction, so the eigenvalue clamp stays a safety net instead of
 firing on ordinary near-pure excursions.
 
-Both unravellings keep the states of their alive trajectories as one
-(d, d, n) stack, trajectory index last, and drop a trajectory from it
-once it is absorbed or censored.  Trajectory k of an ensemble draws from
-the k-th child stream spawned from the ensemble seed
-(``numpy.random.SeedSequence`` with spawn key ``(k,)``), and no
-floating-point operation mixes trajectories, so results are bit-identical
-no matter how the ensemble is chunked, partitioned or ordered, and
-different seeds give independent trajectories.
+The diffusive unravelling keeps the states of its alive trajectories as
+one (d, d, m) stack, trajectory index last, and drops a trajectory from
+it once it is absorbed; the jump sampler keeps all n states in one
+(d, d, n) stack and gathers the alive ones each event round.  Trajectory
+k of an ensemble draws from the k-th child stream spawned from the
+ensemble seed (``numpy.random.SeedSequence`` with spawn key ``(k,)``),
+and no floating-point operation mixes trajectories, so results are
+bit-identical no matter how the ensemble is chunked, partitioned or
+ordered, and different seeds give independent trajectories.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .analysis import FptResult
 from .diffusion import real_threshold
 from .errors import ConfigError, ModelError, PhysicsError
 from .jumps import integer_threshold, integer_weight
-from .operators import LindbladModel, is_integer, positive_finite
+from .operators import LindbladModel, build_drift_superoperator, is_integer, positive_finite
 from .propagation import initial_density
 
 DEFAULT_STEP_BUDGET = 0.01
@@ -121,7 +122,7 @@ class TrajectoryConfig:
         """Diffusive step and step count; the step divides the horizon."""
         model = self.model
         if self.dt is None:
-            scale = max(model.rate_scale(), sum(ch.weight**2 for ch in model.monitored))
+            scale = max(model.rate_scale(), build_drift_superoperator(model).diffusion)
             if scale <= 0:
                 raise ModelError("model has no dynamics to set a time step from")
             dt = DEFAULT_STEP_BUDGET / scale

@@ -306,6 +306,41 @@ def test_validate_refuses_fractional_jump_threshold(capsys):
     assert "jump window preview: [" not in out
 
 
+def test_validate_reads_the_capped_grid_a_solve_would_step(capsys, caplog):
+    # step 0.002 to horizon 1000 would need 500,001 points; validate reports
+    # the grid time_grid caps at 200,000, with the warning a solve logs
+    assert cli.main(["validate", "--builtin", "thermal-qubit", "--horizon", "1000"]) == 0
+    assert "default jump step: 0.005 (200000 grid points)" in capsys.readouterr().out
+    assert "capping time grid at 200000 points (dt 0.002 -> 0.005)" in caplog.text
+
+
+OVERFLOWING_WEIGHT = {
+    "dim": 1,
+    "hamiltonian": [[0.0, 0.0]],
+    "channels": [{"operator": [[1.0, 0.0]], "weight": 1e200}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fpt-diffusion", "--threshold", "1"],
+        ["validate", "--threshold", "1"],
+        ["trajectories", "--unravelling", "diffusion", "--ntraj", "4", "--threshold", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_overflowing_weight_exits_config(argv, tmp_path, monkeypatch, capsys):
+    # its square overflows the diffusion constant D, which every diffusive
+    # command reads off build_drift_superoperator
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(OVERFLOWING_WEIGHT))
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "out"))
+    assert cli.main([*argv, "--model", str(path)]) == cli.EXIT_CONFIG
+    assert "the diffusion constant D" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_builtin_exits_config(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["fpt-jump", "--builtin", "nonsense", "--threshold", "1"], tmp_path)

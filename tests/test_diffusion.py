@@ -46,7 +46,6 @@ def test_charge_grid_validation():
         ChargeGrid(-0.25, 1.0, 0.1)
     grid = ChargeGrid(-1.0, 2.0, 0.5)
     assert grid.ncells == 7
-    assert grid.zero_index == 2
     assert np.allclose(grid.nodes, [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
     w = grid.trace_weights
     assert w[0] == pytest.approx(0.25) and w[-1] == pytest.approx(0.25)

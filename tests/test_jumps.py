@@ -22,6 +22,7 @@ from qfpt.models import decay_qubit, thermal_qubit
 from qfpt.operators import (
     JumpChannel,
     LindbladModel,
+    build_jump_super,
     build_liouvillian,
     steady_state,
     vectorize,
@@ -340,18 +341,51 @@ def test_flux_splits_into_edges():
     assert np.array_equal(gen.flux_vector, gen.upper_flux + gen.lower_flux)
 
 
-def _complex_three_level(seed: int) -> LindbladModel:
-    """Seeded complex 3-level model: two weight +2 channels, which share a
-    charge shift, one weight -1 channel and a silent one."""
+def _complex_three_level(seed: int, weights=(2.0, 2.0, -1.0)) -> LindbladModel:
+    """Seeded complex 3-level model: by default two weight +2 channels,
+    which share a charge shift, one weight -1 channel and a silent one."""
     rng = np.random.default_rng(seed)
 
     def matrix():
         return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
     h = matrix()
-    channels = [JumpChannel(0.5 * matrix(), weight=w) for w in (2.0, 2.0, -1.0)]
+    channels = [JumpChannel(0.5 * matrix(), weight=w) for w in weights]
     channels.append(JumpChannel(0.5 * matrix(), monitored=False))
     return LindbladModel(h + h.conj().T, tuple(channels))
+
+
+def test_shift_zero_block_is_the_liouvillian_minus_the_counted_jumps(monkeypatch):
+    # the blocks are the charge components of one generator: block nu holds
+    # the jumps J_k of weight nu, block 0 is L - sum_k J_k over the
+    # monitored channels (the paper's L0, which keeps the silent jumps),
+    # and the blocks sum back to L
+    model = _complex_three_level(5, weights=(1.0, 1.0, -2.0))
+    seen = {}
+    assemble = propagation.absorbing_generator
+
+    def recording(blocks, domain):
+        seen.update(blocks)
+        return assemble(blocks, domain)
+
+    monkeypatch.setattr(jumps, "absorbing_generator", recording)
+    build_block_generator(model, ChargeWindow(-4, 3))
+    liou = build_liouvillian(model)
+    up, up_too, down = (build_jump_super(ch) for ch in model.monitored)
+    assert sorted(seen) == [-2, 0, 1]
+    assert np.array_equal(seen[0], liou - up - up_too - down)
+    assert np.array_equal(seen[1], up + up_too) and np.array_equal(seen[-2], down)
+    # L0 is the no-jump drift -i(H_eff rho - rho H_eff^dag) plus the silent
+    # jumps: measured 4.0e-15 on entries up to 16
+    grams = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
+    heff = model.hamiltonian - 0.5j * grams
+    silent = model.silent[0].operator
+    rho = np.random.default_rng(6).standard_normal((3, 3)) + 0j
+    no_jump = -1j * (heff @ rho - rho @ heff.conj().T) + silent @ rho @ silent.conj().T
+    assert np.allclose(seen[0] @ vectorize(rho), vectorize(no_jump), rtol=0, atol=1e-13)
+    # the sum adds each subtracted jump back in: measured 0.62 eps of max |L|
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(sum(seen.values()) - liou)) <= 4 * eps * np.max(np.abs(liou))
 
 
 @pytest.mark.parametrize("lower, upper", [(-1, 1), (-5, 3), (-12, 7)])

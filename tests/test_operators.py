@@ -21,6 +21,7 @@ from qfpt.models import (
 from qfpt.operators import (
     JumpChannel,
     LindbladModel,
+    build_drift_superoperator,
     build_liouvillian,
     build_split_generators,
     current_cumulants,
@@ -71,11 +72,6 @@ def test_multiplier_identities():
             atol=1e-13,
         )
         assert np.allclose(
-            unvectorize(sandwich(a, b) @ vectorize(rho), dim),
-            a @ rho @ b.conj().T,
-            atol=1e-13,
-        )
-        assert np.allclose(
             unvectorize(sandwich(a) @ vectorize(rho), dim),
             a @ rho @ a.conj().T,
             atol=1e-13,
@@ -114,9 +110,19 @@ def test_liouvillian_preserves_trace_hermiticity_positivity():
 
 
 def test_split_generators_sum_to_liouvillian():
+    # build_liouvillian is the sum of the two halves, so they agree exactly
     for model in (thermal_qubit(1.0, 1.0, 0.2), decay_qubit(0.5)):
-        no_jump, jump = build_split_generators(model)
-        assert np.max(np.abs(no_jump + jump - build_liouvillian(model))) < 1e-13
+        left, right = build_split_generators(model)
+        assert np.array_equal(left + right, build_liouvillian(model))
+
+
+@pytest.mark.parametrize("weights", [(1e200,), (1e154, 1e154)], ids=["square", "sum"])
+def test_drift_refuses_a_diffusion_constant_that_is_not_finite(weights):
+    # D = sum_k w_k^2 has one owner, which refuses it whether a square
+    # overflows or only the sum does
+    channels = tuple(JumpChannel(np.eye(1), weight=w) for w in weights)
+    with pytest.raises(ModelError, match="the diffusion constant D"):
+        build_drift_superoperator(LindbladModel(np.zeros((1, 1)), channels))
 
 
 def test_steady_state_thermal_closed_form():

@@ -95,6 +95,14 @@ def test_band_lu_is_fetched_in_one_helper():
     assert fetched == ["'gbtrf'", "'gbtrs'", "'tbsv'"]
 
 
+def test_superoperators_are_built_in_operators_only():
+    # operators alone turns matrices into superoperators, so the Liouvillian,
+    # its halves and every engine block come from one set of builders, and
+    # no engine can assemble a second copy of a generator
+    mentions = _package_mentions({"left_multiplier", "right_multiplier", "sandwich"})
+    assert mentions and {scope.split(".")[0] for scope, _ in mentions} == {"operators"}
+
+
 def _unread_bindings(tree: ast.Module) -> set[str]:
     """Names an import binds, dotted as imported, and a module-level
     ``logger``, that nothing in ``tree`` reads."""
