@@ -63,6 +63,7 @@ from .operators import (
     build_liouvillian,
     hermitian_basis,
     hermitian_real,
+    kron,
     positive_finite,
     steady_state,
     trace_functional,
@@ -500,10 +501,10 @@ def absorbing_generator(blocks: dict[int, np.ndarray], domain) -> BlockGenerator
     lower[: reach + 1], upper[-reach - 1 :] = deficit[: reach + 1], deficit[-reach - 1 :]
 
     def flux(e: np.ndarray) -> np.ndarray:
-        terms = [np.kron(e[reach + nu : reach + nu + m], tr @ b) for nu, b in blocks.items()]
+        terms = [kron(e[reach + nu : reach + nu + m], tr @ b) for nu, b in blocks.items()]
         return sum(terms[1:], terms[0])
 
-    survival = np.kron(domain.trace_weights, tr)
+    survival = kron(domain.trace_weights, tr)
     return BlockGenerator(dim, matrix, survival, flux(upper), flux(lower))
 
 
@@ -600,8 +601,16 @@ def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon,
     ``edge_loss_bound``, or at T = inf its exit probability, the lower and
     the upper one first in ``exits(generator, x0, domain)``.  Flagged sides
     widen through ``domain.widened``, up to ``MAX_MOMENT_UNKNOWNS``
-    unknowns; a side that would pass them is refused, naming its loss."""
+    unknowns; a side that would pass them is refused, naming its loss.  A
+    first domain with an open side is refused with ConfigError before it is
+    assembled if it already passes them: the input sized it."""
     opened = (lower_open, upper_open)
+    unknowns = domain.ncells * disc.rho0.shape[0] ** 2
+    if any(opened) and unknowns > MAX_MOMENT_UNKNOWNS:
+        raise ConfigError(
+            f"the first domain {domain} has {unknowns:.4g} unknowns, past the "
+            f"{MAX_MOMENT_UNKNOWNS} an open side may reach; the model's rates or "
+            "jump weights size it")
     while True:
         generator, x0 = disc.assemble(domain), disc.initial(domain)
         found = exits(generator, x0, domain) if math.isinf(horizon) else None

@@ -157,6 +157,20 @@ def test_boolean_in_model_file_exits_config(field, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["bool.json"]
 
 
+def test_huge_channel_weight_exits_config_before_assembly(tmp_path, capsys):
+    # the weight sizes a first window of about 1e201 cells, refused before
+    # any array of that length is asked for
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "dim": 1, "hamiltonian": [[0.0, 0.0]],
+        "channels": [{"operator": [[1.0, 0.0]], "weight": 1e200}],
+    }))
+    code = run(["fpt-jump", "--model", str(path), "--threshold", "1"], tmp_path / "out")
+    assert code == cli.EXIT_CONFIG
+    assert "unknowns, past the 65536 an open side may reach" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.json"]
+
+
 def test_kur_scan_rejects_omega_flag(tmp_path, capsys):
     code = run(
         ["kur-scan", "--omega-range", "0.5:1:2", "--omega", "1"],

@@ -26,6 +26,7 @@ from qfpt.operators import (
     build_split_generators,
     current_cumulants,
     drazin_inverse,
+    kron,
     left_multiplier,
     right_multiplier,
     sandwich,
@@ -55,6 +56,18 @@ def test_vectorize_roundtrip():
     for dim in (2, 3, 5):
         rho = random_matrix(rng, dim)
         assert np.array_equal(unvectorize(vectorize(rho), dim), rho)
+
+
+def test_kron_is_numpy_kron_bit_for_bit():
+    # the superoperator builders and the edge fluxes take the broadcast
+    # product for np.kron; both multiply the same entries
+    rng = np.random.default_rng(4)
+    for (m, n), (p, q) in [((2, 2), (2, 2)), ((3, 1), (2, 4)), ((1, 3), (3, 3))]:
+        a, b = rng.normal(size=(m, n)), rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+        for x, y in [(a, b), (b.conj(), b), (np.eye(p), b), (b.T, np.eye(q))]:
+            assert np.array_equal(kron(x, y), np.kron(x, y))
+    e, v = rng.exponential(size=7), rng.normal(size=4) + 1j * rng.normal(size=4)
+    assert np.array_equal(kron(e, v), np.kron(e, v))
 
 
 def test_multiplier_identities():
