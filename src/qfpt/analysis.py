@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class FptResult:
         for name, arr in (("times", t), ("density", f), ("survival", g)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        uniform_step(t)
+        dt = uniform_step(t)
         if np.min(f) < -1e-10:
             raise PhysicsError(f"density has negative excursion {np.min(f):.3e}")
         if np.max(g) > 1.0 + WEIGHT_EXCESS_TOLERANCE:
@@ -78,14 +79,13 @@ class FptResult:
         object.__setattr__(self, "density", f)
         object.__setattr__(self, "survival", g)
         if abs(g[0] - 1.0) > 1e-9:
-            raise PhysicsError(f"survival at the first grid point is {g[0]!r}, not 1")
+            raise PhysicsError(f"survival at the first grid point is {float(g[0])!r}, not 1")
         absorbed = trapezoid_steps(f, t).sum()
         residue = abs(g[-1] + absorbed - 1.0)
         tol = LEDGER_TOL
         if self.provenance == "monte-carlo":
             # Histogram densities are exact under the midpoint sum, not the
             # trapezoid; allow the half-bin edge correction.
-            dt = t[1] - t[0] if t.size > 1 else 0.0
             tol = LEDGER_TOL + 0.5 * dt * (f[0] + f[-1]) + 1e-9
         if residue > tol:
             raise PhysicsError(
@@ -182,41 +182,14 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-# ``formatted_bytes`` writes ``format_float`` by ndarray arithmetic.  Its
-# tables: 10^k correctly rounded for k from _POW10_MIN, the four ASCII
-# digits of 0..9999 as one uint32, the trailing zeros among those four,
-# and the suffix e+dd or e-ddd of each exponent in -_SUFFIX_MAX.._SUFFIX_MAX
+# ``formatted_bytes`` writes ``format_float`` by ndarray arithmetic, from
+# the tables of ``_format_tables``: 10^k correctly rounded for k from
+# _POW10_MIN, and the suffixes e+dd or e-ddd of each exponent in
+# -_SUFFIX_MAX.._SUFFIX_MAX
 _POW10_MIN = -280
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 306)])
-_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-# row 1000a + 100b + 10c + d holds "abcd", written by broadcasting
-_QUAD_DIGITS = np.empty((10, 10, 10, 10, 4), np.uint8)
-_QUAD_DIGITS[..., 0] = _DIGITS[:, None, None, None]
-_QUAD_DIGITS[..., 1] = _DIGITS[:, None, None]
-_QUAD_DIGITS[..., 2] = _DIGITS[:, None]
-_QUAD_DIGITS[..., 3] = _DIGITS
-_QUAD_DIGITS = _QUAD_DIGITS.reshape(10_000, 4)
-_QUAD_WORDS = _QUAD_DIGITS.view(np.uint32).ravel()
-# the run of "0" from the right of "abcd": 1 where d = 0, 2 where c = d = 0,
-# and so on
-_QUAD_ZEROS = np.zeros((10, 10, 10, 10), np.int8)
-_QUAD_ZEROS[..., 0] = 1
-_QUAD_ZEROS[..., 0, 0] = 2
-_QUAD_ZEROS[:, 0, 0, 0] = 3
-_QUAD_ZEROS[0, 0, 0, 0] = 4
-_QUAD_ZEROS = _QUAD_ZEROS.ravel()
 _SUFFIX_MAX = 300
-_POWERS = np.abs(np.arange(-_SUFFIX_MAX, _SUFFIX_MAX + 1))
-_SUFFIX = np.empty((_POWERS.size, 5), np.uint8)
-_SUFFIX[:, 0] = ord("e")
-_SUFFIX[:, 1] = np.where(np.arange(_POWERS.size) < _SUFFIX_MAX, ord("-"), ord("+"))
-_SUFFIX[:, 2:] = np.where(
-    _POWERS[:, None] < 100, _QUAD_DIGITS[_POWERS][:, [2, 3, 3]], _QUAD_DIGITS[_POWERS, 1:]
-)
-_SUFFIX_LENGTH = (4 + (_POWERS >= 100)).astype(np.int8)
 # a field is at most 19 bytes, "-1.23456789012e-308", and its separator
 _FIELD_WIDTH = 20
-_FIELD_COLUMNS = np.arange(_FIELD_WIDTH, dtype=np.int8)
 # digits of a rounding whose scaled value lies this close to a half are
 # left to ``format_float``; the scaling errs by at most 1.8e-4
 _TIE_MARGIN = 1e-3
@@ -224,6 +197,50 @@ _TIE_MARGIN = 1e-3
 # with 1..12 significant digits from _SCIENTIFIC, then zero and the values
 # left to ``format_float``
 _SCIENTIFIC, _ZERO, _FALLBACK = 16, 28, 29
+# rows a series CSV formats at a time: writing the README fpt-jump series
+# (53,542 rows; 2-core x86_64, numpy 2.4.6) took a median 22-30 ms at
+# 4,096 rows, 33-41 ms at 8,192 and 32-43 ms at 16,384, and the peak RSS
+# of the process grows with the chunk (72.4, 74.9 and 79.8 MB)
+CSV_CHUNK_ROWS = 4096
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The formatter's tables, built on the first write, read-only and
+    shared: the powers of ten, the four ASCII digits of 0..9999 as one
+    uint32, the trailing zeros among those four, each exponent's suffix
+    and its length, the field columns and a chunk's row separators."""
+    pow10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 306)])
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    # row 1000a + 100b + 10c + d holds "abcd", written by broadcasting
+    quad_digits = np.empty((10, 10, 10, 10, 4), np.uint8)
+    quad_digits[..., 0] = digits[:, None, None, None]
+    quad_digits[..., 1] = digits[:, None, None]
+    quad_digits[..., 2] = digits[:, None]
+    quad_digits[..., 3] = digits
+    quad_digits = quad_digits.reshape(10_000, 4)
+    # the run of "0" from the right of "abcd": 1 where d = 0, 2 where
+    # c = d = 0, and so on
+    quad_zeros = np.zeros((10, 10, 10, 10), np.int8)
+    quad_zeros[..., 0] = 1
+    quad_zeros[..., 0, 0] = 2
+    quad_zeros[:, 0, 0, 0] = 3
+    quad_zeros[0, 0, 0, 0] = 4
+    powers = np.abs(np.arange(-_SUFFIX_MAX, _SUFFIX_MAX + 1))
+    suffix = np.empty((powers.size, 5), np.uint8)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(np.arange(powers.size) < _SUFFIX_MAX, ord("-"), ord("+"))
+    suffix[:, 2:] = np.where(
+        powers[:, None] < 100, quad_digits[powers][:, [2, 3, 3]], quad_digits[powers, 1:]
+    )
+    tables = (
+        pow10, quad_digits.view(np.uint32).ravel(), quad_zeros.ravel(), suffix,
+        (4 + (powers >= 100)).astype(np.int8), np.arange(_FIELD_WIDTH, dtype=np.int8),
+        np.tile(np.frombuffer(b",,\n", np.uint8), CSV_CHUNK_ROWS),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
@@ -239,6 +256,7 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
     layout, so that each layout writes its rows of ``_FIELD_WIDTH`` bytes
     by slices, and each separator goes right after its field.
     """
+    pow10, quad_words, quad_zeros, suffix, suffix_length, columns, _ = _format_tables()
     x = np.asarray(values, dtype=float)
     n = x.size
     a = np.abs(x)
@@ -246,11 +264,11 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
     sure = (a >= 1e-290) & (a < 1e290)
     a = np.where(sure, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    y = a * _POW10[11 - _POW10_MIN - e]
+    y = a * pow10[11 - _POW10_MIN - e]
     # log10 may overshoot by one just below a power of ten
     low = np.flatnonzero(y < 1e11)
     e[low] -= 1
-    y[low] = a[low] * _POW10[11 - _POW10_MIN - e[low]]
+    y[low] = a[low] * pow10[11 - _POW10_MIN - e[low]]
     r = np.rint(y)
     sure &= (np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN) & (r >= 1e11) & (r <= 1e12)
     carry = r == 1e12
@@ -263,7 +281,7 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
     mid = np.floor(rest / 1e4)
     groups = np.empty((n, 3), np.intp)
     groups[:, 0], groups[:, 1], groups[:, 2] = top, mid, rest - mid * 1e4
-    zeros = _QUAD_ZEROS[groups]
+    zeros = quad_zeros[groups]
     z0, z1, z2 = zeros[:, 0], zeros[:, 1], zeros[:, 2]
     kept = 12 - (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0))
 
@@ -272,7 +290,7 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
     layout[~(sure | zero)] = _FALLBACK
     order = np.argsort(layout, kind="stable")
     ends = np.cumsum(np.bincount(layout, minlength=_FALLBACK + 1))
-    digits = np.take(_QUAD_WORDS[groups], order, axis=0).view(np.uint8)
+    digits = np.take(quad_words[groups], order, axis=0).view(np.uint8)
     e, kept, x = e[order], kept[order], x[order]
     out = np.empty((n, _FIELD_WIDTH), np.uint8)
     length = np.empty(n, np.int8)
@@ -300,8 +318,8 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
             out[rows, 1] = ord(".")
             out[rows, 2:at] = digits[rows, 1:cut]
             power = e[rows] + _SUFFIX_MAX
-            out[rows, at : at + 5] = _SUFFIX[power]
-            length[rows] = at + _SUFFIX_LENGTH[power]
+            out[rows, at : at + 5] = suffix[power]
+            length[rows] = at + suffix_length[power]
         elif kind == _ZERO:
             out[rows, 0] = ord("0")
             length[rows] = 1
@@ -319,23 +337,16 @@ def formatted_bytes(values: np.ndarray, separators: np.ndarray) -> bytes:
     back = np.empty_like(order)
     back[order] = np.arange(n)
     out, length = np.take(out, back, axis=0), np.take(length, back)
-    return out.ravel()[(_FIELD_COLUMNS <= length[:, None]).ravel()].tobytes()
-
-
-# rows a series CSV formats at a time: writing the README fpt-jump series
-# (53,542 rows; 2-core x86_64, numpy 2.4.6) took a median 22-30 ms at
-# 4,096 rows, 33-41 ms at 8,192 and 32-43 ms at 16,384, and the peak RSS
-# of the process grows with the chunk (72.4, 74.9 and 79.8 MB)
-CSV_CHUNK_ROWS = 4096
-_ROW_SEPARATORS = np.tile(np.frombuffer(b",,\n", np.uint8), CSV_CHUNK_ROWS)
+    return out.ravel()[(columns <= length[:, None]).ravel()].tobytes()
 
 
 def write_series_csv(path, result: FptResult, *, config_hash: str = "") -> None:
     """Write t, G, f columns with deterministic formatting: each value as
     ``format_float`` gives it, ``CSV_CHUNK_ROWS`` rows at a time."""
     columns = (result.times, result.survival, result.density)
+    separators = _format_tables()[-1]
     with open(path, "wb") as fh:
         fh.write(f"# provenance={result.provenance}\n# config_hash={config_hash}\nt,G,f\n".encode())
         for start in range(0, len(result.times), CSV_CHUNK_ROWS):
             values = np.stack([c[start : start + CSV_CHUNK_ROWS] for c in columns], axis=1).ravel()
-            fh.write(formatted_bytes(values, _ROW_SEPARATORS[: values.size]))
+            fh.write(formatted_bytes(values, separators[: values.size]))

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .jumps import ChargeWindow, charge_distribution, integer_weight, preview_window, solve_jump_fpt
 from .kur import KurReport, kur_scan
-from .models import BUILTIN_PARAMS, builtin_model, load_model, model_payload
+from .models import BUILTIN_DEFAULTS, BUILTIN_PARAMS, builtin_model, load_model, model_payload
 from .operators import build_liouvillian, positive_finite, steady_state
 from .propagation import default_step, time_grid
 from .trajectories import (
@@ -372,8 +372,8 @@ def run_kur_scan(args) -> int:
     if args.omega is not None:
         raise ConfigError("kur-scan takes --omega-range, not --omega")
     omegas = parse_range(args.omega_range)
-    gamma = args.gamma if args.gamma is not None else 1.0
-    nbar = args.nbar if args.nbar is not None else 0.0
+    gamma = args.gamma if args.gamma is not None else BUILTIN_DEFAULTS["gamma"]
+    nbar = args.nbar if args.nbar is not None else BUILTIN_DEFAULTS["nbar"]
     t0 = time.perf_counter()
     reports = kur_scan(
         omegas,

@@ -277,16 +277,16 @@ def _auto_grid(
     elif lower_threshold is not None:
         delta = -lower_threshold / max(2, round(-lower_threshold / delta))
     if threshold is not None and lower_threshold is not None:
+        # the lower ghost must be a node at least two spacings below 0
         ratio = -lower_threshold / delta
-        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
+        if round(ratio) < 2 or abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
             raise ConfigError(
-                f"thresholds {lower_threshold} and {threshold} do not share "
-                f"a grid of spacing {delta:g}; pass delta or grid explicitly"
+                f"thresholds {lower_threshold} and {threshold} do not share a grid of "
+                f"spacing {delta:g} with a node between each and 0; pass a finer delta "
+                "or an explicit grid"
             )
     upper = threshold - delta if threshold is not None else _round_to(hi_guess, delta, +1)
     lower = lower_threshold + delta if lower_threshold is not None else _round_to(lo_guess, delta, -1)
-    upper = max(upper, delta)
-    lower = min(lower, -delta)
     return ChargeGrid(lower, upper, delta)
 
 

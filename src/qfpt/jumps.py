@@ -15,8 +15,8 @@ it is widened before any step until it loses a negligible probability.
 charge-resolved ``BlockState`` at the horizon; on an explicit window with
 nothing absorbed over the horizon t, ``charge_distribution`` of that state
 is the counting distribution P(N, t).  ``passage_moments`` gives the exact
-mean and variance of the hit time from ``propagation.absorbing_moments``
-on the same generator, without a time series.
+mean and variance of the hit time from ``propagation.exit_solve`` on the
+same generator, without a time series.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from .propagation import (
     Discretisation,
     FptSolution,
     absorbing_generator,
-    absorbing_moments,
+    choose_domain,
     default_step,
+    exit_solve,
     initial_density,
     solve_absorbing,
 )
@@ -97,7 +98,7 @@ class ChargeWindow:
         return ChargeWindow(lower, upper)
 
     def __str__(self) -> str:
-        return f"window [{self.lower}, {self.upper}]"
+        return f"window [{self.lower:.6g}, {self.upper:.6g}]"
 
 
 def charge_distribution(state: BlockState) -> dict[int, float]:
@@ -165,11 +166,6 @@ def preview_window(
     lower_open = lower_threshold is None
     upper = spread if upper_open else threshold - 1
     lower = -spread if lower_open else lower_threshold + 1
-    # only open sides may be adjusted to keep the window legal
-    if upper_open:
-        upper = max(upper, lower + 1, 1)
-    if lower_open:
-        lower = min(lower, upper - 1, -1)
     return ChargeWindow(lower, upper), lower_open, upper_open
 
 
@@ -222,7 +218,7 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     """Exact moments of the first time the charge, started at 0 in the
     steady state, reaches ``threshold``, with the lower side open.
 
-    ``propagation.absorbing_moments`` widens the lower side until its exit
+    ``choose_domain`` widens the lower side until its ``exit_solve`` exit
     probability is below ``EDGE_TOLERANCE``.  An unreachable threshold, a
     probability of ever being absorbed that is not 1 to within
     ``CERTAIN_EXIT_TOLERANCE``, or a window past ``MAX_MOMENT_UNKNOWNS``
@@ -233,11 +229,11 @@ def passage_moments(model: LindbladModel, threshold: int) -> FptMoments:
     threshold = integer_threshold(threshold, +1)
     if threshold is None:
         raise ConfigError("first-passage moments need an upper threshold")
-    window, _, _ = preview_window(model, threshold)
-    _, upper_exit, mean, second = absorbing_moments(
-        _discretisation(model, initial_density(model, "steady")),
-        window,
-        CERTAIN_EXIT_TOLERANCE,
-        f"threshold {threshold} is unreachable from the steady state",
-    )
+    def exits(generator, x0, window):
+        unreachable = f"threshold {threshold} is unreachable from the steady state on {window}"
+        return exit_solve(generator, x0, CERTAIN_EXIT_TOLERANCE, unreachable)
+
+    disc = _discretisation(model, initial_density(model, "steady"))
+    window = preview_window(model, threshold)[0]
+    _, upper_exit, mean, second = choose_domain(disc, window, True, False, math.inf, exits)[3]
     return FptMoments.from_raw(mean, second, upper_exit)

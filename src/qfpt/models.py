@@ -87,6 +87,7 @@ BUILTIN_PARAMS = {
     "thermal-qubit": ("gamma", "omega", "nbar"),
     "homodyne-qubit": ("gamma", "omega"),
 }
+BUILTIN_DEFAULTS = {"gamma": 1.0, "omega": 1.0, "nbar": 0.0}
 
 
 def builtin_model(name: str, **params) -> LindbladModel:
@@ -100,13 +101,10 @@ def builtin_model(name: str, **params) -> LindbladModel:
         raise ConfigError(
             f"builtin {name!r} does not accept parameters {sorted(extra)}"
         )
-    kwargs = {k: float(params.get(k, _BUILTIN_DEFAULTS[k])) for k in allowed}
+    kwargs = {k: float(params.get(k, BUILTIN_DEFAULTS[k])) for k in allowed}
     if name == "thermal-qubit":
         return thermal_qubit(**kwargs)
     return homodyne_qubit(**kwargs)
-
-
-_BUILTIN_DEFAULTS = {"gamma": 1.0, "omega": 1.0, "nbar": 0.0}
 
 
 def _parse_complex_matrix(entries, dim: int, label: str) -> np.ndarray:

@@ -28,7 +28,7 @@ and the absorption rate.  Linear solves decide the rest before any step:
 ``choose_domain`` widens each open domain side, one without a threshold,
 until ``edge_loss_bound`` or, at an infinite horizon, ``exit_solve`` says
 it loses nothing, and the phase-type moments of the same LU certify the
-auto-tail horizon and serve ``absorbing_moments``.  Both engines hand the
+auto-tail horizon and serve ``jumps.passage_moments``.  Both engines hand the
 driver the same contract: a ``Discretisation`` whose ``assemble(domain)``
 returns a ``BlockGenerator`` (the sparse matrix, the survival functional
 and the absorption rate split by domain edge), which
@@ -577,9 +577,6 @@ class Discretisation:
     rho0: np.ndarray
     provenance: str
 
-    def initial(self, domain) -> np.ndarray:
-        return BlockState.initial(domain, self.rho0).data
-
 
 @dataclass
 class FptSolution:
@@ -595,7 +592,8 @@ class FptSolution:
 
 def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon, exits=None):
     """The domain whose open sides each lose less than ``EDGE_TOLERANCE``
-    by ``horizon``, its generator and, at T = inf, its ``exits``.
+    by ``horizon``, its generator, its initial state and, at T = inf, its
+    ``exits``.
 
     Each domain is assembled once.  A side's loss is its
     ``edge_loss_bound``, or at T = inf its exit probability, the lower and
@@ -612,7 +610,7 @@ def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon,
             f"{MAX_MOMENT_UNKNOWNS} an open side may reach; the model's rates or "
             "jump weights size it")
     while True:
-        generator, x0 = disc.assemble(domain), disc.initial(domain)
+        generator, x0 = disc.assemble(domain), BlockState.initial(domain, disc.rho0).data
         found = exits(generator, x0, domain) if math.isinf(horizon) else None
         losses = found[:2] if found else [
             edge_loss_bound(generator, x0, flux, horizon) if is_open else 0.0
@@ -620,7 +618,7 @@ def choose_domain(disc: Discretisation, domain, lower_open, upper_open, horizon,
         ]
         grow = [is_open and loss >= EDGE_TOLERANCE for is_open, loss in zip(opened, losses)]
         if not any(grow):
-            return domain, generator, found
+            return domain, generator, x0, found
         wider, side = domain.widened(*grow), grow.index(True)
         if wider.ncells * generator.dim**2 > MAX_MOMENT_UNKNOWNS:
             raise ConvergenceError(
@@ -648,17 +646,17 @@ def solve_absorbing(
         raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
     horizon = float(horizon)
     if auto_tail:
-        domain, generator, (_, _, certified) = choose_domain(
+        domain, generator, x0, (_, _, certified) = choose_domain(
             disc, domain, lower_open, upper_open, math.inf,
             lambda generator, x0, _: absorption_horizon_guess(generator, x0, tail_epsilon),
         )
         horizon = max(horizon, certified)
     else:
-        domain, generator, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
+        domain, generator, x0, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
     times = time_grid(horizon, dt)
     rows = scipy.sparse.csr_matrix(np.vstack([generator.survival_vector, generator.flux_vector]))
     obs = np.empty((times.size, 2))
-    chunks = propagate_uniform(generator.matrix, disc.initial(domain), times, rows=rows)
+    chunks = propagate_uniform(generator.matrix, x0, times, rows=rows)
     for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
     result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
@@ -670,14 +668,3 @@ def solve_absorbing(
     # x is the state at the horizon, the last one the propagator yielded
     final = BlockState(domain, generator.dim, x)
     return FptSolution(result, domain, final)
-
-
-def absorbing_moments(disc: Discretisation, domain, shortfall: float, unreachable: str):
-    """``exit_solve`` of an absorbing generator whose lower domain side is
-    open, on the domain ``choose_domain`` picks at T = inf, where the lower
-    exit probability is below ``EDGE_TOLERANCE``.  An unreachable edge
-    raises ConvergenceError("<unreachable> on <domain>")."""
-    def exits(generator, x0, domain):
-        return exit_solve(generator, x0, shortfall, f"{unreachable} on {domain}")
-
-    return choose_domain(disc, domain, True, False, math.inf, exits)[2]

@@ -204,6 +204,19 @@ def _renormalize(rho: np.ndarray) -> np.ndarray:
     return rho / tr
 
 
+def _no_jump_generator(model: LindbladModel) -> np.ndarray:
+    """X = -i H - sum_k L_k^dag L_k / 2 over all channels: U(t) = exp(t X)."""
+    grams = (ch.operator.conj().T @ ch.operator for ch in model.channels)
+    return -1j * model.hamiltonian - 0.5 * sum(grams)
+
+
+def _thresholds(config: TrajectoryConfig) -> tuple[float, float]:
+    """Lower and upper threshold; a missing one is one the charge never reaches."""
+    lower = -np.inf if config.lower_threshold is None else config.lower_threshold
+    upper = np.inf if config.threshold is None else config.threshold
+    return lower, upper
+
+
 class _JumpSampler:
     """Event-driven jump unravelling, exact in time (see the module
     docstring).  The propagators depend on the model and the horizon
@@ -211,13 +224,11 @@ class _JumpSampler:
 
     def __init__(self, config: TrajectoryConfig, rho0: np.ndarray):
         model = config.model
-        ops = [ch.operator for ch in model.channels]
-        grams = [op.conj().T @ op for op in ops]
-        gen = -1j * model.hamiltonian - 0.5 * sum(grams)
+        gen = _no_jump_generator(model)
         self.horizon = config.horizon
         self.rho0 = rho0[..., None]
-        self.ops = [op[..., None] for op in ops]
-        self.grams = [g[..., None] for g in grams]
+        self.ops = [ch.operator[..., None] for ch in model.channels]
+        self.grams = [(ch.operator.conj().T @ ch.operator)[..., None] for ch in model.channels]
         self.nu = np.array([integer_weight(ch) if ch.monitored else 0 for ch in model.channels])
         # exact propagators over horizon 2^-m, longest first
         spans = [config.horizon * 0.5**m for m in range(LADDER_LEVELS)]
@@ -243,8 +254,7 @@ class _JumpSampler:
     def run(self, config: TrajectoryConfig) -> TrajectoryEnsemble:
         n = config.ntraj
         nchan = len(self.ops)
-        upper = np.inf if config.threshold is None else config.threshold
-        lower = -np.inf if config.lower_threshold is None else config.lower_threshold
+        lower, upper = _thresholds(config)
         streams = _streams(config)
         draws = np.empty((n, JUMP_DRAW_BLOCK))
         used = np.full(n, JUMP_DRAW_BLOCK)
@@ -345,11 +355,8 @@ def _run_diffusion(config: TrajectoryConfig, dt: float, nsteps: int, rho0: np.nd
     a_ops = [ch.rotated_operator()[..., None] for ch in model.monitored]
     silent = [ch.operator[..., None] for ch in model.silent]
     weights = [ch.weight for ch in model.monitored]
-    gram_total = sum(ch.operator.conj().T @ ch.operator for ch in model.channels)
-    stem = (np.eye(model.dim) - dt * (1j * model.hamiltonian + 0.5 * gram_total))[..., None]
-    # a missing threshold is one the charge never reaches
-    upper = np.inf if config.threshold is None else config.threshold
-    lower = -np.inf if config.lower_threshold is None else config.lower_threshold
+    stem = (np.eye(model.dim) + dt * _no_jump_generator(model))[..., None]
+    lower, upper = _thresholds(config)
     rngs = _streams(config)
 
     final = np.empty((*rho0.shape, n), dtype=complex)

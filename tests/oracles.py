@@ -10,6 +10,8 @@ propagator to read the per-cell traces that the solve does not observe.
 are no references either: they transform a model into one whose
 first-passage statistics are known to be the same, or known to map
 exactly, so a solve of each checks the engines against themselves.
+``tilted_generator`` builds its superoperators from the model's
+operators alone; ``generating_function`` reads an engine's state.
 """
 
 from __future__ import annotations
@@ -315,3 +317,51 @@ def split(model):
             for _ in range(2)
         ),
     )
+
+
+def tilted_generator(model, theta: float, delta: float | None = None) -> np.ndarray:
+    """The Liouvillian tilted by the counting field ``theta``, on the
+    row-major vec(rho), such that tr[exp(t L_theta) rho0] is the generating
+    function E[exp(theta Q_t)] of the charge Q counted from 0 up to t.
+
+    For jumps (``delta`` None) each monitored jump L rho L^dag of weight nu
+    gains exp(theta nu).  For the central-difference diffusion grid of
+    spacing ``delta`` it is the lattice symbol
+    L + K sinh(theta delta) / delta + D (cosh(theta delta) - 1) / delta^2
+    of its drift K rho = sum_k w_k (A_k rho + rho A_k^dag), with
+    A_k = L_k exp(-i phi_k), and diffusion D = sum_k w_k^2 over the
+    monitored channels: exact at any spacing, as long as no weight
+    reaches the grid's edges.
+    """
+    eye = np.eye(model.dim)
+
+    def sup(a, b):
+        # vec(a rho b) for the row-major vec
+        return np.kron(a, b.T)
+
+    h = model.hamiltonian
+    out = -1j * (sup(h, eye) - sup(eye, h))
+    for ch in model.channels:
+        gram = ch.operator.conj().T @ ch.operator
+        tilt = math.exp(theta * ch.weight) if ch.monitored and delta is None else 1.0
+        out = out + tilt * sup(ch.operator, ch.operator.conj().T)
+        out = out - 0.5 * (sup(gram, eye) + sup(eye, gram))
+    if delta is not None:
+        monitored = [ch for ch in model.channels if ch.monitored]
+        rotated = [ch.operator * np.exp(-1j * ch.phase) for ch in monitored]
+        drift = sum(
+            ch.weight * (sup(a, eye) + sup(eye, a.conj().T)) for ch, a in zip(monitored, rotated)
+        )
+        diffusion = sum(ch.weight**2 for ch in monitored)
+        out = out + drift * (math.sinh(theta * delta) / delta)
+        out = out + (diffusion * (math.cosh(theta * delta) - 1.0) / delta**2) * np.eye(out.shape[0])
+    return out
+
+
+def generating_function(state, theta: float) -> float:
+    """sum_i w_i exp(theta q_i) tr rho_i of a charge-resolved ``BlockState``:
+    its cells' charges q_i = lower + i c for the charge c per cell, and
+    the trace weights w_i of its window or grid."""
+    domain = state.domain
+    charges = domain.lower + domain.cell_width * np.arange(domain.ncells)
+    return float(domain.trace_weights @ (np.exp(theta * charges) * state.traces()))

@@ -287,3 +287,15 @@ def test_trapezoid_steps_match_scipy_on_an_engine_series():
     t, f = res.times, res.density
     for y in (f, t * f, t * t * f, res.survival):
         _assert_scipy_trapezoid_bits(y, t)
+
+
+def test_fpt_result_refuses_a_rising_survival():
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(PhysicsError, match="survival increases by 1.000e-01"):
+        FptResult(t, np.zeros(5), np.array([1.0, 0.5, 0.6, 0.6, 0.6]), "deterministic-jump")
+
+
+def test_fpt_result_refuses_a_first_survival_other_than_one():
+    t = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(PhysicsError, match="survival at the first grid point is 0.9, not 1"):
+        FptResult(t, np.zeros(5), np.full(5, 0.9), "deterministic-jump")

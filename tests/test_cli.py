@@ -12,6 +12,7 @@ import qfpt.cli as cli
 from qfpt.jumps import ChargeWindow, charge_distribution, solve_jump_fpt
 from qfpt.kur import KurReport
 from qfpt.models import decay_qubit, model_payload, save_model, thermal_qubit, wiener_charge
+from qfpt.operators import JumpChannel, LindbladModel
 
 from .test_models import BOOLEAN_FIELDS, boolean_payload
 
@@ -594,3 +595,22 @@ def test_config_hash_of_readme_kur_scan(tmp_path):
     assert manifest["config_hash"] == (
         "1e7d4946912b4ef1d09e1b280887c32bd3c5547982ff37975ebae45a4eba1ed6"
     )
+
+
+def test_validate_of_a_steady_state_that_is_not_unique_exits_convergence(tmp_path, capsys):
+    # pure dephasing keeps every diagonal state, so the kernel of L is two
+    # dimensional
+    path = tmp_path / "dephasing.json"
+    save_model(LindbladModel(np.zeros((2, 2)), (JumpChannel(np.diag([1.0, -1.0])),)), path)
+    assert cli.main(["validate", "--model", str(path)]) == cli.EXIT_CONVERGENCE
+    assert "steady state: NOT unique" in capsys.readouterr().out
+
+
+def test_lower_threshold_one_spacing_below_zero_exits_config(tmp_path, capsys):
+    # at spacing 0.01 its ghost would be the node next to 0, leaving no
+    # interior node below 0
+    argv = ["fpt-diffusion", "--builtin", "homodyne-qubit", "--gamma", "1", "--omega", "1",
+            "--lower-threshold", "-0.01", "--threshold", "1", "--horizon", "1"]
+    assert run(argv, tmp_path) == cli.EXIT_CONFIG
+    assert "pass a finer delta or an explicit grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -31,6 +31,7 @@ from qfpt.operators import (
     hermitian_real,
     vectorize,
 )
+from qfpt.propagation import initial_density
 from qfpt.trajectories import TrajectoryConfig
 
 from .oracles import inverse_gaussian_density, wiener_fpt_density
@@ -362,3 +363,17 @@ def test_auto_tail_refuses_a_charge_drifting_away_before_stepping(monkeypatch):
             auto_tail=True,
         )
     assert horizons == []
+
+
+def test_auto_grid_refuses_a_lower_ghost_next_to_zero():
+    # threshold 1 snaps the spacing to 0.01: a lower threshold of -0.01
+    # leaves no node between its ghost and 0 and is refused, where the
+    # grid once moved it out to -0.02; -0.02 itself has one
+    model = homodyne_qubit(1.0, 1.0)
+    drift, rho0 = build_drift_superoperator(model), initial_density(model, "steady")
+    with pytest.raises(ConfigError, match="pass a finer delta or an explicit grid"):
+        diffusion._auto_grid(model, drift, rho0, 1.0, -0.01, None, 1.0)
+    grid = diffusion._auto_grid(model, drift, rho0, 1.0, -0.02, None, 1.0)
+    assert (grid.lower, grid.upper, grid.delta) == pytest.approx((-0.01, 0.99, 0.01), abs=1e-15)
+    finer = diffusion._auto_grid(model, drift, rho0, 1.0, -0.01, 0.005, 1.0)
+    assert (finer.lower, finer.delta) == pytest.approx((-0.005, 0.005), abs=1e-15)

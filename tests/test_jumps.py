@@ -433,3 +433,30 @@ def test_passage_moments_refuse_charge_drifting_away():
     )
     with pytest.raises(ConvergenceError, match="lower-exit probability"):
         passage_moments(flipped, 3)
+
+
+def test_window_prints_huge_bounds_compactly():
+    # six significant digits print every bound below 10^6 in full
+    assert str(ChargeWindow(-999_999, 12)) == "window [-999999, 12]"
+    assert str(ChargeWindow(-9 * 10**200, 0)) == "window [-9e+200, 0]"
+
+
+@pytest.mark.parametrize(
+    "start, survival",
+    [
+        # the excited level decays once at rate 1, which reaches threshold 1
+        ("basis:1", lambda t: np.exp(-t)),
+        ("maximally-mixed", lambda t: 0.5 * (1.0 + np.exp(-t))),
+        # the ground level never jumps
+        ("basis:0", np.ones_like),
+    ],
+)
+def test_start_specs_set_the_initial_state(start, survival):
+    sol = solve_jump_fpt(decay_qubit(1.0), threshold=1, horizon=3.0, initial=start)
+    t = sol.result.times
+    assert np.allclose(sol.result.survival, survival(t), rtol=0.0, atol=1e-12)
+
+
+def test_unknown_start_spec_is_refused():
+    with pytest.raises(ConfigError, match="unknown start spec 'thermal'"):
+        solve_jump_fpt(decay_qubit(1.0), threshold=1, horizon=1.0, initial="thermal")

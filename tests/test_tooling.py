@@ -285,3 +285,31 @@ def test_readme_python_blocks_run_and_exports_resolve():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert [name for name in qfpt.__all__ if not hasattr(qfpt, name)] == []
+
+
+def test_cli_import_builds_no_format_table():
+    # the series formatter's tables are built on the first write, once,
+    # not by every process that imports the command line
+    src = str(Path(qfpt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import io, sys, tempfile
+import numpy as np
+import qfpt.cli
+from qfpt import analysis
+assert not [k for k, v in vars(analysis).items() if isinstance(v, np.ndarray)]
+print(analysis._format_tables.cache_info().misses)
+t = np.linspace(0.0, 1.0, 5)
+result = analysis.FptResult(t, np.zeros(5), np.ones(5), "deterministic-jump")
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("a.csv", "b.csv"):
+        analysis.write_series_csv(f"{tmp}/{name}", result)
+info = analysis._format_tables.cache_info()
+print(info.misses, info.hits)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env,
+    ).stdout.split()
+    # two writes of one chunk each: the writer and formatted_bytes read
+    # the tables four times, and build them once
+    assert out == ["0", "1", "3"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +15,15 @@ from qfpt.errors import ConfigError, PhysicsError
 from qfpt.jumps import solve_jump_fpt
 from qfpt.kur import dynamical_activity
 from qfpt import trajectories
-from qfpt.models import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, decay_qubit, homodyne_qubit, thermal_qubit
+from qfpt.models import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    decay_qubit,
+    homodyne_qubit,
+    thermal_qubit,
+    wiener_charge,
+)
 from qfpt.operators import JumpChannel, LindbladModel, build_liouvillian, steady_state, vectorize
 from qfpt.trajectories import (
     PSD_CLAMP_TOL,
@@ -24,7 +34,7 @@ from qfpt.trajectories import (
     simulate,
 )
 
-from .oracles import diffusive_trajectories
+from .oracles import diffusive_trajectories, scale_weights
 
 
 def _trace_distance(a, b):
@@ -423,3 +433,42 @@ def test_psd_repair_fixes_only_the_flagged_state():
     assert np.linalg.eigvalsh(fixed)[0] >= -1e-15
     assert abs(np.trace(fixed) - 1.0) < 1e-12
     assert np.array_equal(stack[..., [0, 2]], before[..., [0, 2]])
+
+
+@pytest.mark.parametrize(
+    "model, step",
+    [
+        # the drive, |H| = 3, is the fastest rate
+        pytest.param(homodyne_qubit(1.0, 3.0), 0.01 / 3.0, id="rate"),
+        # the diffusion constant D = 2^2 is
+        pytest.param(scale_weights(homodyne_qubit(1.0, 1.0), 2.0), 0.01 / 4.0, id="diffusion"),
+    ],
+)
+def test_default_diffusive_step_is_the_budget_over_the_fastest_scale(model, step):
+    cfg = TrajectoryConfig(model, "diffusion", 6, 0.1, seed=3, threshold=0.3)
+    ens = simulate(cfg)
+    nsteps = round(0.1 / step)
+    assert ens.dt == pytest.approx(0.1 / nsteps, rel=1e-15)
+    assert cfg.resolve_step() == (ens.dt, nsteps)
+    explicit = simulate(dataclasses.replace(cfg, dt=step))
+    assert explicit.dt == ens.dt
+    assert np.array_equal(explicit.hit_times, ens.hit_times, equal_nan=True)
+    assert np.array_equal(explicit.final_states, ens.final_states)
+
+
+def test_one_level_diffusive_ensemble_is_a_wiener_path():
+    # one level: the state stays [[1]], and the charge is sqrt(dt) times
+    # the sum of the trajectory's normals
+    cfg = TrajectoryConfig(
+        wiener_charge(), "diffusion", 40, 1.0, dt=0.01, seed=8, threshold=0.8, lower_threshold=-0.8,
+    )
+    ens = simulate(cfg)
+    hit, charges, _ = diffusive_trajectories(
+        cfg.model, np.eye(1), 40, 100, 0.01, 8, 0.8, -0.8, block=trajectories.RNG_BLOCK,
+    )
+    assert ens.censored.any() and not ens.censored.all()
+    assert np.array_equal(ens.censored, np.isnan(hit))
+    assert np.allclose(ens.hit_times, hit, rtol=0.0, atol=1e-12, equal_nan=True)
+    assert np.allclose(ens.final_charges, charges, rtol=0.0, atol=1e-12)
+    assert np.array_equal(ens.final_states, np.ones((40, 1, 1)))
+    assert ens.positivity_repairs == 0
