@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateKernelError,
+    LedgerError,
     ModelError,
     PhysicsError,
     QfptError,
@@ -91,6 +92,7 @@ __all__ = [
     "FptSolution",
     "JumpChannel",
     "KurReport",
+    "LedgerError",
     "LindbladModel",
     "ModelError",
     "PhysicsError",

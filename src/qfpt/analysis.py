@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsError, TailNotConvergedError
+from .errors import LedgerError, PhysicsError, TailNotConvergedError
 
 TAIL_EPSILON = 1e-6
 LEDGER_TOL = 1e-6
@@ -88,7 +88,7 @@ class FptResult:
             # trapezoid; allow the half-bin edge correction.
             tol = LEDGER_TOL + 0.5 * dt * (f[0] + f[-1]) + 1e-9
         if residue > tol:
-            raise PhysicsError(
+            raise LedgerError(
                 f"probability ledger violated: |G(T) + int f - 1| = {residue:.3e}; "
                 "for deterministic series this is trapezoid quadrature error, "
                 "reduce the time step"

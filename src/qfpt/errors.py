@@ -27,3 +27,7 @@ class DegenerateKernelError(ConvergenceError):
 
 class PhysicsError(QfptError):
     """A physical invariant was violated beyond numerical tolerance."""
+
+
+class LedgerError(PhysicsError):
+    """A series does not close the probability ledger G(T) + int f = 1."""

@@ -14,9 +14,11 @@ one state per step.  Two backends, chosen by the stacked dimension alone:
   Exact in time; used up to ``DENSE_CUTOFF`` unknowns.
 * ``cn``: Crank-Nicolson with a short implicit-Euler startup to damp the
   stiff content of delta-like initial data.  Each of the two matrices
-  takes one band LU (``_band_factor``), and a step two triangular band
-  solves.  Second order in the step; used above the cutoff, for jump
-  windows and diffusion grids alike.
+  takes one band LU (``_band_factor``), whose upper factor is scaled
+  once to a unit diagonal, so a step is two unit triangular band solves
+  around one multiply by the stored reciprocals of that diagonal.
+  Second order in the step; used above the cutoff, for jump windows and
+  diffusion grids alike.
 
 The resolvent solves take the same band LU, in float64.
 
@@ -57,7 +59,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .analysis import FptResult, uniform_step
-from .errors import ConfigError, ConvergenceError, ModelError, PhysicsError
+from .errors import ConfigError, ConvergenceError, LedgerError, ModelError, PhysicsError
 from .operators import (
     LindbladModel,
     build_liouvillian,
@@ -170,9 +172,13 @@ def _band_factor(matrix):
     engines' cell-major order the generators are banded.
 
     Without a row swap the factors are a unit lower band L and an upper
-    band U of the matrix's own widths, and a solve is two triangular band
-    solves (BLAS ``?tbsv``); if ``?gbtrf`` swapped a row, ``?gbtrs``
-    applies the pivots.  The routines match the matrix's dtype.
+    band U of the matrix's own widths.  U is scaled once to a unit
+    diagonal, U = D U' with D its diagonal, and the reciprocals 1/u_ii
+    are stored, so a solve is two unit triangular band solves (BLAS
+    ``?tbsv``) around one multiply by them, with no division per solve;
+    if ``?gbtrf`` swapped a row, ``?gbtrs`` applies the pivots.  The
+    routines match the matrix's dtype, and a solve never writes into its
+    input.
     """
     csr = scipy.sparse.csr_matrix(matrix)
     # summed duplicates, so each entry is written to the band once
@@ -195,10 +201,18 @@ def _band_factor(matrix):
     # L's multipliers sit below U's diagonal row, whose place the unit
     # diagonal of the lower solve ignores
     lower = np.asfortranarray(lu[kl + ku :])
+    # U's entry (i, j) sits in row ku + i - j, so row r < ku holds the
+    # entries of rows i = j - ku + r, each divided by u_ii in place; the
+    # unit diagonal of the upper solve ignores row ku
     upper = np.asfortranarray(lu[kl : kl + ku + 1])
+    inverse = 1.0 / upper[ku]
+    for r in range(ku):
+        upper[r, ku - r :] *= inverse[: n - ku + r]
 
     def solve(x):
-        return tbsv(ku, upper, tbsv(kl, lower, x, lower=1, diag=1), overwrite_x=1)
+        y = tbsv(kl, lower, x, lower=1, diag=1)
+        y *= inverse
+        return tbsv(ku, upper, y, diag=1, overwrite_x=1)
 
     return solve
 
@@ -420,7 +434,7 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
     For very long horizons the step is coarsened, with a logged warning,
     so the grid never exceeds ``MAX_GRID_POINTS``; the bookkeeping check
     still applies, so a horizon too long for the requested accuracy fails
-    loudly.
+    loudly, and ``solve_absorbing`` names the cap in that failure.
     """
     positive_finite(horizon, "horizon")
     positive_finite(dt, "dt")
@@ -640,7 +654,9 @@ def solve_absorbing(
     ``absorption_horizon_guess`` refuses an initial state that is not
     absorbed with probability 1 to within ``tail_epsilon`` and certifies a
     horizon T*; the series runs to max(horizon, T*), and is refused if its
-    survival there is not below ``tail_epsilon``.
+    survival there is not below ``tail_epsilon``.  A series that fails the
+    probability ledger on a grid ``time_grid`` capped is refused naming the
+    cap and both steps.
     """
     if not 0.0 < tail_epsilon < 1.0:
         raise ConfigError(f"tail epsilon must lie in (0, 1), got {tail_epsilon!r}")
@@ -654,12 +670,23 @@ def solve_absorbing(
     else:
         domain, generator, x0, _ = choose_domain(disc, domain, lower_open, upper_open, horizon)
     times = time_grid(horizon, dt)
-    rows = scipy.sparse.csr_matrix(np.vstack([generator.survival_vector, generator.flux_vector]))
+    rows = np.vstack([generator.survival_vector, generator.flux_vector])
     obs = np.empty((times.size, 2))
     chunks = propagate_uniform(generator.matrix, x0, times, rows=rows)
     for start, chunk, x in chunks:
         obs[start : start + chunk.shape[0]] = chunk
-    result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
+    try:
+        result = FptResult(times, obs[:, 1], obs[:, 0], disc.provenance)
+    except LedgerError as exc:
+        step = uniform_step(times)
+        if times.size < MAX_GRID_POINTS or step <= dt:
+            raise
+        # a shorter step is no remedy on a grid the cap coarsened
+        ledger = str(exc).partition(";")[0]
+        raise LedgerError(
+            f"{ledger}; the time grid is capped at {MAX_GRID_POINTS} points, which "
+            f"coarsened the step from {dt:.3g} to {step:.3g}; shorten the horizon"
+        ) from None
     if auto_tail and not result.survival[-1] < tail_epsilon:
         raise ConvergenceError(
             f"survival G(T) is {result.survival[-1]:.3e} at the certified horizon "

@@ -614,3 +614,18 @@ def test_lower_threshold_one_spacing_below_zero_exits_config(tmp_path, capsys):
     assert run(argv, tmp_path) == cli.EXIT_CONFIG
     assert "pass a finer delta or an explicit grid" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_ledger_failure_on_a_capped_grid_names_the_cap(tmp_path, capsys):
+    # the step for the threshold at -0.02 would take 1,250,001 points to
+    # horizon 1; the cap coarsens it 6.25-fold and the ledger fails, so the
+    # advice is a shorter horizon, not a shorter step
+    argv = ["fpt-diffusion", "--builtin", "homodyne-qubit", "--gamma", "1", "--omega", "1",
+            "--lower-threshold", "-0.02", "--threshold", "1", "--horizon", "1"]
+    assert run(argv, tmp_path) == cli.EXIT_PHYSICS
+    err = capsys.readouterr().err
+    assert "probability ledger violated" in err
+    assert "capped at 200000 points" in err
+    assert "from 8e-07 to 5e-06; shorten the horizon" in err
+    assert "reduce the time step" not in err
+    assert not list(tmp_path.iterdir())

@@ -434,6 +434,20 @@ def _complex_band(n=40, kl=2, ku=3, seed=5):
     return scipy.sparse.diags(diagonals, list(offsets), format="csr")
 
 
+def _spread_band(n=40, kl=2, ku=3, seed=7):
+    """A seeded real band matrix (I + E) D with |E| <= 0.1 and a shuffled
+    diagonal D over 1e-6 ... 1e6: ``?gbtrf`` swaps no row, and every row
+    of U, the first ku columns' too, is scaled by a different 1/u_ii, so
+    a reciprocal read from the wrong row shows."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-kl, ku + 1)
+    unit = scipy.sparse.diags(
+        [0.1 * rng.uniform(-1.0, 1.0, size=n - abs(k)) + (k == 0) for k in offsets],
+        list(offsets), format="csr",
+    )
+    return unit @ scipy.sparse.diags(rng.permutation(np.logspace(-6, 6, n)), format="csr")
+
+
 def _pivoting_band():
     """A real band matrix (1 sub-, 2 superdiagonals) whose small diagonal
     makes ``?gbtrf`` swap rows."""
@@ -455,11 +469,13 @@ def _band_pivots(matrix):
 
 
 @pytest.mark.parametrize(
-    "build, swaps", [(_complex_band, 0), (_pivoting_band, 3)], ids=["complex", "pivoting"]
+    "build, swaps",
+    [(_complex_band, 0), (_pivoting_band, 3), (_spread_band, 0)],
+    ids=["complex", "pivoting", "spread-diagonal"],
 )
 def test_band_solve_matches_dense_solve(build, swaps):
-    # the complex band takes the two triangular solves, the pivoting one
-    # the ?gbtrs branch
+    # the complex and the spread band take the two unit triangular solves,
+    # the pivoting one the ?gbtrs branch
     matrix = build()
     assert _band_pivots(matrix) == swaps
     rng = np.random.default_rng(9)
@@ -468,6 +484,21 @@ def test_band_solve_matches_dense_solve(build, swaps):
     exact = scipy.linalg.solve(matrix.toarray(), b)
     assert x.dtype == matrix.dtype
     assert np.max(np.abs(x - exact)) <= 64 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize(
+    "build", [_spread_band, _complex_band, _pivoting_band], ids=["real", "complex", "pivoting"]
+)
+def test_band_solve_leaves_its_input_untouched(build):
+    # a Crank-Nicolson step reads x again after solve(x)
+    matrix = build()
+    b = np.random.default_rng(3).normal(size=matrix.shape[0]).astype(matrix.dtype)
+    given = b.copy()
+    solve = propagation._band_factor(matrix)
+    solve(b)
+    x = solve(b)
+    assert np.array_equal(b, given)
+    assert np.array_equal(x, solve(given))
 
 
 def test_band_solve_of_the_readme_crank_nicolson_matrix():
